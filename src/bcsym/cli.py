@@ -198,11 +198,6 @@ def _descriptive_stats(values: np.ndarray) -> dict:
 # Family and parameter flags.
 
 _FAMILY_ALIASES = {"pe": "power_exponential", "t": "student_t", "cslash": "canonical_slash"}
-_EXTRA_FLAG = {
-    FamilyKind.STUDENT_T: "tau",
-    FamilyKind.POWER_EXPONENTIAL: "tau",
-    FamilyKind.SLASH: "q",
-}
 _EXTRA_DEFAULT = {
     FamilyKind.STUDENT_T: 4.0,
     FamilyKind.POWER_EXPONENTIAL: 2.0,
@@ -218,7 +213,7 @@ def _resolve_family(name: str, extra: float | None) -> tuple[DensityFamily, list
     except ValueError:
         choices = sorted(k.value for k in FamilyKind)
         raise CliError(EXIT_USAGE, "usage", f"unknown family {name!r}; choose from {choices}")
-    flag = _EXTRA_FLAG.get(kind)
+    flag = kind.extra_name
     if flag is None and extra is not None:
         raise CliError(EXIT_USAGE, "usage", f"{kind.value} has no extra parameter")
     if flag is not None and extra is None:
@@ -238,7 +233,7 @@ def _family_from_flags(args) -> tuple[DensityFamily, list[str]]:
         raise CliError(EXIT_USAGE, "usage", "give --tau or --q, not both")
     extra = args.tau if args.tau is not None else args.q
     family, notes = _resolve_family(args.family, extra)
-    flag = _EXTRA_FLAG.get(family.kind)
+    flag = family.extra_name
     if args.tau is not None and flag != "tau":
         raise CliError(EXIT_USAGE, "usage", f"{family.kind.value} does not take --tau")
     if args.q is not None and flag != "q":

@@ -393,6 +393,8 @@ def fit(
     ya = ctx.data
     if ya.size < 5:
         raise ValueError("need at least 5 observations to fit")
+    if ya.max() == ya.min():
+        raise ValueError("observations have zero spread")
     if mode not in ("analytic", "numeric"):
         raise ValueError("mode must be 'analytic' or 'numeric'")
     family = ctx.family

@@ -28,7 +28,9 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,12 +70,10 @@ class FamilyKind(str, enum.Enum):
     CANONICAL_SLASH = "canonical_slash"
     SLASH = "slash"
 
-
-_EXTRA_NAME = {
-    FamilyKind.POWER_EXPONENTIAL: "tau",
-    FamilyKind.STUDENT_T: "tau",
-    FamilyKind.SLASH: "q",
-}
+    @property
+    def extra_name(self) -> str | None:
+        """Name of the kind's extra parameter, or None for two-parameter kinds."""
+        return _SPECS[self].extra_name
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ class DensityFamily:
     def __post_init__(self) -> None:
         kind = FamilyKind(self.kind)
         object.__setattr__(self, "kind", kind)
-        name = _EXTRA_NAME.get(kind)
+        name = kind.extra_name
         if name is None:
             if self.extra is not None:
                 raise ValueError(f"{kind.value} takes no extra parameter")
@@ -105,7 +105,7 @@ class DensityFamily:
     @property
     def extra_name(self) -> str | None:
         """Name of the extra parameter, or None for two-parameter kinds."""
-        return _EXTRA_NAME.get(self.kind)
+        return self.kind.extra_name
 
     def label(self) -> str:
         if self.extra is None:
@@ -257,14 +257,14 @@ _CSLASH_DR_COEF = np.array(
 )
 
 
-def _gen_normal(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _gen_normal(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     log_r = -0.5 * (_LOG_2PI + u)
     with np.errstate(under="ignore"):
         r = np.exp(log_r)
     return r, log_r, -0.5 * r
 
 
-def _gen_double_exponential(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _gen_double_exponential(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     log_r = -0.5 * math.log(2.0) - _SQRT2 * np.sqrt(u)
     with np.errstate(under="ignore"):
         r = np.exp(log_r)
@@ -273,7 +273,8 @@ def _gen_double_exponential(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     return r, log_r, dr
 
 
-def _gen_power_exponential(u: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _gen_power_exponential(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    tau = family.extra
     p = _pe_scale(tau)
     ptau = p**tau
     log_r = _pe_log_norm(tau, p) - u ** (0.5 * tau) / (2.0 * ptau)
@@ -287,13 +288,14 @@ def _gen_power_exponential(u: np.ndarray, tau: float) -> tuple[np.ndarray, np.nd
     return r, log_r, dr
 
 
-def _gen_cauchy(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _gen_cauchy(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     r = 1.0 / (math.pi * (1.0 + u))
     log_r = -math.log(math.pi) - np.log1p(u)
     return r, log_r, -r / (1.0 + u)
 
 
-def _gen_student_t(u: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _gen_student_t(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    tau = family.extra
     log_norm = 0.5 * tau * math.log(tau) - log_beta(0.5, 0.5 * tau)
     log_r = log_norm - 0.5 * (tau + 1.0) * np.log(tau + u)
     with np.errstate(under="ignore"):
@@ -301,7 +303,7 @@ def _gen_student_t(u: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray, n
     return r, log_r, -0.5 * (tau + 1.0) * r / (tau + u)
 
 
-def _gen_logistic_i(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _gen_logistic_i(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     c = _logistic_i_cache()["c"]
     with np.errstate(under="ignore"):
         eu = np.exp(-u)
@@ -311,7 +313,7 @@ def _gen_logistic_i(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return r, log_r, -r * np.tanh(0.5 * u)
 
 
-def _gen_logistic_ii(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _gen_logistic_ii(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     g = np.sqrt(u)
     with np.errstate(under="ignore"):
         eg = np.exp(-g)
@@ -323,7 +325,7 @@ def _gen_logistic_ii(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return r, log_r, -r * ratio
 
 
-def _gen_canonical_slash(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _gen_canonical_slash(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     x = 0.5 * u
     with np.errstate(divide="ignore", invalid="ignore"):
         r = np.where(u > 0.0, -np.expm1(-x) / (_SQRT_2PI * u), 1.0 / (2.0 * _SQRT_2PI))
@@ -342,7 +344,8 @@ def _gen_canonical_slash(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     return r, log_r, dr
 
 
-def _gen_slash(u: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _gen_slash(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    q = family.extra
     a = 0.5 * (q + 1.0)
     amp = _slash_amp(q) * 2.0**-a
     r = np.zeros_like(u)
@@ -383,27 +386,7 @@ def eval_generator(family: DensityFamily, u) -> GeneratorEval:
     flat = np.atleast_1d(ua).ravel()
     if np.any(flat < 0.0):
         raise ValueError("generator argument must be nonnegative")
-    kind = family.kind
-    if kind is FamilyKind.NORMAL:
-        r, log_r, dr = _gen_normal(flat)
-    elif kind is FamilyKind.DOUBLE_EXPONENTIAL:
-        r, log_r, dr = _gen_double_exponential(flat)
-    elif kind is FamilyKind.POWER_EXPONENTIAL:
-        r, log_r, dr = _gen_power_exponential(flat, family.extra)
-    elif kind is FamilyKind.CAUCHY:
-        r, log_r, dr = _gen_cauchy(flat)
-    elif kind is FamilyKind.STUDENT_T:
-        r, log_r, dr = _gen_student_t(flat, family.extra)
-    elif kind is FamilyKind.LOGISTIC_I:
-        r, log_r, dr = _gen_logistic_i(flat)
-    elif kind is FamilyKind.LOGISTIC_II:
-        r, log_r, dr = _gen_logistic_ii(flat)
-    elif kind is FamilyKind.CANONICAL_SLASH:
-        r, log_r, dr = _gen_canonical_slash(flat)
-    elif kind is FamilyKind.SLASH:
-        r, log_r, dr = _gen_slash(flat, family.extra)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown family kind: {kind!r}")
+    r, log_r, dr = _SPECS[family.kind].generator(family, flat)
     shape = ua.shape
     return GeneratorEval(
         r=r.reshape(shape), log_r=log_r.reshape(shape), dr_du=dr.reshape(shape)
@@ -413,83 +396,77 @@ def eval_generator(family: DensityFamily, u) -> GeneratorEval:
 # ---------------------------------------------------------------------------
 # cdf / survival of the standard symmetric laws.
 
-def _upper_tail(family: DensityFamily, s: np.ndarray) -> np.ndarray:
-    """P(S > s) for s >= 0, relatively accurate deep into the tail."""
-    kind = family.kind
-    if kind is FamilyKind.NORMAL:
-        return std_normal_cdf(-s)
-    if kind is FamilyKind.DOUBLE_EXPONENTIAL:
-        with np.errstate(under="ignore"):
-            return 0.5 * np.exp(-_SQRT2 * s)
-    if kind is FamilyKind.POWER_EXPONENTIAL:
-        tau = family.extra
-        p = _pe_scale(tau)
-        with np.errstate(over="ignore"):
-            arg = s**tau / (2.0 * p**tau)
-        return 0.5 * reg_upper_gamma(1.0 / tau, arg)
-    if kind is FamilyKind.CAUCHY:
-        out = np.empty_like(s)
-        near = s <= 1.0
-        out[near] = 0.5 - np.arctan(s[near]) / math.pi
-        far = ~near
-        out[far] = np.arctan(1.0 / s[far]) / math.pi
-        return out
-    if kind is FamilyKind.STUDENT_T:
-        tau = family.extra
-        with np.errstate(over="ignore"):
-            x = tau / (tau + s * s)
-        return 0.5 * reg_inc_beta(0.5 * tau, 0.5, x)
-    if kind is FamilyKind.LOGISTIC_I:
-        c = _logistic_i_cache()["c"]
-        out = np.empty_like(s)
-        near = s < 2.0
-        out[near] = 0.5 - c * _logistic_i_mass0(s[near])
-        far = ~near
-        out[far] = c * _logistic_i_tail0(s[far])
-        return out
-    if kind is FamilyKind.LOGISTIC_II:
-        with np.errstate(under="ignore"):
-            eg = np.exp(-s)
-        return eg / (1.0 + eg)
-    if kind in (FamilyKind.CANONICAL_SLASH, FamilyKind.SLASH):
-        q = 1.0 if kind is FamilyKind.CANONICAL_SLASH else family.extra
-        with np.errstate(over="ignore"):
-            r = eval_generator(family, s * s).r
-        with np.errstate(invalid="ignore"):
-            bulge = np.where(np.isfinite(s), s * r / q, 0.0)
-        return std_normal_cdf(-s) + bulge
-    raise ValueError(f"unknown family kind: {kind!r}")  # pragma: no cover
+def _tail_double_exponential(family: DensityFamily, s: np.ndarray) -> np.ndarray:
+    with np.errstate(under="ignore"):
+        return 0.5 * np.exp(-_SQRT2 * s)
+
+
+def _tail_power_exponential(family: DensityFamily, s: np.ndarray) -> np.ndarray:
+    tau = family.extra
+    p = _pe_scale(tau)
+    with np.errstate(over="ignore"):
+        arg = s**tau / (2.0 * p**tau)
+    return 0.5 * reg_upper_gamma(1.0 / tau, arg)
+
+
+def _tail_cauchy(family: DensityFamily, s: np.ndarray) -> np.ndarray:
+    out = np.empty_like(s)
+    near = s <= 1.0
+    out[near] = 0.5 - np.arctan(s[near]) / math.pi
+    far = ~near
+    out[far] = np.arctan(1.0 / s[far]) / math.pi
+    return out
+
+
+def _tail_student_t(family: DensityFamily, s: np.ndarray) -> np.ndarray:
+    tau = family.extra
+    with np.errstate(over="ignore"):
+        x = tau / (tau + s * s)
+    return 0.5 * reg_inc_beta(0.5 * tau, 0.5, x)
+
+
+def _tail_logistic_i(family: DensityFamily, s: np.ndarray) -> np.ndarray:
+    c = _logistic_i_cache()["c"]
+    out = np.empty_like(s)
+    near = s < 2.0
+    out[near] = 0.5 - c * _logistic_i_mass0(s[near])
+    far = ~near
+    out[far] = c * _logistic_i_tail0(s[far])
+    return out
+
+
+def _tail_logistic_ii(family: DensityFamily, s: np.ndarray) -> np.ndarray:
+    with np.errstate(under="ignore"):
+        eg = np.exp(-s)
+    return eg / (1.0 + eg)
+
+
+def _tail_slash_form(family: DensityFamily, s: np.ndarray, q: float) -> np.ndarray:
+    """Phi(-s) + s r(s^2) / q, with r the family's own slash generator."""
+    with np.errstate(over="ignore"):
+        r = eval_generator(family, s * s).r
+    with np.errstate(invalid="ignore"):
+        bulge = np.where(np.isfinite(s), s * r / q, 0.0)
+    return std_normal_cdf(-s) + bulge
 
 
 def symmetric_cdf(family: DensityFamily, s):
     """cdf of the standard symmetric law with generator r."""
-    sa = np.asarray(s, dtype=float)
-    flat = np.atleast_1d(sa).ravel().copy()
-    out = np.empty_like(flat)
-    neg = flat < 0.0
-    if np.any(neg):
-        out[neg] = _upper_tail(family, -flat[neg])
-    pos = ~neg
-    if np.any(pos):
-        out[pos] = 1.0 - _upper_tail(family, flat[pos])
-    nan = np.isnan(flat)
-    if np.any(nan):
-        out[nan] = np.nan
-    out = out.reshape(sa.shape)
-    return float(out) if sa.shape == () else out
+    return symmetric_survival(family, -np.asarray(s, dtype=float))
 
 
 def symmetric_survival(family: DensityFamily, s):
     """P(S > s), relatively accurate in the upper tail."""
+    upper_tail = _SPECS[family.kind].upper_tail
     sa = np.asarray(s, dtype=float)
     flat = np.atleast_1d(sa).ravel().copy()
     out = np.empty_like(flat)
     pos = flat >= 0.0
     if np.any(pos):
-        out[pos] = _upper_tail(family, flat[pos])
+        out[pos] = upper_tail(family, flat[pos])
     neg = ~pos
     if np.any(neg):
-        out[neg] = 1.0 - _upper_tail(family, -flat[neg])
+        out[neg] = 1.0 - upper_tail(family, -flat[neg])
     nan = np.isnan(flat)
     if np.any(nan):
         out[nan] = np.nan
@@ -500,55 +477,52 @@ def symmetric_survival(family: DensityFamily, s):
 # ---------------------------------------------------------------------------
 # Quantiles.
 
-_EXACT_QUANTILE = {
-    FamilyKind.NORMAL,
-    FamilyKind.DOUBLE_EXPONENTIAL,
-    FamilyKind.CAUCHY,
-    FamilyKind.LOGISTIC_II,
-}
+def _tail_quantile_cauchy(family: DensityFamily, t: np.ndarray) -> np.ndarray:
+    return np.where(
+        t < 0.25,
+        1.0 / np.tan(math.pi * np.minimum(t, 0.25)),
+        np.tan(math.pi * (0.5 - np.maximum(t, 0.25))),
+    )
 
 
-def _quantile_hi(family: DensityFamily, t: np.ndarray) -> np.ndarray:
-    """Initial upper bracket for the tail equation P(S > s) = t, t <= 0.5."""
-    kind = family.kind
-    with np.errstate(over="ignore", divide="ignore"):
-        if kind is FamilyKind.STUDENT_T:
-            tau = family.extra
-            base = (
-                math.exp(0.5 * tau * math.log(tau) - log_beta(0.5, 0.5 * tau)) / (tau * t)
-            ) ** (1.0 / tau)
-            hi = 1.5 * base + 2.0
-        elif kind in (FamilyKind.SLASH, FamilyKind.CANONICAL_SLASH):
-            q = 1.0 if kind is FamilyKind.CANONICAL_SLASH else family.extra
-            a = 0.5 * (q + 1.0)
-            base = (_slash_amp(q) * math.exp(math.lgamma(a)) / (q * t)) ** (1.0 / q)
-            hi = 1.5 * base + 2.0
-        elif kind is FamilyKind.POWER_EXPONENTIAL:
-            tau = family.extra
-            p = _pe_scale(tau)
-            a = 1.0 / tau
-            x0 = np.maximum(-np.log(2.0 * t), 1.0)
-            x0 = x0 + (abs(a - 1.0) + 1.0) * np.log(x0 + 3.0) + 5.0
-            hi = (2.0 * p**tau * x0) ** (1.0 / tau) + 1.0
-        elif kind is FamilyKind.LOGISTIC_I:
-            hi = np.sqrt(np.maximum(-np.log(t), 1.0)) + 2.0
-        else:  # pragma: no cover
-            hi = np.full_like(t, 8.0)
-    return np.minimum(hi, 1e300)
+def _bracket_student_t(family: DensityFamily, t: np.ndarray) -> np.ndarray:
+    tau = family.extra
+    base = (
+        math.exp(0.5 * tau * math.log(tau) - log_beta(0.5, 0.5 * tau)) / (tau * t)
+    ) ** (1.0 / tau)
+    return 1.5 * base + 2.0
+
+
+def _bracket_slash_form(q: float, t: np.ndarray) -> np.ndarray:
+    a = 0.5 * (q + 1.0)
+    base = (_slash_amp(q) * math.exp(math.lgamma(a)) / (q * t)) ** (1.0 / q)
+    return 1.5 * base + 2.0
+
+
+def _bracket_power_exponential(family: DensityFamily, t: np.ndarray) -> np.ndarray:
+    tau = family.extra
+    p = _pe_scale(tau)
+    a = 1.0 / tau
+    x0 = np.maximum(-np.log(2.0 * t), 1.0)
+    x0 = x0 + (abs(a - 1.0) + 1.0) * np.log(x0 + 3.0) + 5.0
+    return (2.0 * p**tau * x0) ** (1.0 / tau) + 1.0
 
 
 def _tail_quantile_newton(family: DensityFamily, t: np.ndarray) -> np.ndarray:
     """Solve P(S > s) = t for s >= 0, elementwise; t must lie in (0, 0.5]."""
     eps = _EPS
-    hi = _quantile_hi(family, t)
+    spec = _SPECS[family.kind]
+    upper_tail = spec.upper_tail
+    with np.errstate(over="ignore", divide="ignore"):
+        hi = np.minimum(spec.bracket(family, t), 1e300)
     # make sure the bracket really covers the root; doubling saturates at inf
     for _ in range(120):
-        short = (t < 0.5) & (_upper_tail(family, hi) > t)
+        short = (t < 0.5) & (upper_tail(family, hi) > t)
         if not np.any(short):
             break
         with np.errstate(over="ignore"):
             hi = np.where(short, hi * 2.0, hi)
-    unreachable = np.isinf(hi) | ((t < 0.5) & (_upper_tail(family, hi) > t))
+    unreachable = np.isinf(hi) | ((t < 0.5) & (upper_tail(family, hi) > t))
     lo = np.zeros_like(t)
     s = 0.5 * np.where(unreachable, 0.0, hi)
     active = ~unreachable & (t < 0.5)
@@ -556,7 +530,7 @@ def _tail_quantile_newton(family: DensityFamily, t: np.ndarray) -> np.ndarray:
         if not np.any(active):
             break
         sa = s[active]
-        f = _upper_tail(family, sa) - t[active]
+        f = upper_tail(family, sa) - t[active]
         # the tail equation is solved to relative precision
         done = np.abs(f) <= 4.0 * eps * t[active]
         lo_a = np.where(f > 0.0, np.maximum(lo[active], sa), lo[active])
@@ -585,23 +559,12 @@ def symmetric_quantile(family: DensityFamily, p):
     flat = np.atleast_1d(pa).ravel()
     if np.any(~((flat > 0.0) & (flat < 1.0))):
         raise ValueError("probability must lie strictly inside (0, 1)")
-    kind = family.kind
-    if kind is FamilyKind.NORMAL:
-        out = np.asarray(std_normal_quantile(flat), dtype=float)
+    spec = _SPECS[family.kind]
+    if spec.quantile is not None:
+        out = spec.quantile(family, flat)
     else:
         t = np.minimum(flat, 1.0 - flat)
-        if kind is FamilyKind.DOUBLE_EXPONENTIAL:
-            mag = -np.log(2.0 * t) / _SQRT2
-        elif kind is FamilyKind.CAUCHY:
-            mag = np.where(
-                t < 0.25,
-                1.0 / np.tan(math.pi * np.minimum(t, 0.25)),
-                np.tan(math.pi * (0.5 - np.maximum(t, 0.25))),
-            )
-        elif kind is FamilyKind.LOGISTIC_II:
-            mag = np.log1p(-t) - np.log(t)
-        else:
-            mag = _tail_quantile_newton(family, t)
+        mag = spec.tail_quantile(family, t)
         out = np.where(flat >= 0.5, mag, -mag)
         out = np.where(flat == 0.5, 0.0, out)
     out = out.reshape(pa.shape)
@@ -610,13 +573,6 @@ def symmetric_quantile(family: DensityFamily, p):
 
 # ---------------------------------------------------------------------------
 # Weight function w(z) = -2 r'(z^2) / r(z^2) and its derivative.
-
-_SINGULAR_WEIGHT = {
-    FamilyKind.DOUBLE_EXPONENTIAL,
-    FamilyKind.LOGISTIC_II,
-    FamilyKind.CANONICAL_SLASH,
-    FamilyKind.SLASH,
-}
 
 # Bernoulli-series coefficients of 2/u - 1/expm1(u/2) in x = u/2:
 # 1/2 - x/12 + x^3/720 - x^5/30240 + x^7/1209600 - x^9/47900160
@@ -632,147 +588,255 @@ _CSLASH_DW_COEF = np.array([
 ])
 
 
-def _weight_singular(family: DensityFamily) -> bool:
-    if family.kind in _SINGULAR_WEIGHT:
-        return True
-    return family.kind is FamilyKind.POWER_EXPONENTIAL and family.extra < 2.0
+def _w_power_exponential(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> np.ndarray:
+    tau = family.extra
+    p = _pe_scale(tau)
+    with np.errstate(divide="ignore"):
+        return tau * u ** (0.5 * tau - 1.0) / (2.0 * p**tau)
 
 
-def _check_weight_domain(family: DensityFamily, flat: np.ndarray) -> None:
-    if _weight_singular(family) and np.any(flat == 0.0):
+def _w_canonical_slash(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> np.ndarray:
+    x = 0.5 * u
+    out = np.empty_like(u)
+    small = x < 0.25
+    if np.any(small):
+        out[small] = np.polynomial.polynomial.polyval(x[small], _CSLASH_W_COEF)
+    big = ~small
+    if np.any(big):
+        with np.errstate(over="ignore"):
+            out[big] = 2.0 / u[big] - 1.0 / np.expm1(x[big])
+    return out
+
+
+def _w_slash(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> np.ndarray:
+    a = 0.5 * (family.extra + 1.0)
+    out = np.zeros_like(u)
+    fin = np.isfinite(u)
+    x = 0.5 * u[fin]
+    out[fin] = lower_gamma_ratio(a + 1.0, x) / lower_gamma_ratio(a, x)
+    out[np.isnan(u)] = np.nan
+    return out
+
+
+def _dw_power_exponential(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> np.ndarray:
+    tau = family.extra
+    if tau == 2.0:
+        return np.zeros_like(u)
+    p = _pe_scale(tau)
+    # w'(z) = C sign(z) |z|^(tau-3), written this way so that the
+    # z -> 0 and |z| -> inf ends resolve without 0 * inf forms
+    coef = tau * (tau - 2.0) / (2.0 * p**tau)
+    with np.errstate(divide="ignore", over="ignore"):
+        return coef * np.sign(z) * np.abs(z) ** (tau - 3.0)
+
+
+def _dw_cauchy(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> np.ndarray:
+    # nested division avoids overflow of (1 + u)^2 for huge u
+    return -4.0 * z / (1.0 + u) / (1.0 + u)
+
+
+def _dw_logistic_i(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        c2 = np.cosh(0.5 * u) ** 2
+    return np.where(np.isinf(c2), 0.0, 2.0 * z / c2)
+
+
+def _dw_logistic_ii(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> np.ndarray:
+    g = np.abs(z)
+    out = np.empty_like(u)
+    small = g < 0.05
+    if np.any(small):
+        gs = g[small]
+        g2 = gs * gs
+        out[small] = -gs / 12.0 + gs * g2 / 60.0 - 17.0 * gs * g2 * g2 / 6720.0
+    big = ~small
+    if np.any(big):
+        gb = g[big]
+        with np.errstate(over="ignore"):
+            c2 = np.cosh(0.5 * gb) ** 2
+        hyper = np.where(np.isinf(c2), 0.0, 0.5 * gb / c2)
+        out[big] = (hyper - np.tanh(0.5 * gb)) / (gb * gb)
+    return np.sign(z) * out
+
+
+def _dw_canonical_slash(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> np.ndarray:
+    x = 0.5 * u
+    dwdu = np.empty_like(u)
+    small = x < 0.25
+    if np.any(small):
+        x2 = x[small] ** 2
+        dwdu[small] = 0.5 * np.polynomial.polynomial.polyval(x2, _CSLASH_DW_COEF[::2])
+    big = ~small
+    if np.any(big):
+        xb = x[big]
+        with np.errstate(under="ignore"):
+            dwdu[big] = -2.0 / u[big] ** 2 + 0.5 * np.exp(-xb) / np.expm1(-xb) ** 2
+    with np.errstate(invalid="ignore"):
+        return np.where(np.isinf(z), -np.sign(z) * 0.0, 2.0 * z * dwdu)
+
+
+def _dw_slash(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> np.ndarray:
+    a = 0.5 * (family.extra + 1.0)
+    out = np.zeros_like(u)
+    fin = np.isfinite(u)
+    x = 0.5 * u[fin]
+    r0 = lower_gamma_ratio(a, x)
+    r1 = lower_gamma_ratio(a + 1.0, x)
+    r2 = lower_gamma_ratio(a + 2.0, x)
+    with np.errstate(under="ignore"):
+        out[fin] = z[fin] * (r1 * r1 - r0 * r2) / (r0 * r0)
+    out[np.isnan(u)] = np.nan
+    return out
+
+
+def _weight_args(spec: _FamilySpec, family: DensityFamily, za: np.ndarray):
+    """z and z^2 as flat arrays; raises where the weight is singular at z = 0."""
+    flat = np.atleast_1d(za).ravel()
+    if spec.weight_singular(family) and np.any(flat == 0.0):
         raise ValueError(f"weight function of {family.label()} is singular at z = 0")
+    with np.errstate(over="ignore"):
+        return flat, flat * flat
 
 
 def weight_function(family: DensityFamily, z):
     """w(z) = -2 r'(z^2) / r(z^2); raises where the family is singular at 0."""
     za = np.asarray(z, dtype=float)
-    flat = np.atleast_1d(za).ravel()
-    _check_weight_domain(family, flat)
-    with np.errstate(over="ignore"):
-        u = flat * flat
-    kind = family.kind
-    if kind is FamilyKind.NORMAL:
-        out = np.ones_like(u)
-    elif kind is FamilyKind.DOUBLE_EXPONENTIAL:
-        out = _SQRT2 / np.abs(flat)
-    elif kind is FamilyKind.POWER_EXPONENTIAL:
-        tau = family.extra
-        p = _pe_scale(tau)
-        with np.errstate(divide="ignore"):
-            out = tau * u ** (0.5 * tau - 1.0) / (2.0 * p**tau)
-    elif kind is FamilyKind.CAUCHY:
-        out = 2.0 / (1.0 + u)
-    elif kind is FamilyKind.STUDENT_T:
-        tau = family.extra
-        out = (tau + 1.0) / (tau + u)
-    elif kind is FamilyKind.LOGISTIC_I:
-        out = 2.0 * np.tanh(0.5 * u)
-    elif kind is FamilyKind.LOGISTIC_II:
-        g = np.abs(flat)
-        out = np.tanh(0.5 * g) / g
-    elif kind is FamilyKind.CANONICAL_SLASH:
-        x = 0.5 * u
-        out = np.empty_like(u)
-        small = x < 0.25
-        if np.any(small):
-            out[small] = np.polynomial.polynomial.polyval(x[small], _CSLASH_W_COEF)
-        big = ~small
-        if np.any(big):
-            with np.errstate(over="ignore"):
-                out[big] = 2.0 / u[big] - 1.0 / np.expm1(x[big])
-    elif kind is FamilyKind.SLASH:
-        a = 0.5 * (family.extra + 1.0)
-        out = np.zeros_like(u)
-        fin = np.isfinite(u)
-        x = 0.5 * u[fin]
-        out[fin] = lower_gamma_ratio(a + 1.0, x) / lower_gamma_ratio(a, x)
-        out[np.isnan(u)] = np.nan
-    else:  # pragma: no cover
-        raise ValueError(f"unknown family kind: {kind!r}")
-    out = out.reshape(za.shape)
+    spec = _SPECS[family.kind]
+    flat, u = _weight_args(spec, family, za)
+    out = spec.weight(family, flat, u).reshape(za.shape)
     return float(out) if za.shape == () else out
 
 
 def weight_derivative(family: DensityFamily, z):
     """dw/dz of the weight function, defined wherever the weight is smooth."""
     za = np.asarray(z, dtype=float)
-    flat = np.atleast_1d(za).ravel()
-    _check_weight_domain(family, flat)
-    kind = family.kind
-    if kind is FamilyKind.POWER_EXPONENTIAL and 2.0 < family.extra <= 3.0:
-        if np.any(flat == 0.0):
-            raise ValueError(
-                f"weight function of {family.label()} is not differentiable at z = 0"
-            )
-    with np.errstate(over="ignore"):
-        u = flat * flat
-    if kind is FamilyKind.NORMAL:
-        out = np.zeros_like(u)
-    elif kind is FamilyKind.DOUBLE_EXPONENTIAL:
-        out = -_SQRT2 * np.sign(flat) / u
-    elif kind is FamilyKind.POWER_EXPONENTIAL:
-        tau = family.extra
-        p = _pe_scale(tau)
-        if tau == 2.0:
-            out = np.zeros_like(u)
-        else:
-            # w'(z) = C sign(z) |z|^(tau-3), written this way so that the
-            # z -> 0 and |z| -> inf ends resolve without 0 * inf forms
-            coef = tau * (tau - 2.0) / (2.0 * p**tau)
-            with np.errstate(divide="ignore", over="ignore"):
-                out = coef * np.sign(flat) * np.abs(flat) ** (tau - 3.0)
-    elif kind is FamilyKind.CAUCHY:
-        # nested division avoids overflow of (1 + u)^2 for huge u
-        out = -4.0 * flat / (1.0 + u) / (1.0 + u)
-    elif kind is FamilyKind.STUDENT_T:
-        tau = family.extra
-        out = -2.0 * flat * (tau + 1.0) / (tau + u) / (tau + u)
-    elif kind is FamilyKind.LOGISTIC_I:
-        with np.errstate(over="ignore"):
-            c2 = np.cosh(0.5 * u) ** 2
-        out = np.where(np.isinf(c2), 0.0, 2.0 * flat / c2)
-    elif kind is FamilyKind.LOGISTIC_II:
-        g = np.abs(flat)
-        out = np.empty_like(u)
-        small = g < 0.05
-        if np.any(small):
-            gs = g[small]
-            g2 = gs * gs
-            out[small] = -gs / 12.0 + gs * g2 / 60.0 - 17.0 * gs * g2 * g2 / 6720.0
-        big = ~small
-        if np.any(big):
-            gb = g[big]
-            with np.errstate(over="ignore"):
-                c2 = np.cosh(0.5 * gb) ** 2
-            hyper = np.where(np.isinf(c2), 0.0, 0.5 * gb / c2)
-            out[big] = (hyper - np.tanh(0.5 * gb)) / (gb * gb)
-        out = np.sign(flat) * out
-    elif kind is FamilyKind.CANONICAL_SLASH:
-        x = 0.5 * u
-        dwdu = np.empty_like(u)
-        small = x < 0.25
-        if np.any(small):
-            x2 = x[small] ** 2
-            dwdu[small] = 0.5 * np.polynomial.polynomial.polyval(x2, _CSLASH_DW_COEF[::2])
-        big = ~small
-        if np.any(big):
-            xb = x[big]
-            with np.errstate(under="ignore"):
-                dwdu[big] = -2.0 / u[big] ** 2 + 0.5 * np.exp(-xb) / np.expm1(-xb) ** 2
-        with np.errstate(invalid="ignore"):
-            out = np.where(np.isinf(flat), -np.sign(flat) * 0.0, 2.0 * flat * dwdu)
-    elif kind is FamilyKind.SLASH:
-        a = 0.5 * (family.extra + 1.0)
-        out = np.zeros_like(u)
-        fin = np.isfinite(u)
-        x = 0.5 * u[fin]
-        r0 = lower_gamma_ratio(a, x)
-        r1 = lower_gamma_ratio(a + 1.0, x)
-        r2 = lower_gamma_ratio(a + 2.0, x)
-        with np.errstate(under="ignore"):
-            out[fin] = flat[fin] * (r1 * r1 - r0 * r2) / (r0 * r0)
-        out[np.isnan(u)] = np.nan
-    else:  # pragma: no cover
-        raise ValueError(f"unknown family kind: {kind!r}")
-    out = out.reshape(za.shape)
+    spec = _SPECS[family.kind]
+    flat, u = _weight_args(spec, family, za)
+    if spec.weight_kink(family) and np.any(flat == 0.0):
+        raise ValueError(
+            f"weight function of {family.label()} is not differentiable at z = 0"
+        )
+    out = spec.weight_derivative(family, flat, u).reshape(za.shape)
     return float(out) if za.shape == () else out
+
+
+def generator_decay(family: DensityFamily) -> tuple:
+    """Decay of the generator as |z| -> inf: ``("power", g)`` when
+    r(z^2) ~ z^-g, ``("exp", c, e)`` when log r(z^2) ~ -c |z|^e."""
+    return _SPECS[family.kind].decay(family)
+
+
+# ---------------------------------------------------------------------------
+# The family table.
+
+class _FamilySpec(NamedTuple):
+    """Every per-family fact, keyed by kind in ``_SPECS``.
+
+    The callables reach the special functions through this module's globals
+    at call time, never as stored values, so that a name patched here (as
+    perfbench's tracer does) sees every call.  The normal alone sets
+    ``quantile`` and calls its own inverse cdf; every other family inverts
+    the upper tail by ``tail_quantile``, which defaults to Newton from
+    ``bracket``.
+    """
+
+    generator: Callable  # (family, u) -> (r, log r, dr/du), u >= 0
+    upper_tail: Callable  # (family, s) -> P(S > s), s >= 0
+    weight: Callable  # (family, z, z^2) -> w(z)
+    weight_derivative: Callable  # (family, z, z^2) -> dw/dz
+    decay: Callable  # family -> generator_decay(family)
+    extra_name: str | None = None
+    quantile: Callable | None = None  # (family, p) -> s, 0 < p < 1
+    tail_quantile: Callable = _tail_quantile_newton  # (family, t) -> s, P(S > s) = t
+    bracket: Callable | None = None  # (family, t) -> s with P(S > s) <= t
+    weight_singular: Callable = lambda family: False  # w singular at z = 0
+    weight_kink: Callable = lambda family: False  # w finite but not differentiable at 0
+
+
+_SPECS = {
+    FamilyKind.NORMAL: _FamilySpec(
+        generator=_gen_normal,
+        upper_tail=lambda family, s: std_normal_cdf(-s),
+        quantile=lambda family, p: np.asarray(std_normal_quantile(p), dtype=float),
+        weight=lambda family, z, u: np.ones_like(u),
+        weight_derivative=lambda family, z, u: np.zeros_like(u),
+        decay=lambda family: ("exp", 0.5, 2.0),
+    ),
+    FamilyKind.DOUBLE_EXPONENTIAL: _FamilySpec(
+        generator=_gen_double_exponential,
+        upper_tail=_tail_double_exponential,
+        tail_quantile=lambda family, t: -np.log(2.0 * t) / _SQRT2,
+        weight=lambda family, z, u: _SQRT2 / np.abs(z),
+        weight_derivative=lambda family, z, u: -_SQRT2 * np.sign(z) / u,
+        weight_singular=lambda family: True,
+        decay=lambda family: ("exp", _SQRT2, 1.0),
+    ),
+    FamilyKind.POWER_EXPONENTIAL: _FamilySpec(
+        extra_name="tau",
+        generator=_gen_power_exponential,
+        upper_tail=_tail_power_exponential,
+        bracket=_bracket_power_exponential,
+        weight=_w_power_exponential,
+        weight_derivative=_dw_power_exponential,
+        weight_singular=lambda family: family.extra < 2.0,
+        weight_kink=lambda family: 2.0 < family.extra <= 3.0,
+        decay=lambda family: (
+            "exp", 0.5 / _pe_scale(family.extra) ** family.extra, family.extra
+        ),
+    ),
+    FamilyKind.CAUCHY: _FamilySpec(
+        generator=_gen_cauchy,
+        upper_tail=_tail_cauchy,
+        tail_quantile=_tail_quantile_cauchy,
+        weight=lambda family, z, u: 2.0 / (1.0 + u),
+        weight_derivative=_dw_cauchy,
+        decay=lambda family: ("power", 2.0),
+    ),
+    FamilyKind.STUDENT_T: _FamilySpec(
+        extra_name="tau",
+        generator=_gen_student_t,
+        upper_tail=_tail_student_t,
+        bracket=_bracket_student_t,
+        weight=lambda family, z, u: (family.extra + 1.0) / (family.extra + u),
+        weight_derivative=lambda family, z, u: (
+            -2.0 * z * (family.extra + 1.0) / (family.extra + u) / (family.extra + u)
+        ),
+        decay=lambda family: ("power", family.extra + 1.0),
+    ),
+    FamilyKind.LOGISTIC_I: _FamilySpec(
+        generator=_gen_logistic_i,
+        upper_tail=_tail_logistic_i,
+        bracket=lambda family, t: np.sqrt(np.maximum(-np.log(t), 1.0)) + 2.0,
+        weight=lambda family, z, u: 2.0 * np.tanh(0.5 * u),
+        weight_derivative=_dw_logistic_i,
+        decay=lambda family: ("exp", 1.0, 2.0),
+    ),
+    FamilyKind.LOGISTIC_II: _FamilySpec(
+        generator=_gen_logistic_ii,
+        upper_tail=_tail_logistic_ii,
+        tail_quantile=lambda family, t: np.log1p(-t) - np.log(t),
+        weight=lambda family, z, u: np.tanh(0.5 * np.abs(z)) / np.abs(z),
+        weight_derivative=_dw_logistic_ii,
+        weight_singular=lambda family: True,
+        decay=lambda family: ("exp", 1.0, 1.0),
+    ),
+    FamilyKind.CANONICAL_SLASH: _FamilySpec(
+        generator=_gen_canonical_slash,
+        upper_tail=lambda family, s: _tail_slash_form(family, s, 1.0),
+        bracket=lambda family, t: _bracket_slash_form(1.0, t),
+        weight=_w_canonical_slash,
+        weight_derivative=_dw_canonical_slash,
+        weight_singular=lambda family: True,
+        decay=lambda family: ("power", 2.0),
+    ),
+    FamilyKind.SLASH: _FamilySpec(
+        extra_name="q",
+        generator=_gen_slash,
+        upper_tail=lambda family, s: _tail_slash_form(family, s, family.extra),
+        bracket=lambda family, t: _bracket_slash_form(family.extra, t),
+        weight=_w_slash,
+        weight_derivative=_dw_slash,
+        weight_singular=lambda family: True,
+        decay=lambda family: ("power", family.extra + 1.0),
+    ),
+}

@@ -333,6 +333,11 @@ def _gser_P_scalar(a: float, x: float) -> float:
 
 def _gcf_Q_scalar(a: float, x: float) -> float:
     """Q(a, x) by modified Lentz continued fraction, x >= a+1."""
+    prefactor = math.exp(-x + a * math.log(x) - math.lgamma(a))
+    if prefactor == 0.0:
+        # Q < prefactor here; iterating would not converge once 1/(x+1-a)
+        # is subnormal (x near 5e307 and beyond)
+        return 0.0
     b = x + 1.0 - a
     c = 1.0 / _TINY
     d = 1.0 / b
@@ -350,7 +355,7 @@ def _gcf_Q_scalar(a: float, x: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _EPS:
-            return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
+            return h * prefactor
     raise RuntimeError("incomplete gamma continued fraction did not converge")
 
 
@@ -370,11 +375,15 @@ def _gser_sum_array(a: float, x: np.ndarray) -> np.ndarray:
 
 
 def _gcf_Q_array(a: float, x: np.ndarray) -> np.ndarray:
+    with np.errstate(under="ignore"):
+        prefactor = np.exp(-x + a * np.log(x) - math.lgamma(a))
     b = x + 1.0 - a
     c = np.full_like(x, 1.0 / _TINY)
     d = 1.0 / b
     h = d.copy()
-    active = np.ones(x.shape, dtype=bool)
+    # where the prefactor underflows Q is exactly 0: skip those elements,
+    # whose iteration would not converge once 1/(x+1-a) is subnormal
+    active = prefactor != 0.0
     for i in range(1, _MAX_ITER):
         an = -i * (i - a)
         b = b + 2.0 * active
@@ -388,7 +397,7 @@ def _gcf_Q_array(a: float, x: np.ndarray) -> np.ndarray:
         active &= np.abs(delta - 1.0) >= _EPS
         if not np.any(active):
             with np.errstate(under="ignore"):
-                return h * np.exp(-x + a * np.log(x) - math.lgamma(a))
+                return h * prefactor
     raise RuntimeError("incomplete gamma continued fraction did not converge")
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .distribution import BcsParams, quantile
-from .families import FamilyKind, _pe_scale
+from .families import FamilyKind, generator_decay
 
 __all__ = [
     "TailCategory",
@@ -32,16 +32,6 @@ __all__ = [
     "classify",
     "empirical_tail_slope",
 ]
-
-_SQRT2 = math.sqrt(2.0)
-
-# families whose generator decays like a power of z (heavy symmetric tails)
-_HEAVY_KINDS = {
-    FamilyKind.CAUCHY,
-    FamilyKind.STUDENT_T,
-    FamilyKind.CANONICAL_SLASH,
-    FamilyKind.SLASH,
-}
 
 
 class TailCategory(Enum):
@@ -69,97 +59,45 @@ class TailReport:
     extrapolated: bool
 
 
-def _generator_power(params: BcsParams) -> float:
-    """Exponent g such that r(z^2) ~ z^(-g) for the heavy generators."""
-    kind = params.family.kind
-    if kind is FamilyKind.CAUCHY:
-        return 2.0
-    if kind is FamilyKind.STUDENT_T:
-        return params.family.extra + 1.0
-    if kind is FamilyKind.CANONICAL_SLASH:
-        return 2.0
-    if kind is FamilyKind.SLASH:
-        return params.family.extra + 1.0
-    raise ValueError("not a power-tailed generator")
-
-
 def tail_index(params: BcsParams) -> float:
     """Right tail index xi; 0 means lighter than any power, inf heavier."""
-    kind = params.family.kind
     lam = params.lam
     if lam < 0.0:
         return 1.0 / abs(lam)
-    if lam > 0.0:
-        if kind in _HEAVY_KINDS:
-            # survival exponent is lam * (g - 1) with g the generator power
-            return 1.0 / (lam * (_generator_power(params) - 1.0))
+    decay = generator_decay(params.family)
+    if decay[0] == "power" and lam > 0.0:
+        # survival exponent is lam * (g - 1) with g the generator power
+        return 1.0 / (lam * (decay[1] - 1.0))
+    if decay[0] == "exp" and (lam > 0.0 or decay[2] > 1.0):
         return 0.0
-    # lambda == 0: log-symmetric laws
-    if kind in (FamilyKind.NORMAL, FamilyKind.LOGISTIC_I):
-        return 0.0
-    if kind is FamilyKind.DOUBLE_EXPONENTIAL:
-        return params.sigma / _SQRT2
-    if kind is FamilyKind.POWER_EXPONENTIAL:
-        tau = params.family.extra
-        if tau > 1.0:
-            return 0.0
-        if tau == 1.0:
-            return params.sigma / _SQRT2
-        return math.inf
-    if kind is FamilyKind.LOGISTIC_II:
-        return params.sigma
-    return math.inf  # cauchy, student t, slashes: log-power tails
+    if decay[0] == "exp" and decay[2] == 1.0:
+        # lambda == 0: the density is y^-1 exp(-c |log(y/mu) / sigma|^e)
+        return params.sigma / decay[1]
+    return math.inf  # log-power tails: power decay at lambda = 0, or e < 1
 
 
 def tail_form(params: BcsParams) -> TailForm:
     """Asymptotic density shape of the right tail with explicit constants."""
-    fam = params.family
-    kind = fam.kind
     mu, sigma, lam = params.mu, params.sigma, params.lam
 
     if lam < 0.0:
         # density ~ y^(lam - 1) times a positive constant at the z-edge
         return TailForm("log_power", 1.0, 1.0 + abs(lam))
 
-    if lam > 0.0:
-        if kind in _HEAVY_KINDS:
-            g = _generator_power(params)
-            # y^(lam-1) * z^(-g), z ~ (y/mu)^lam/(sigma lam)
-            return TailForm("log_power", 1.0, lam * (g - 1.0) + 1.0)
-        if kind in (FamilyKind.NORMAL, FamilyKind.LOGISTIC_I):
-            scale = 1.0 if kind is FamilyKind.LOGISTIC_I else 0.5
-            return TailForm(
-                "power", 2.0 * lam, scale / (sigma * lam * mu**lam) ** 2
-            )
-        if kind is FamilyKind.DOUBLE_EXPONENTIAL:
-            return TailForm("power", lam, _SQRT2 / (sigma * lam * mu**lam))
-        if kind is FamilyKind.LOGISTIC_II:
-            return TailForm("power", lam, 1.0 / (sigma * lam * mu**lam))
-        if kind is FamilyKind.POWER_EXPONENTIAL:
-            tau = fam.extra
-            p = _pe_scale(tau)
-            coef = 0.5 / (p * sigma * lam * mu**lam) ** tau
-            return TailForm("power", lam * tau, coef)
-        raise ValueError(f"unknown family kind: {kind!r}")  # pragma: no cover
+    decay = generator_decay(params.family)
+    if decay[0] == "power":
+        # y^(lam-1) * z^(-g), z ~ (y/mu)^lam/(sigma lam); at lambda = 0,
+        # y^-1 times powers of log y: a borderline power law
+        return TailForm("log_power", 1.0, lam * (decay[1] - 1.0) + 1.0)
 
-    # lambda == 0: everything is a function of log y
-    if kind in (FamilyKind.NORMAL, FamilyKind.LOGISTIC_I):
-        scale = 1.0 if kind is FamilyKind.LOGISTIC_I else 0.5
-        return TailForm("log_power", 2.0, scale / sigma**2)
-    if kind is FamilyKind.DOUBLE_EXPONENTIAL:
-        return TailForm("log_power", 1.0, 1.0 + _SQRT2 / sigma)
-    if kind is FamilyKind.LOGISTIC_II:
-        return TailForm("log_power", 1.0, 1.0 + 1.0 / sigma)
-    if kind is FamilyKind.POWER_EXPONENTIAL:
-        tau = fam.extra
-        p = _pe_scale(tau)
-        if tau == 1.0:
-            return TailForm("log_power", 1.0, 1.0 + 1.0 / (2.0 * p * sigma))
-        return TailForm("log_power", tau, 0.5 / (p * sigma) ** tau)
-    if kind in _HEAVY_KINDS:
-        # y^-1 times powers of log y: borderline power law
-        return TailForm("log_power", 1.0, 1.0)
-    raise ValueError(f"unknown family kind: {kind!r}")  # pragma: no cover
+    _, c, e = decay
+    if lam > 0.0:
+        # exp(-c z^e), z ~ (y/mu)^lam/(sigma lam)
+        return TailForm("power", lam * e, c / (sigma * lam * mu**lam) ** e)
+    # lambda == 0: y^-1 exp(-c (log y / sigma)^e)
+    if e == 1.0:
+        return TailForm("log_power", 1.0, 1.0 + c / sigma)
+    return TailForm("log_power", e, c / sigma**e)
 
 
 def _categorize(form: TailForm) -> TailCategory:

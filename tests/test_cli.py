@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 import bcsym
-from bcsym.cli import dumps_document, load_dataset, main
+from bcsym.cli import _EXTRA_DEFAULT, dumps_document, load_dataset, main
 from bcsym.distribution import BcsParams, cdf, sample, transform, truncation
 from bcsym.estimation import LikelihoodContext, fit
-from bcsym.families import DensityFamily
+from bcsym.families import DensityFamily, FamilyKind
 from bcsym.rng import RngStream
 
 
@@ -267,6 +267,21 @@ def test_compare_all_failures_gives_blank_table_and_warning_exit(tmp_path, capsy
     assert all(not r["converged"] for r in doc["rows"])
     assert all(r["aic"] is None for r in doc["rows"])
     assert all(v is None for v in doc["best"].values())
+
+
+def test_compare_constant_data_fails_every_family_cleanly(tmp_path, capsys):
+    path = _write_csv(tmp_path / "constant.csv", np.full(20, 3.0))
+    code, out, err = _run(
+        capsys, ["compare", path, "--column", "value", "--families", "normal,t:4"]
+    )
+    assert code == 4
+    assert "no requested family produced a converged fit" in err
+    assert "Traceback" not in err
+    assert all(not r["converged"] for r in json.loads(out)["rows"])
+
+
+def test_extra_defaults_cover_exactly_the_kinds_with_an_extra_parameter():
+    assert set(_EXTRA_DEFAULT) == {k for k in FamilyKind if k.extra_name is not None}
 
 
 # ------------------------------------------------------------------- sample

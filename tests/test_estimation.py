@@ -457,6 +457,15 @@ def test_fit_requires_five_observations():
         fit(ctx)
 
 
+@pytest.mark.parametrize("n", [7, 20])
+@pytest.mark.parametrize("family", [DensityFamily.normal(), DensityFamily.student_t(4.0)])
+def test_fit_rejects_zero_spread(n, family):
+    # sigma would run to 0 (a ZeroDivisionError in the Hessian at n = 20)
+    ctx = LikelihoodContext(np.full(n, 3.0), family)
+    with pytest.raises(ValueError, match="zero spread"):
+        fit(ctx)
+
+
 def test_fit_rejects_unknown_mode():
     ctx = LikelihoodContext(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), DensityFamily.normal())
     with pytest.raises(ValueError, match="mode"):

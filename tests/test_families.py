@@ -18,6 +18,7 @@ from bcsym.families import (
     DensityFamily,
     FamilyKind,
     eval_generator,
+    generator_decay,
     logistic_i_normalizer,
     symmetric_cdf,
     symmetric_quantile,
@@ -511,6 +512,26 @@ def test_weight_derivative_matches_finite_difference(name):
     fd = (weight_function(fam, z + h) - weight_function(fam, z - h)) / (2.0 * h)
     got = weight_derivative(fam, z)
     assert np.allclose(got, fd, rtol=5e-7, atol=1e-9)
+
+
+@pytest.mark.parametrize("name", sorted(FAMS))
+def test_generator_decay_matches_generator(name):
+    # tails derives every tail index and form from this one fact, so check
+    # it against the generator itself at two points deep in the tail
+    fam = FAMS[name]
+    decay = generator_decay(fam)
+    if decay[0] == "power":
+        z1, z2 = 1e4, 1e6
+        log_r = eval_generator(fam, np.array([z1, z2]) ** 2).log_r
+        slope = (log_r[1] - log_r[0]) / np.log(z2 / z1)
+        assert rel_err(-slope, decay[1]) < 1e-8
+    else:
+        assert decay[0] == "exp"
+        _, c, e = decay
+        z1, z2 = 20.0, 40.0
+        log_r = eval_generator(fam, np.array([z1, z2]) ** 2).log_r
+        rate = (log_r[1] - log_r[0]) / (z2**e - z1**e)
+        assert rel_err(-rate, c) < 1e-8
 
 
 def test_weight_singularities_raise():

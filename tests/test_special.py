@@ -241,6 +241,29 @@ def test_lower_gamma_ratio_points():
     assert lower_gamma_ratio(1.5, 0.0) == 1.0 / 1.5
 
 
+# Near x = 5e307 and beyond, the continued fraction's 1/(x+1-a) is
+# subnormal and its iteration cannot converge; Q's prefactor
+# exp(-x + a log x - lgamma a) has long since underflowed, so Q is 0.
+HUGE_X = [5.098743009510661e307, 9e307, 1.2e308]
+
+
+@pytest.mark.parametrize("x", HUGE_X)
+def test_upper_gamma_is_zero_at_huge_x_scalar(x):
+    assert reg_upper_gamma(1.5, x) == 0.0
+    assert lower_gamma_ratio(1.5, x) == 0.0
+
+
+def test_upper_gamma_is_zero_at_huge_x_array():
+    xs = np.array(HUGE_X + [40.0])
+    q = reg_upper_gamma(1.5, xs)
+    ratio = lower_gamma_ratio(1.5, xs)
+    assert np.all(q[:-1] == 0.0)
+    assert np.all(ratio[:-1] == 0.0)
+    # an element that does iterate is unaffected by its neighbours
+    assert q[-1] == reg_upper_gamma(1.5, np.array([40.0]))[0] > 0.0
+    assert ratio[-1] == lower_gamma_ratio(1.5, np.array([40.0]))[0] > 0.0
+
+
 def test_chi2_survival_points():
     for x, expected in CHI2_SURVIVAL.items():
         assert rel_err(chi2_survival(x, df=1), expected) < 1e-13
