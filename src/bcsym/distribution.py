@@ -122,16 +122,18 @@ def _as_positive_array(y, what: str = "observations"):
     return arr
 
 
+def _z(params: BcsParams, lf):
+    """The Box-Cox transform of lf = log(y/mu); the one place it is written."""
+    if params.lam == 0.0:
+        return lf / params.sigma
+    with np.errstate(over="ignore"):
+        return np.expm1(params.lam * lf) / (params.sigma * params.lam)
+
+
 def transform(params: BcsParams, y):
     """Map data to the symmetric scale: z such that Z ~ truncated family law."""
     scalar = np.ndim(y) == 0
-    ya = _as_positive_array(y)
-    lf = np.log(ya) - math.log(params.mu)
-    if params.lam == 0.0:
-        z = lf / params.sigma
-    else:
-        with np.errstate(over="ignore"):
-            z = np.expm1(params.lam * lf) / (params.sigma * params.lam)
+    z = _z(params, np.log(_as_positive_array(y)) - math.log(params.mu))
     return float(z) if scalar else z
 
 
@@ -155,11 +157,7 @@ def log_pdf(params: BcsParams, y):
     scalar = np.ndim(y) == 0
     ya = _as_positive_array(y)
     lf = np.log(ya) - math.log(params.mu)
-    if params.lam == 0.0:
-        z = lf / params.sigma
-    else:
-        with np.errstate(over="ignore"):
-            z = np.expm1(params.lam * lf) / (params.sigma * params.lam)
+    z = _z(params, lf)
     info = truncation(params)
     with np.errstate(over="ignore"):
         u = z * z

@@ -9,10 +9,12 @@ the lambda-derivatives of z, handled through
     phi2(w) = e^w (w^2 - 2w + 2) - 2   (d2z/dlambda2 = phi2 / (sigma lambda^3))
 
 with w = lambda log(y/mu); both vanish to high order at w = 0 and switch
-to Taylor series there.  At lambda = 0 the exact limit formulas are used;
-inside 0 < |lambda| < LAMBDA_SEAM the general formulas lose precision and
-the derivative routines refuse to run (derivative_bundle instead switches
-to the limit formulas there).
+to Taylor series there.  One kernel evaluates z, these derivatives and the
+truncation-edge terms per parameter point, at their exact limits when
+lambda = 0; the score, the Hessian, derivative_bundle and fixed_point_check
+all read it.  Inside 0 < |lambda| < LAMBDA_SEAM the general formulas lose
+precision and the derivative routines refuse to run; derivative_bundle
+instead clamps lambda to 0 there.
 
 The extra parameter (tau or q) has no closed-form derivatives; where it is
 fitted, its score and information entries come from central finite
@@ -22,11 +24,11 @@ differences with step 1e-5 * (1 + extra).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distribution import LAMBDA_SEAM, BcsParams, log_pdf, truncation
+from .distribution import LAMBDA_SEAM, BcsParams, _z, log_pdf, truncation
 from .families import (
     DensityFamily,
     eval_generator,
@@ -131,41 +133,47 @@ class LikelihoodContext:
 
 
 @dataclass(frozen=True, eq=False)
-class _PointCache:
-    """Per-observation quantities shared by the derivative formulas."""
+class _Kernel:
+    """z, its lambda-derivatives and the truncation edge at one parameter point.
+
+    Every field holds its exact limit at lambda = 0, where there is no
+    truncation: E = 1, C = u^2/(2 sigma), z_ll = u^3/(3 sigma), v = inf and
+    xi = dxi = 0.
+    """
 
     u: np.ndarray  # log(y / mu)
     z: np.ndarray
-    weight: np.ndarray  # varpi(z) = -2 r'(z^2) / r(z^2)
-    weight_deriv: np.ndarray
-    edge: float  # v, +inf at lambda = 0
-    edge_ratio: float  # r(v^2) / R(v), 0 at lambda = 0
-    edge_weight: float  # varpi(v), 0 at lambda = 0
+    E: np.ndarray  # (y / mu)^lambda
+    C: np.ndarray  # dz/dlambda
+    z_ll: np.ndarray  # d2z/dlambda2
+    W: np.ndarray  # varpi(z) = -2 r'(z^2) / r(z^2)
+    v: float  # edge 1 / (sigma |lambda|)
+    xi: float  # r(v^2) / R(v)
+    dxi: float  # -dxi/dv = xi (v varpi(v) + xi)
 
 
-def _point_cache(params: BcsParams, ya: np.ndarray) -> _PointCache:
+def _kernel(params: BcsParams, ya: np.ndarray) -> _Kernel:
     _check_seam(params.lam)
     mu, sigma, lam = params.mu, params.sigma, params.lam
     u = np.log(ya) - math.log(mu)
+    z = _z(params, u)
     if lam == 0.0:
-        z = u / sigma
-        edge, edge_ratio, edge_weight = math.inf, 0.0, 0.0
+        E = np.ones_like(u)
+        C = u * u / (2.0 * sigma)
+        z_ll = u**3 / (3.0 * sigma)
+        v, xi, dxi = math.inf, 0.0, 0.0
     else:
-        z = np.expm1(lam * u) / (sigma * lam)
-        edge = 1.0 / (sigma * abs(lam))
+        E = 1.0 + sigma * lam * z
+        C = _phi1(lam * u) / (sigma * lam * lam)
+        z_ll = _phi2(lam * u) / (sigma * lam**3)
+        v = 1.0 / (sigma * abs(lam))
         info = truncation(params)
-        r_v = float(eval_generator(params.family, edge * edge).r)
-        edge_ratio = r_v / info.normalizer
-        edge_weight = float(weight_function(params.family, edge)) if r_v > 0.0 else 0.0
-    return _PointCache(
-        u=u,
-        z=z,
-        weight=np.atleast_1d(weight_function(params.family, z)),
-        weight_deriv=np.atleast_1d(weight_derivative(params.family, z)),
-        edge=edge,
-        edge_ratio=edge_ratio,
-        edge_weight=edge_weight,
-    )
+        r_v = float(eval_generator(params.family, v * v).r)
+        xi = r_v / info.normalizer
+        vw = float(weight_function(params.family, v)) if r_v > 0.0 else 0.0
+        dxi = xi * (v * vw + xi)
+    W = np.atleast_1d(weight_function(params.family, z))
+    return _Kernel(u=u, z=z, E=E, C=C, z_ll=z_ll, W=W, v=v, xi=xi, dxi=dxi)
 
 
 def loglik(ctx: LikelihoodContext, params: BcsParams) -> float:
@@ -174,60 +182,47 @@ def loglik(ctx: LikelihoodContext, params: BcsParams) -> float:
 
 
 def _core_score(params: BcsParams, ya: np.ndarray) -> np.ndarray:
-    c = _point_cache(params, ya)
+    k = _kernel(params, ya)
     mu, sigma, lam = params.mu, params.sigma, params.lam
     n = ya.size
-    z, W, u = c.z, c.weight, c.u
-    if lam == 0.0:
-        s_mu = float(np.sum(W * z)) / (sigma * mu)
-        s_sigma = -n / sigma + float(np.sum(W * z * z)) / sigma
-        s_lam = float(np.sum(u - W * z * u * u / (2.0 * sigma)))
-        return np.array([s_mu, s_sigma, s_lam])
-    E = 1.0 + sigma * lam * z  # (y/mu)^lambda
-    C = _phi1(lam * u) / (sigma * lam * lam)  # dz/dlambda
-    xe, v = c.edge_ratio, c.edge
-    s_mu = -n * lam / mu + float(np.sum(W * z * E)) / (sigma * mu)
-    s_sigma = -n / sigma + float(np.sum(W * z * z)) / sigma + n * xe * v / sigma
-    s_lam = float(np.sum(u - W * z * C)) + n * xe * v / lam
+    Wz = k.W * k.z
+    # at lambda = 0 this term keeps its order of operations: the LR full fit
+    # starts from the null fit there, and regrouping it as Wz * C moves that
+    # first gradient by ulps, enough to flip convergence of fits that run off
+    # to the sigma -> inf boundary
+    WzC = Wz * k.u * k.u / (2.0 * sigma) if lam == 0.0 else Wz * k.C
+    s_mu = -n * lam / mu + float(np.sum(Wz * k.E)) / (sigma * mu)
+    s_sigma = -n / sigma + float(np.sum(Wz * k.z)) / sigma
+    s_lam = float(np.sum(k.u - WzC))
+    if k.xi > 0.0:
+        # truncation term: -log R(v) per observation, v = 1/(sigma |lambda|)
+        s_sigma += n * k.xi * k.v / sigma
+        s_lam += n * k.xi * k.v / lam
     return np.array([s_mu, s_sigma, s_lam])
 
 
 def _core_hessian(params: BcsParams, ya: np.ndarray) -> np.ndarray:
-    c = _point_cache(params, ya)
+    k = _kernel(params, ya)
     mu, sigma, lam = params.mu, params.sigma, params.lam
     n = ya.size
-    z, W, V, u = c.z, c.weight, c.weight_deriv, c.u
-    G = W + z * V  # -(d2/dz2) log r(z^2)
-    if lam == 0.0:
-        A = -1.0 / (sigma * mu)
-        h_mm = float(np.sum(-G * A * A - W * z / (sigma * mu * mu)))
-        h_ms = float(np.sum(-G * z - W * z)) / (sigma * sigma * mu)
-        h_ml = float(np.sum(G * z * z / 2.0 + W * z * z)) / mu - n / mu
-        h_ss = n / sigma**2 + float(np.sum(-G * z * z - 2.0 * W * z * z)) / sigma**2
-        h_sl = float(np.sum((G + W) * z**3)) / 2.0
-        h_ll = float(np.sum(-G * z**4 / 4.0 - W * z**4 / 3.0)) * sigma * sigma
-        return np.array([[h_mm, h_ms, h_ml], [h_ms, h_ss, h_sl], [h_ml, h_sl, h_ll]])
-    w = lam * u
-    E = 1.0 + sigma * lam * z
+    z, W, E, C, u = k.z, k.W, k.E, k.C, k.u
+    G = W + z * np.atleast_1d(weight_derivative(params.family, z))  # -(d2/dz2) log r(z^2)
     A = -E / (sigma * mu)
     B = -z / sigma
-    C = _phi1(w) / (sigma * lam * lam)
     z_mm = E * (1.0 + lam) / (sigma * mu * mu)
     z_ms = E / (sigma * sigma * mu)
     z_ml = -u * E / (sigma * mu)
     z_ss = 2.0 * z / (sigma * sigma)
     z_sl = -C / sigma
-    z_ll = _phi2(w) / (sigma * lam**3)
     h_mm = n * lam / mu**2 + float(np.sum(-G * A * A - W * z * z_mm))
     h_ms = float(np.sum(-G * A * B - W * z * z_ms))
     h_ml = -n / mu + float(np.sum(-G * A * C - W * z * z_ml))
     h_ss = n / sigma**2 + float(np.sum(-G * B * B - W * z * z_ss))
     h_sl = float(np.sum(-G * B * C - W * z * z_sl))
-    h_ll = float(np.sum(-G * C * C - W * z * z_ll))
+    h_ll = float(np.sum(-G * C * C - W * z * k.z_ll))
     # truncation term: T = -log R(v) per observation, v = 1/(sigma |lambda|)
-    xe, v = c.edge_ratio, c.edge
+    xe, v, d2 = k.xi, k.v, k.dxi
     if xe > 0.0:
-        d2 = xe * (v * c.edge_weight + xe)  # -d(edge ratio)/dv
         h_ss += n * (d2 * v * v - 2.0 * xe * v) / sigma**2
         h_ll += n * (d2 * v * v - 2.0 * xe * v) / lam**2
         h_sl += n * (d2 * v * v - xe * v) / (sigma * lam)
@@ -296,52 +291,33 @@ class DerivativeBundle:
 
 
 def derivative_bundle(y: float, params: BcsParams) -> DerivativeBundle:
-    """Transform derivatives at one observation, with lambda -> 0 limits.
+    """Transform derivatives at one observation: a view of the kernel.
 
-    Inside |lambda| < LAMBDA_SEAM the limit formulas replace the general
-    ones (they agree to machine precision at the seam).
+    Inside |lambda| < LAMBDA_SEAM lambda is clamped to 0, where the kernel
+    holds the limit formulas (they agree to machine precision at the seam).
     """
     y = float(y)
     if not (math.isfinite(y) and y > 0.0):
         raise ValueError("y must be positive and finite")
+    params = replace(params, lam=_clamp_lambda(params.lam))
     mu, sigma, lam = params.mu, params.sigma, params.lam
-    u = math.log(y) - math.log(mu)
-    if abs(lam) < LAMBDA_SEAM:
-        z = u / sigma
-        dz_dmu = -1.0 / (mu * sigma)
-        dz_dlambda = u * u / (2.0 * sigma)
-        d2z_dmu2 = 1.0 / (sigma * mu * mu)
-        d2z_dlambda2 = u**3 / (3.0 * sigma)
-        d2z_dmudlambda = -u / (mu * sigma)
-        xi = dxi_dsigma = dxi_dlambda = 0.0
-    else:
-        w = lam * u
-        E = math.exp(w)  # (y/mu)^lambda
-        z = math.expm1(w) / (sigma * lam)
-        dz_dmu = -E / (sigma * mu)
-        dz_dlambda = float(_phi1(w)) / (sigma * lam * lam)
-        d2z_dmu2 = E * (1.0 + lam) / (sigma * mu * mu)
-        d2z_dlambda2 = float(_phi2(w)) / (sigma * lam**3)
-        d2z_dmudlambda = -u * E / (sigma * mu)
-        v = 1.0 / (sigma * abs(lam))
-        info = truncation(params)
-        r_v = float(eval_generator(params.family, v * v).r)
-        xi = r_v / info.normalizer
-        vw = float(weight_function(params.family, v)) if r_v > 0.0 else 0.0
-        dxi_dv = -xi * (v * vw + xi)
-        dxi_dsigma = -dxi_dv * v / sigma  # dv/dsigma = -v/sigma
-        dxi_dlambda = -dxi_dv * v / lam  # dv/dlambda = -v/lambda
+    k = _kernel(params, np.array([y]))
+    u, z, E = float(k.u[0]), float(k.z[0]), float(k.E[0])
+    dxi_dsigma = dxi_dlambda = 0.0
+    if k.xi > 0.0:
+        dxi_dsigma = k.dxi * k.v / sigma  # dv/dsigma = -v/sigma
+        dxi_dlambda = k.dxi * k.v / lam  # dv/dlambda = -v/lambda
     return DerivativeBundle(
         z=z,
-        dz_dmu=dz_dmu,
-        dz_dlambda=dz_dlambda,
-        d2z_dmu2=d2z_dmu2,
-        d2z_dlambda2=d2z_dlambda2,
-        d2z_dmudlambda=d2z_dmudlambda,
-        xi=xi,
+        dz_dmu=-E / (sigma * mu),
+        dz_dlambda=float(k.C[0]),
+        d2z_dmu2=E * (1.0 + lam) / (sigma * mu * mu),
+        d2z_dlambda2=float(k.z_ll[0]),
+        d2z_dmudlambda=-u * E / (sigma * mu),
+        xi=k.xi,
         dxi_dsigma=dxi_dsigma,
         dxi_dlambda=dxi_dlambda,
-        varpi=float(weight_function(params.family, z)),
+        varpi=float(k.W[0]),
         dvarpi_dz=float(weight_derivative(params.family, z)),
     )
 
@@ -607,25 +583,18 @@ def fixed_point_check(ctx: LikelihoodContext, params: BcsParams) -> FixedPointRe
     residuals are the relative gaps between the implied and given values.
     """
     ya = ctx.data
-    _check_seam(params.lam)
+    k = _kernel(params, ya)
     mu, sigma, lam = params.mu, params.sigma, params.lam
     n = ya.size
-    u = np.log(ya) - math.log(mu)
+    W = k.W
     if lam == 0.0:
-        W = np.atleast_1d(weight_function(params.family, u / sigma))
         mu_implied = math.exp(float(np.sum(W * np.log(ya)) / np.sum(W)))
-        sigma_implied = math.sqrt(float(np.sum(W * u * u)) / n)
+        sigma_implied = math.sqrt(float(np.sum(W * k.u * k.u)) / n)
     else:
-        z = np.expm1(lam * u) / (sigma * lam)
-        W = np.atleast_1d(weight_function(params.family, z))
-        v = 1.0 / (sigma * abs(lam))
-        info = truncation(params)
-        r_v = float(eval_generator(params.family, v * v).r)
-        delta = (r_v / info.normalizer) / (sigma * abs(lam))
-        g = sigma * z
+        delta = k.xi * k.v
+        g = sigma * k.z
         sigma_implied = math.sqrt(float(np.sum(W * g * g)) / (n * (1.0 - delta)))
-        t = np.exp(lam * u)  # (y/mu)^lambda
-        m = float(np.sum(W * t)) / (
+        m = float(np.sum(W * k.E)) / (
             float(np.sum(W)) + n * lam * lam * sigma * sigma * delta
         )
         mu_implied = mu * m ** (1.0 / lam)

@@ -268,7 +268,7 @@ def _gen_double_exponential(family: DensityFamily, u: np.ndarray) -> tuple[np.nd
     log_r = -0.5 * math.log(2.0) - _SQRT2 * np.sqrt(u)
     with np.errstate(under="ignore"):
         r = np.exp(log_r)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         dr = np.where(u > 0.0, -r / np.sqrt(2.0 * u), -np.inf)
     return r, log_r, dr
 
@@ -277,7 +277,8 @@ def _gen_power_exponential(family: DensityFamily, u: np.ndarray) -> tuple[np.nda
     tau = family.extra
     p = _pe_scale(tau)
     ptau = p**tau
-    log_r = _pe_log_norm(tau, p) - u ** (0.5 * tau) / (2.0 * ptau)
+    with np.errstate(over="ignore"):
+        log_r = _pe_log_norm(tau, p) - u ** (0.5 * tau) / (2.0 * ptau)
     with np.errstate(under="ignore"):
         r = np.exp(log_r)
     with np.errstate(divide="ignore", over="ignore"):
@@ -289,7 +290,8 @@ def _gen_power_exponential(family: DensityFamily, u: np.ndarray) -> tuple[np.nda
 
 
 def _gen_cauchy(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    r = 1.0 / (math.pi * (1.0 + u))
+    with np.errstate(over="ignore"):
+        r = 1.0 / (math.pi * (1.0 + u))
     log_r = -math.log(math.pi) - np.log1p(u)
     return r, log_r, -r / (1.0 + u)
 
@@ -327,7 +329,7 @@ def _gen_logistic_ii(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarray, 
 
 def _gen_canonical_slash(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     x = 0.5 * u
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r = np.where(u > 0.0, -np.expm1(-x) / (_SQRT_2PI * u), 1.0 / (2.0 * _SQRT_2PI))
         log_r = np.log(r)
     dr = np.empty_like(u)
@@ -338,9 +340,9 @@ def _gen_canonical_slash(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarr
     big = ~small
     if np.any(big):
         xb = np.where(np.isfinite(x[big]), x[big], 0.0)
-        with np.errstate(under="ignore"):
+        with np.errstate(under="ignore", over="ignore"):
             xe = np.where(np.isfinite(x[big]), xb * np.exp(-xb), 0.0)
-        dr[big] = (xe + np.expm1(-xb)) / (_SQRT_2PI * u[big] ** 2)
+            dr[big] = (xe + np.expm1(-xb)) / (_SQRT_2PI * u[big] ** 2)
     return r, log_r, dr
 
 
@@ -613,7 +615,10 @@ def _w_slash(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> np.ndarray:
     out = np.zeros_like(u)
     fin = np.isfinite(u)
     x = 0.5 * u[fin]
-    out[fin] = lower_gamma_ratio(a + 1.0, x) / lower_gamma_ratio(a, x)
+    with np.errstate(invalid="ignore"):
+        w = lower_gamma_ratio(a + 1.0, x) / lower_gamma_ratio(a, x)
+    # far out both ratios underflow to 0/0; there w = a / x = (q + 1) / z^2
+    out[fin] = np.where(np.isnan(w), a / x, w)
     out[np.isnan(u)] = np.nan
     return out
 
@@ -630,15 +635,27 @@ def _dw_power_exponential(family: DensityFamily, z: np.ndarray, u: np.ndarray) -
         return coef * np.sign(z) * np.abs(z) ** (tau - 3.0)
 
 
+def _limit_where_nan(dw: np.ndarray, z: np.ndarray) -> np.ndarray:
+    # inf / inf or inf * 0 at huge |z| stands for w'(z) -> -0 sign(z)
+    return np.where(np.isnan(dw) & ~np.isnan(z), -np.sign(z) * 0.0, dw)
+
+
 def _dw_cauchy(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> np.ndarray:
     # nested division avoids overflow of (1 + u)^2 for huge u
-    return -4.0 * z / (1.0 + u) / (1.0 + u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _limit_where_nan(-4.0 * z / (1.0 + u) / (1.0 + u), z)
+
+
+def _dw_student_t(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> np.ndarray:
+    tau = family.extra
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _limit_where_nan(-2.0 * z * (tau + 1.0) / (tau + u) / (tau + u), z)
 
 
 def _dw_logistic_i(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         c2 = np.cosh(0.5 * u) ** 2
-    return np.where(np.isinf(c2), 0.0, 2.0 * z / c2)
+        return np.where(np.isinf(c2), 0.0, 2.0 * z / c2)
 
 
 def _dw_logistic_ii(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -652,10 +669,10 @@ def _dw_logistic_ii(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> np.n
     big = ~small
     if np.any(big):
         gb = g[big]
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             c2 = np.cosh(0.5 * gb) ** 2
-        hyper = np.where(np.isinf(c2), 0.0, 0.5 * gb / c2)
-        out[big] = (hyper - np.tanh(0.5 * gb)) / (gb * gb)
+            hyper = np.where(np.isinf(c2), 0.0, 0.5 * gb / c2)
+            out[big] = (hyper - np.tanh(0.5 * gb)) / (gb * gb)
     return np.sign(z) * out
 
 
@@ -669,10 +686,10 @@ def _dw_canonical_slash(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> 
     big = ~small
     if np.any(big):
         xb = x[big]
-        with np.errstate(under="ignore"):
+        with np.errstate(under="ignore", over="ignore"):
             dwdu[big] = -2.0 / u[big] ** 2 + 0.5 * np.exp(-xb) / np.expm1(-xb) ** 2
-    with np.errstate(invalid="ignore"):
-        return np.where(np.isinf(z), -np.sign(z) * 0.0, 2.0 * z * dwdu)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _limit_where_nan(2.0 * z * dwdu, z)
 
 
 def _dw_slash(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -683,8 +700,11 @@ def _dw_slash(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> np.ndarray
     r0 = lower_gamma_ratio(a, x)
     r1 = lower_gamma_ratio(a + 1.0, x)
     r2 = lower_gamma_ratio(a + 2.0, x)
-    with np.errstate(under="ignore"):
-        out[fin] = z[fin] * (r1 * r1 - r0 * r2) / (r0 * r0)
+    zf = z[fin]
+    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+        dw = zf * (r1 * r1 - r0 * r2) / (r0 * r0)
+        # far out r0^2 underflows to 0/0; there w' = -2 (q + 1) / z^3
+        out[fin] = np.where(np.isnan(dw), -4.0 * a / zf**3, dw)
     out[np.isnan(u)] = np.nan
     return out
 
@@ -798,9 +818,7 @@ _SPECS = {
         upper_tail=_tail_student_t,
         bracket=_bracket_student_t,
         weight=lambda family, z, u: (family.extra + 1.0) / (family.extra + u),
-        weight_derivative=lambda family, z, u: (
-            -2.0 * z * (family.extra + 1.0) / (family.extra + u) / (family.extra + u)
-        ),
+        weight_derivative=_dw_student_t,
         decay=lambda family: ("power", family.extra + 1.0),
     ),
     FamilyKind.LOGISTIC_I: _FamilySpec(

@@ -258,6 +258,26 @@ def test_derivative_bundle_edge_quantities():
         assert abs(b.dxi_dlambda - g[1]) < 1e-5 * (1.0 + abs(g[1]))
 
 
+@pytest.mark.parametrize("lam", LAMBDA_GRID)
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_derivative_bundle_sums_to_score(name, lam):
+    # the per-observation chain rule, summed, is the score: d log f / d mu =
+    # -lambda/mu - varpi z dz/dmu and d log f / d lambda = log(y/mu)
+    # - varpi z dz/dlambda + xi v / lambda, the last from -log R(v)
+    params = _params(name, lam)
+    s = score(_ctx(name), params)
+    bundles = [derivative_bundle(y, params) for y in DATA]
+    s_mu = sum(-lam / params.mu - b.varpi * b.z * b.dz_dmu for b in bundles)
+    s_lam = sum(
+        math.log(y / params.mu) - b.varpi * b.z * b.dz_dlambda for y, b in zip(DATA, bundles)
+    )
+    if lam != 0.0:
+        v = 1.0 / (params.sigma * abs(lam))
+        s_lam += DATA.size * bundles[0].xi * v / lam
+    assert abs(s_mu - s[0]) <= 1e-10 * abs(s[0])
+    assert abs(s_lam - s[2]) <= 1e-10 * abs(s[2])
+
+
 def test_derivative_bundle_rejects_bad_y():
     params = _params("normal", 0.5)
     for bad in (0.0, -1.0, math.nan, math.inf):

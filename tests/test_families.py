@@ -8,6 +8,8 @@ bisection on the quadrature cdf.  None of them share a code path with the
 implementation under test.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -574,6 +576,50 @@ def test_weight_scalar_and_array_contract():
     assert isinstance(weight_function(fam, 1.3), float)
     out = weight_function(fam, np.array([[1.0, 2.0]]))
     assert out.shape == (1, 2)
+
+
+# ---------------------------------------------------------------------------
+# Extreme arguments: limits, not NaN, and no floating-point warnings.
+
+EXTREME_U = (1e154, 1e200, 1e308, 1.7e308, np.inf)
+EXTREME_Z = tuple(sign * m for m in (1e77, 1e154, 1e200, 1e308, np.inf) for sign in (1.0, -1.0))
+
+# |z| where the slash weight's ratios of lower incomplete gammas reach 0/0,
+# so the asymptotic forms w = (q + 1)/z^2 and w' = -2 (q + 1)/z^3 take over
+SLASH_FAR_W = {"slash_1": (), "slash_2": (1e154,), "slash_4.5": (1e77, 1e154)}
+SLASH_FAR_DW = {"slash_1": (1e154,), "slash_2": (1e77, 1e154), "slash_4.5": (1e77, 1e154)}
+
+
+@pytest.mark.parametrize("name", sorted(FAMS))
+def test_extreme_arguments_give_limits_without_warnings(name):
+    fam = FAMS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ev = eval_generator(fam, np.array(EXTREME_U))
+        scalar_ev = [eval_generator(fam, u) for u in EXTREME_U]
+        w = weight_function(fam, np.array(EXTREME_Z))
+        dw = weight_derivative(fam, np.array(EXTREME_Z))
+        scalar_w = [weight_function(fam, z) for z in EXTREME_Z]
+        scalar_dw = [weight_derivative(fam, z) for z in EXTREME_Z]
+    for e in [ev] + scalar_ev:
+        assert not np.any(np.isnan(e.r) | np.isnan(e.log_r) | np.isnan(e.dr_du))
+    assert not np.any(np.isnan(w) | np.isnan(dw))
+    assert list(w) == scalar_w
+    assert list(dw) == scalar_dw
+
+
+@pytest.mark.parametrize("name", sorted(SLASH_FAR_W))
+def test_slash_weight_far_tail_asymptotic_forms(name):
+    fam = FAMS[name]
+    q = fam.extra
+    for mag in SLASH_FAR_W[name]:
+        for z in (mag, -mag):
+            expected = (q + 1.0) / z / z
+            assert abs(weight_function(fam, z) - expected) <= 1e-12 * abs(expected)
+    for mag in SLASH_FAR_DW[name]:
+        for z in (mag, -mag):
+            expected = -2.0 * (q + 1.0) / z / z / z
+            assert abs(weight_derivative(fam, z) - expected) <= 1e-12 * abs(expected)
 
 
 # ---------------------------------------------------------------------------
