@@ -45,6 +45,7 @@ from .special import (
 )
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)  # smallest normal float
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -171,17 +172,24 @@ class GeneratorEval:
 # ---------------------------------------------------------------------------
 # Family-specific constants.
 
-def _pe_scale(tau: float) -> float:
-    # p(tau)^2 = 2^(-2/tau) Gamma(1/tau) / Gamma(3/tau); p(2) = 1
-    return math.exp(
-        -math.log(2.0) / tau + 0.5 * (math.lgamma(1.0 / tau) - math.lgamma(3.0 / tau))
-    )
+def _pe_scale(tau: float) -> tuple[float, float]:
+    """p^tau and log p for the scale p(tau) of the power exponential law.
+
+    p(tau)^2 = 2^(-2/tau) Gamma(1/tau) / Gamma(3/tau); p(2) = 1.  Below
+    tau of about 9e-3, p underflows while p^tau stays near 1e-3, so both
+    are then taken from log p.
+    """
+    log_p = -math.log(2.0) / tau + 0.5 * (math.lgamma(1.0 / tau) - math.lgamma(3.0 / tau))
+    p = math.exp(log_p)
+    if p < _TINY:
+        return math.exp(tau * log_p), log_p
+    return p**tau, math.log(p)
 
 
-def _pe_log_norm(tau: float, p: float) -> float:
+def _pe_log_norm(tau: float, log_p: float) -> float:
     return (
         math.log(tau)
-        - math.log(p)
+        - log_p
         - (1.0 + 1.0 / tau) * math.log(2.0)
         - math.lgamma(1.0 / tau)
     )
@@ -275,16 +283,17 @@ def _gen_double_exponential(family: DensityFamily, u: np.ndarray) -> tuple[np.nd
 
 def _gen_power_exponential(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     tau = family.extra
-    p = _pe_scale(tau)
-    ptau = p**tau
+    ptau, log_p = _pe_scale(tau)
     with np.errstate(over="ignore"):
-        log_r = _pe_log_norm(tau, p) - u ** (0.5 * tau) / (2.0 * ptau)
-    with np.errstate(under="ignore"):
+        log_r = _pe_log_norm(tau, log_p) - u ** (0.5 * tau) / (2.0 * ptau)
+    # r(0) itself overflows for tau below about 2e-3
+    with np.errstate(under="ignore", over="ignore"):
         r = np.exp(log_r)
     with np.errstate(divide="ignore", over="ignore"):
         fac = tau * u ** (0.5 * tau - 1.0) / (4.0 * ptau)
-    # r underflows long before fac can overflow, so 0 * inf is resolved to 0
-    with np.errstate(invalid="ignore"):
+    # r underflows long before fac can overflow, so 0 * inf is resolved to 0;
+    # near u = 0 at tiny tau, r * fac overflows to its limit
+    with np.errstate(invalid="ignore", over="ignore"):
         dr = np.where(r > 0.0, -r * fac, -0.0)
     return r, log_r, dr
 
@@ -332,6 +341,10 @@ def _gen_canonical_slash(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarr
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r = np.where(u > 0.0, -np.expm1(-x) / (_SQRT_2PI * u), 1.0 / (2.0 * _SQRT_2PI))
         log_r = np.log(r)
+    # sqrt(2 pi) u overflows beyond u of about 7e307, where log r is finite
+    under = (r == 0.0) & np.isfinite(u)
+    if np.any(under):
+        log_r[under] = np.log(-np.expm1(-x[under])) - math.log(_SQRT_2PI) - np.log(u[under])
     dr = np.empty_like(u)
     small = u < 0.5
     if np.any(small):
@@ -359,9 +372,15 @@ def _gen_slash(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarray, np.nda
         r[nan] = log_r[nan] = dr[nan] = np.nan
     x = 0.5 * u[fin]
     ratio = lower_gamma_ratio(a, x)
-    r[fin] = amp * ratio
+    rf = amp * ratio
+    r[fin] = rf
     with np.errstate(divide="ignore"):
-        log_r[fin] = math.log(amp) + np.log(ratio)
+        log_rf = math.log(amp) + np.log(ratio)
+    # where r underflows, Q(a, x) is 0 and the ratio is Gamma(a) / x^a
+    under = rf == 0.0
+    if np.any(under):
+        log_rf[under] = math.log(amp) + math.lgamma(a) - a * np.log(x[under])
+    log_r[fin] = log_rf
     drf = np.empty_like(x)
     small = x < 0.5
     if np.any(small):
@@ -405,9 +424,9 @@ def _tail_double_exponential(family: DensityFamily, s: np.ndarray) -> np.ndarray
 
 def _tail_power_exponential(family: DensityFamily, s: np.ndarray) -> np.ndarray:
     tau = family.extra
-    p = _pe_scale(tau)
+    ptau, _ = _pe_scale(tau)
     with np.errstate(over="ignore"):
-        arg = s**tau / (2.0 * p**tau)
+        arg = s**tau / (2.0 * ptau)
     return 0.5 * reg_upper_gamma(1.0 / tau, arg)
 
 
@@ -503,11 +522,11 @@ def _bracket_slash_form(q: float, t: np.ndarray) -> np.ndarray:
 
 def _bracket_power_exponential(family: DensityFamily, t: np.ndarray) -> np.ndarray:
     tau = family.extra
-    p = _pe_scale(tau)
+    ptau, _ = _pe_scale(tau)
     a = 1.0 / tau
     x0 = np.maximum(-np.log(2.0 * t), 1.0)
     x0 = x0 + (abs(a - 1.0) + 1.0) * np.log(x0 + 3.0) + 5.0
-    return (2.0 * p**tau * x0) ** (1.0 / tau) + 1.0
+    return (2.0 * ptau * x0) ** (1.0 / tau) + 1.0
 
 
 def _tail_quantile_newton(family: DensityFamily, t: np.ndarray) -> np.ndarray:
@@ -592,9 +611,9 @@ _CSLASH_DW_COEF = np.array([
 
 def _w_power_exponential(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> np.ndarray:
     tau = family.extra
-    p = _pe_scale(tau)
+    ptau, _ = _pe_scale(tau)
     with np.errstate(divide="ignore"):
-        return tau * u ** (0.5 * tau - 1.0) / (2.0 * p**tau)
+        return tau * u ** (0.5 * tau - 1.0) / (2.0 * ptau)
 
 
 def _w_canonical_slash(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -627,10 +646,10 @@ def _dw_power_exponential(family: DensityFamily, z: np.ndarray, u: np.ndarray) -
     tau = family.extra
     if tau == 2.0:
         return np.zeros_like(u)
-    p = _pe_scale(tau)
+    ptau, _ = _pe_scale(tau)
     # w'(z) = C sign(z) |z|^(tau-3), written this way so that the
     # z -> 0 and |z| -> inf ends resolve without 0 * inf forms
-    coef = tau * (tau - 2.0) / (2.0 * p**tau)
+    coef = tau * (tau - 2.0) / (2.0 * ptau)
     with np.errstate(divide="ignore", over="ignore"):
         return coef * np.sign(z) * np.abs(z) ** (tau - 3.0)
 
@@ -801,7 +820,7 @@ _SPECS = {
         weight_singular=lambda family: family.extra < 2.0,
         weight_kink=lambda family: 2.0 < family.extra <= 3.0,
         decay=lambda family: (
-            "exp", 0.5 / _pe_scale(family.extra) ** family.extra, family.extra
+            "exp", 0.5 / _pe_scale(family.extra)[0], family.extra
         ),
     ),
     FamilyKind.CAUCHY: _FamilySpec(

@@ -94,10 +94,6 @@ def gk15(f, a: float, b: float):
     return resk, err
 
 
-def _map_finite(f, a, b):
-    return f, a, b
-
-
 def _semi_infinite_upper(f, a):
     # Panels bisected down to rounding width can place a node at t == 1;
     # gk15 treats the resulting non-finite values as "split this panel".
@@ -143,27 +139,16 @@ def integrate(
     if not lo < hi:
         raise ValueError("lower limit must be below upper limit")
     pts = sorted({float(p) for p in breakpoints if lo < float(p) < hi})
-
+    if not pts and math.isinf(lo) and math.isinf(hi):
+        pts = [0.0]  # the doubly infinite range splits at 0
+    edges = [lo, *pts, hi]
     pieces = []
-    if math.isinf(lo) and math.isinf(hi):
-        anchors = pts if pts else [0.0]
-        pieces.append((_semi_infinite_lower(f, anchors[0]), 0.0, 1.0))
-        for left, right in zip(anchors, anchors[1:]):
-            pieces.append((f, left, right))
-        pieces.append((_semi_infinite_upper(f, anchors[-1]), 0.0, 1.0))
-    elif math.isinf(hi):
-        anchors = [lo] + pts
-        for left, right in zip(anchors, anchors[1:]):
-            pieces.append((f, left, right))
-        pieces.append((_semi_infinite_upper(f, anchors[-1]), 0.0, 1.0))
-    elif math.isinf(lo):
-        anchors = pts + [hi]
-        pieces.append((_semi_infinite_lower(f, anchors[0]), 0.0, 1.0))
-        for left, right in zip(anchors, anchors[1:]):
-            pieces.append((f, left, right))
-    else:
-        anchors = [lo] + pts + [hi]
-        for left, right in zip(anchors, anchors[1:]):
+    for left, right in zip(edges, edges[1:]):
+        if math.isinf(left):
+            pieces.append((_semi_infinite_lower(f, right), 0.0, 1.0))
+        elif math.isinf(right):
+            pieces.append((_semi_infinite_upper(f, left), 0.0, 1.0))
+        else:
             pieces.append((f, left, right))
 
     heap = []

@@ -3,8 +3,7 @@
 Everything is implemented in-repo (rational approximations, power series,
 continued fractions) so the accuracy contracts can be tested in isolation
 against independent quadrature oracles.  Functions accept floats or numpy
-arrays; scalar inputs take tight pure-Python paths because the likelihood
-code evaluates normalizing constants one point at a time.
+arrays, and return a float for a scalar.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ __all__ = [
     "std_normal_quantile",
     "reg_lower_gamma",
     "reg_upper_gamma",
-    "lower_gamma",
     "lower_gamma_ratio",
     "reg_inc_beta",
     "log_beta",
@@ -308,58 +306,27 @@ def log_beta(a: float, b: float) -> float:
 
 # ---------------------------------------------------------------------------
 # Regularized incomplete gamma: series for x < a+1, continued fraction beyond.
+#
+# Every entry point below runs its elements through the same masked array
+# kernels, so a scalar is evaluated exactly as a one-element array would be.
+# NaN elements give NaN.
 
 
-def _gser_sum_scalar(a: float, x: float) -> float:
+def _gamma_argument(a: float, x) -> np.ndarray:
+    if not a > 0.0:
+        raise ValueError("shape parameter must be positive")
+    xa = np.asarray(x, dtype=float)
+    if np.any(xa < 0.0):
+        raise ValueError("argument must be nonnegative")
+    return xa
+
+
+def _float_if_scalar(out: np.ndarray):
+    return float(out) if out.ndim == 0 else out
+
+
+def _gser_sum(a: float, x: np.ndarray) -> np.ndarray:
     """sum = (1/a)(1 + x/(a+1) + x^2/((a+1)(a+2)) + ...)."""
-    ap = a
-    term = 1.0 / a
-    total = term
-    for _ in range(_MAX_ITER):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            return total
-    raise RuntimeError("incomplete gamma series did not converge")
-
-
-def _gser_P_scalar(a: float, x: float) -> float:
-    if x == 0.0:
-        return 0.0
-    total = _gser_sum_scalar(a, x)
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def _gcf_Q_scalar(a: float, x: float) -> float:
-    """Q(a, x) by modified Lentz continued fraction, x >= a+1."""
-    prefactor = math.exp(-x + a * math.log(x) - math.lgamma(a))
-    if prefactor == 0.0:
-        # Q < prefactor here; iterating would not converge once 1/(x+1-a)
-        # is subnormal (x near 5e307 and beyond)
-        return 0.0
-    b = x + 1.0 - a
-    c = 1.0 / _TINY
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
-        c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return h * prefactor
-    raise RuntimeError("incomplete gamma continued fraction did not converge")
-
-
-def _gser_sum_array(a: float, x: np.ndarray) -> np.ndarray:
     ap = np.full_like(x, a)
     term = np.full_like(x, 1.0 / a)
     total = term.copy()
@@ -374,7 +341,8 @@ def _gser_sum_array(a: float, x: np.ndarray) -> np.ndarray:
     raise RuntimeError("incomplete gamma series did not converge")
 
 
-def _gcf_Q_array(a: float, x: np.ndarray) -> np.ndarray:
+def _gcf_Q(a: float, x: np.ndarray) -> np.ndarray:
+    """Q(a, x) by modified Lentz continued fraction, x >= a+1."""
     with np.errstate(under="ignore"):
         prefactor = np.exp(-x + a * np.log(x) - math.lgamma(a))
     b = x + 1.0 - a
@@ -403,149 +371,65 @@ def _gcf_Q_array(a: float, x: np.ndarray) -> np.ndarray:
 
 def reg_lower_gamma(a: float, x):
     """Regularized lower incomplete gamma P(a, x), a > 0, x >= 0."""
-    if not a > 0.0:
-        raise ValueError("shape parameter must be positive")
-    if np.ndim(x) == 0:
-        xs = float(x)
-        if xs < 0.0:
-            raise ValueError("argument must be nonnegative")
-        if xs == 0.0:
-            return 0.0
-        if math.isinf(xs):
-            return 1.0
-        if xs < a + 1.0:
-            return _gser_P_scalar(a, xs)
-        return 1.0 - _gcf_Q_scalar(a, xs)
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa < 0.0):
-        raise ValueError("argument must be nonnegative")
-    out = np.empty_like(xa)
-    inf = np.isinf(xa)
-    out[inf] = 1.0
-    lo = (xa < a + 1.0) & ~inf
+    xa = _gamma_argument(a, x)
+    out = np.full_like(xa, np.nan)
+    out[xa == np.inf] = 1.0
+    lo = xa < a + 1.0
     if np.any(lo):
         xlo = xa[lo]
         with np.errstate(divide="ignore", under="ignore"):
-            vals = _gser_sum_array(a, xlo) * np.exp(-xlo + a * np.log(xlo) - math.lgamma(a))
+            vals = _gser_sum(a, xlo) * np.exp(-xlo + a * np.log(xlo) - math.lgamma(a))
         out[lo] = np.where(xlo == 0.0, 0.0, vals)
-    hi = ~lo & ~inf
+    hi = (xa >= a + 1.0) & (xa < np.inf)
     if np.any(hi):
-        out[hi] = 1.0 - _gcf_Q_array(a, xa[hi])
-    return out
+        out[hi] = 1.0 - _gcf_Q(a, xa[hi])
+    return _float_if_scalar(out)
 
 
 def reg_upper_gamma(a: float, x):
     """Regularized upper incomplete gamma Q(a, x) with accurate small values."""
-    if not a > 0.0:
-        raise ValueError("shape parameter must be positive")
-    if np.ndim(x) == 0:
-        xs = float(x)
-        if xs < 0.0:
-            raise ValueError("argument must be nonnegative")
-        if xs == 0.0:
-            return 1.0
-        if math.isinf(xs):
-            return 0.0
-        if xs < a + 1.0:
-            return 1.0 - _gser_P_scalar(a, xs)
-        return _gcf_Q_scalar(a, xs)
-    xa = np.asarray(x, dtype=float)
-    out = np.empty_like(xa)
-    inf = np.isinf(xa)
-    out[inf] = 0.0
-    lo = (xa < a + 1.0) & ~inf
+    xa = _gamma_argument(a, x)
+    out = np.full_like(xa, np.nan)
+    out[xa == np.inf] = 0.0
+    lo = xa < a + 1.0
     if np.any(lo):
-        sub = reg_lower_gamma(a, xa[lo])
-        out[lo] = 1.0 - sub
-    hi = ~lo & ~inf
+        out[lo] = 1.0 - reg_lower_gamma(a, xa[lo])
+    hi = (xa >= a + 1.0) & (xa < np.inf)
     if np.any(hi):
-        out[hi] = _gcf_Q_array(a, xa[hi])
-    return out
-
-
-def lower_gamma(a: float, x):
-    """Unnormalized lower incomplete gamma: integral of t^(a-1) e^-t over (0, x)."""
-    return reg_lower_gamma(a, x) * math.exp(math.lgamma(a))
+        out[hi] = _gcf_Q(a, xa[hi])
+    return _float_if_scalar(out)
 
 
 def lower_gamma_ratio(a: float, x):
-    """lower_gamma(a, x) / x**a, stable for small x (positive-term series)."""
-    if not a > 0.0:
-        raise ValueError("shape parameter must be positive")
-    if np.ndim(x) == 0:
-        xs = float(x)
-        if xs < 0.0:
-            raise ValueError("argument must be nonnegative")
-        if xs == 0.0:
-            return 1.0 / a
-        if xs < a + 1.0:
-            return math.exp(-xs) * _gser_sum_scalar(a, xs)
-        q = _gcf_Q_scalar(a, xs)
-        return math.exp(math.lgamma(a) + math.log1p(-q) - a * math.log(xs))
-    xa = np.asarray(x, dtype=float)
-    out = np.empty_like(xa)
+    """Lower incomplete gamma(a, x) / x**a, stable for small x (positive-term series)."""
+    xa = _gamma_argument(a, x)
+    out = np.full_like(xa, np.nan)
+    out[xa == np.inf] = 0.0
     lo = xa < a + 1.0
     if np.any(lo):
         xlo = xa[lo]
         with np.errstate(under="ignore"):
-            out[lo] = np.where(xlo == 0.0, 1.0 / a, np.exp(-xlo) * _gser_sum_array(a, np.maximum(xlo, 1e-320)))
-    if np.any(~lo):
-        xhi = xa[~lo]
-        q = _gcf_Q_array(a, xhi)
-        out[~lo] = np.exp(math.lgamma(a) + np.log1p(-q) - a * np.log(xhi))
-    return out
+            out[lo] = np.where(xlo == 0.0, 1.0 / a, np.exp(-xlo) * _gser_sum(a, np.maximum(xlo, 1e-320)))
+    hi = (xa >= a + 1.0) & (xa < np.inf)
+    if np.any(hi):
+        xhi = xa[hi]
+        q = _gcf_Q(a, xhi)
+        out[hi] = np.exp(math.lgamma(a) + np.log1p(-q) - a * np.log(xhi))
+    return _float_if_scalar(out)
 
 
 def chi2_survival(x, df: int = 1):
-    """Survival function of a chi-squared distribution."""
+    """Survival function of a chi-squared distribution; 1 for x <= 0."""
     if df <= 0:
         raise ValueError("degrees of freedom must be positive")
-    if np.ndim(x) == 0 and float(x) <= 0.0:
-        return 1.0
-    return reg_upper_gamma(0.5 * df, np.asarray(x, dtype=float) / 2.0 if np.ndim(x) else float(x) / 2.0)
+    return reg_upper_gamma(0.5 * df, np.maximum(np.asarray(x, dtype=float), 0.0) / 2.0)
 
 
 # ---------------------------------------------------------------------------
 # Regularized incomplete beta via the standard continued fraction.
 
 
-def _betacf_scalar(a: float, b: float, x: float) -> float:
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _TINY:
-        d = _TINY
-    d = 1.0 / d
-    h = d
-    for m in range(1, _MAX_ITER):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return h
-    raise RuntimeError("incomplete beta continued fraction did not converge")
-
-
-def _betacf_array(a: float, b: float, x: np.ndarray) -> np.ndarray:
+def _betacf(a: float, b: float, x: np.ndarray) -> np.ndarray:
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
@@ -578,36 +462,17 @@ def _betacf_array(a: float, b: float, x: np.ndarray) -> np.ndarray:
     raise RuntimeError("incomplete beta continued fraction did not converge")
 
 
-def _inc_beta_scalar(a: float, b: float, x: float) -> float:
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    lbt = -log_beta(a, b) + a * math.log(x) + b * math.log1p(-x)
-    bt = math.exp(lbt)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return bt * _betacf_scalar(a, b, x) / a
-    return 1.0 - bt * _betacf_scalar(b, a, 1.0 - x) / b
-
-
 def reg_inc_beta(a: float, b: float, x):
     """Regularized incomplete beta I_x(a, b) for a, b > 0 and x in [0, 1]."""
     if not (a > 0.0 and b > 0.0):
         raise ValueError("shape parameters must be positive")
-    if np.ndim(x) == 0:
-        xs = float(x)
-        if xs < 0.0 or xs > 1.0:
-            raise ValueError("argument must lie in [0, 1]")
-        return _inc_beta_scalar(a, b, xs)
     xa = np.asarray(x, dtype=float)
     if np.any((xa < 0.0) | (xa > 1.0)):
         raise ValueError("argument must lie in [0, 1]")
-    out = np.empty_like(xa)
-    zero = xa == 0.0
-    one = xa == 1.0
-    out[zero] = 0.0
-    out[one] = 1.0
-    interior = ~zero & ~one
+    out = np.full_like(xa, np.nan)
+    out[xa == 0.0] = 0.0
+    out[xa == 1.0] = 1.0
+    interior = (xa > 0.0) & (xa < 1.0)
     if np.any(interior):
         xi = xa[interior]
         with np.errstate(under="ignore"):
@@ -615,8 +480,8 @@ def reg_inc_beta(a: float, b: float, x):
         res = np.empty_like(xi)
         direct = xi < (a + 1.0) / (a + b + 2.0)
         if np.any(direct):
-            res[direct] = bt[direct] * _betacf_array(a, b, xi[direct]) / a
+            res[direct] = bt[direct] * _betacf(a, b, xi[direct]) / a
         if np.any(~direct):
-            res[~direct] = 1.0 - bt[~direct] * _betacf_array(b, a, 1.0 - xi[~direct]) / b
+            res[~direct] = 1.0 - bt[~direct] * _betacf(b, a, 1.0 - xi[~direct]) / b
         out[interior] = res
-    return out
+    return _float_if_scalar(out)

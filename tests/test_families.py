@@ -622,6 +622,54 @@ def test_slash_weight_far_tail_asymptotic_forms(name):
             assert abs(weight_derivative(fam, z) - expected) <= 1e-12 * abs(expected)
 
 
+# u where r underflows to 0 though log r is finite, after one u where r > 0;
+# log r then falls like -(q + 1)/2 log u for slash(q), -log u for canonical
+LOG_R_PAST_UNDERFLOW = {
+    "slash_2": ((1e200, 1e250, 1e300), 1.5),
+    "slash_4.5": ((1e100, 1e150, 1e200), 2.75),
+    "canonical_slash": ((1e307, 1e308, 1.7e308), 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOG_R_PAST_UNDERFLOW))
+def test_log_r_finite_where_r_underflows(name):
+    u, decay = LOG_R_PAST_UNDERFLOW[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ev = eval_generator(FAMS[name], np.array(u))
+    assert ev.r[0] > 0.0 and np.all(ev.r[1:] == 0.0)
+    assert np.all(np.isfinite(ev.log_r))
+    slope = np.diff(ev.log_r) / np.diff(np.log(u))
+    assert np.all(np.abs(slope + decay) <= 1e-10 * decay)
+
+
+@pytest.mark.parametrize("tau", [5e-3, 1e-3])
+def test_power_exponential_tiny_tau(tau):
+    # the scale p(tau) underflows here while p^tau does not
+    fam = DensityFamily.power_exponential(tau)
+    s = np.array([0.0, 1e-300, 1e-100, 1e-10, 1.0, 1e10, 1e100, 1e300, np.inf])
+    z = np.array([-1e3, -1.0, -1e-3, 1e-3, 1.0, 1e3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tail = symmetric_survival(fam, s)
+        ev = eval_generator(fam, np.concatenate([[0.0], z[3:] ** 2]))
+        w = weight_function(fam, z)
+        dw = weight_derivative(fam, z)
+        # the tail's slope is the density, the weight is -2 r'/r and w' is
+        # the slope of w, each from its own formula
+        s0, h = 1.0, 1e-6
+        slope = (symmetric_survival(fam, s0 + h) - symmetric_survival(fam, s0 - h)) / (2.0 * h)
+        density = float(eval_generator(fam, s0 * s0).r)
+        dw_fd = (weight_function(fam, z + h * z) - weight_function(fam, z - h * z)) / (2.0 * h * z)
+    assert tail[0] == 0.5 and tail[-1] == 0.0
+    assert np.all((tail >= 0.0) & (tail <= 0.5)) and np.all(np.diff(tail) <= 0.0)
+    assert rel_err(-slope, density) < 1e-6
+    assert np.all(np.isfinite(ev.log_r)) and np.all(ev.r[1:] > 0.0)
+    assert np.allclose(w[3:], -2.0 * ev.dr_du[1:] / ev.r[1:], rtol=1e-12, atol=0.0)
+    assert np.all(np.isfinite(w) & (w > 0.0)) and np.array_equal(w[:3], w[3:][::-1])
+    assert np.allclose(dw, dw_fd, rtol=1e-6, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # DensityFamily construction.
 

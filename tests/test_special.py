@@ -7,6 +7,7 @@ which shares no code with the series/continued-fraction evaluations.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -268,6 +269,9 @@ def test_chi2_survival_points():
     for x, expected in CHI2_SURVIVAL.items():
         assert rel_err(chi2_survival(x, df=1), expected) < 1e-13
     assert chi2_survival(0.0, df=1) == 1.0
+    assert chi2_survival(-1.0, df=1) == 1.0
+    out = chi2_survival(np.array([-1.0, 0.0, 1.0]), df=1)
+    assert list(out) == [1.0, 1.0, chi2_survival(1.0, df=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -327,3 +331,49 @@ def test_reg_inc_beta_power_law_edge():
 def test_reg_inc_beta_monotone(a, b, x1, x2):
     lo, hi = min(x1, x2), max(x1, x2)
     assert reg_inc_beta(a, b, hi) >= reg_inc_beta(a, b, lo) - 1e-13
+
+
+# ---------------------------------------------------------------------------
+# One set of edge rules: a scalar runs through the same path as an array.
+
+EDGE_A = 1.5
+EDGE_FUNCTIONS = {
+    "reg_lower_gamma": lambda x: reg_lower_gamma(EDGE_A, x),
+    "reg_upper_gamma": lambda x: reg_upper_gamma(EDGE_A, x),
+    "lower_gamma_ratio": lambda x: lower_gamma_ratio(EDGE_A, x),
+    "reg_inc_beta": lambda x: reg_inc_beta(2.0, 0.5, x),
+}
+GAMMA_EDGE_X = (0.0, 5e-324, 1e-300, 0.3, EDGE_A + 1.0, 40.0, 1e300, np.inf, np.nan)
+BETA_EDGE_X = (0.0, 5e-324, 0.3, 0.5, 1.0 - 1e-16, 1.0, np.nan)
+EDGE_CASES = [
+    (name, x)
+    for name in EDGE_FUNCTIONS
+    for x in (BETA_EDGE_X if name == "reg_inc_beta" else GAMMA_EDGE_X + (-1.0, -np.inf))
+] + [("reg_inc_beta", x) for x in (-1e-300, -0.5, 1.0 + 1e-15, 2.0, -np.inf, np.inf)]
+# the limits at x = inf
+EDGE_LIMITS = {"reg_lower_gamma": 1.0, "reg_upper_gamma": 0.0, "lower_gamma_ratio": 0.0}
+
+
+@pytest.mark.parametrize("name, x", EDGE_CASES)
+def test_scalar_and_array_follow_one_set_of_edge_rules(name, x):
+    f = EDGE_FUNCTIONS[name]
+    out_of_range = x < 0.0 or (name == "reg_inc_beta" and x > 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if out_of_range:
+            with pytest.raises(ValueError):
+                f(x)
+            with pytest.raises(ValueError):
+                f(np.array([0.3, x]))
+            return
+        scalar = f(x)
+        array = f(np.array([x]))
+    assert isinstance(scalar, float)
+    assert array.shape == (1,)
+    assert np.array_equal([scalar], array, equal_nan=True)
+    if math.isnan(x):
+        assert math.isnan(scalar)
+    elif math.isinf(x):
+        assert scalar == EDGE_LIMITS[name]
+    else:
+        assert 0.0 <= scalar <= (1.0 / EDGE_A if name == "lower_gamma_ratio" else 1.0)
