@@ -20,8 +20,10 @@ Design notes
 * The type I logistic generator has no closed-form antiderivative.  Its
   cdf uses a cached cumulative Gauss-Kronrod table on [0, 9] plus direct
   panel sums for the far tail, which is accurate to ~1e-15.
-* Quantiles use exact inversions where available and a safeguarded,
-  vectorized Newton iteration on the survival function otherwise.
+* Quantiles use exact inversions where available.  Otherwise a vectorized
+  Newton iteration in y = log s solves log P(S > e^y) = log t.  It starts
+  from the generator's decay fact, or from the centre between the quartiles,
+  and bisects in y where a step leaves its bracket of finite doubles.
 """
 
 from __future__ import annotations
@@ -277,7 +279,7 @@ def _gen_double_exponential(family: DensityFamily, u: np.ndarray) -> tuple[np.nd
     with np.errstate(under="ignore"):
         r = np.exp(log_r)
     with np.errstate(divide="ignore", over="ignore"):
-        dr = np.where(u > 0.0, -r / np.sqrt(2.0 * u), -np.inf)
+        dr = np.where(u == 0.0, -np.inf, -r / np.sqrt(2.0 * u))
     return r, log_r, dr
 
 
@@ -294,7 +296,7 @@ def _gen_power_exponential(family: DensityFamily, u: np.ndarray) -> tuple[np.nda
     # r underflows long before fac can overflow, so 0 * inf is resolved to 0;
     # near u = 0 at tiny tau, r * fac overflows to its limit
     with np.errstate(invalid="ignore", over="ignore"):
-        dr = np.where(r > 0.0, -r * fac, -0.0)
+        dr = np.where(r == 0.0, -0.0, -r * fac)
     return r, log_r, dr
 
 
@@ -339,7 +341,7 @@ def _gen_logistic_ii(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarray, 
 def _gen_canonical_slash(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     x = 0.5 * u
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        r = np.where(u > 0.0, -np.expm1(-x) / (_SQRT_2PI * u), 1.0 / (2.0 * _SQRT_2PI))
+        r = np.where(u == 0.0, 1.0 / (2.0 * _SQRT_2PI), -np.expm1(-x) / (_SQRT_2PI * u))
         log_r = np.log(r)
     # sqrt(2 pi) u overflows beyond u of about 7e307, where log r is finite
     under = (r == 0.0) & np.isfinite(u)
@@ -442,8 +444,16 @@ def _tail_cauchy(family: DensityFamily, s: np.ndarray) -> np.ndarray:
 def _tail_student_t(family: DensityFamily, s: np.ndarray) -> np.ndarray:
     tau = family.extra
     with np.errstate(over="ignore"):
-        x = tau / (tau + s * s)
-    return 0.5 * reg_inc_beta(0.5 * tau, 0.5, x)
+        u = s * s
+    out = 0.5 * reg_inc_beta(0.5 * tau, 0.5, tau / (tau + u))
+    far = np.isinf(u) & np.isfinite(s)
+    if np.any(far):
+        # x = tau / s^2 < 1e-308, where I_x(a, 1/2) is x^a / (a B(a, 1/2))
+        a = 0.5 * tau
+        log_x = math.log(tau) - 2.0 * np.log(s[far])
+        with np.errstate(under="ignore"):
+            out[far] = 0.5 * np.exp(a * log_x - math.log(a) - log_beta(a, 0.5))
+    return out
 
 
 def _tail_logistic_i(family: DensityFamily, s: np.ndarray) -> np.ndarray:
@@ -468,6 +478,12 @@ def _tail_slash_form(family: DensityFamily, s: np.ndarray, q: float) -> np.ndarr
         r = eval_generator(family, s * s).r
     with np.errstate(invalid="ignore"):
         bulge = np.where(np.isfinite(s), s * r / q, 0.0)
+    # where r(s^2) underflows, s r(s^2) is A_q Gamma((q + 1)/2) s^-q
+    far = (r < _TINY) & np.isfinite(s)
+    if np.any(far):
+        log_lead = math.log(_slash_amp(q)) + math.lgamma(0.5 * (q + 1.0)) - math.log(q)
+        with np.errstate(under="ignore"):
+            bulge[far] = np.exp(log_lead - q * np.log(s[far]))
     return std_normal_cdf(-s) + bulge
 
 
@@ -498,6 +514,11 @@ def symmetric_survival(family: DensityFamily, s):
 # ---------------------------------------------------------------------------
 # Quantiles.
 
+# the bracket of the tail quantile: the positive finite doubles
+_S_MIN = float(np.nextafter(0.0, 1.0))
+_S_MAX = float(np.finfo(float).max)
+
+
 def _tail_quantile_cauchy(family: DensityFamily, t: np.ndarray) -> np.ndarray:
     return np.where(
         t < 0.25,
@@ -506,63 +527,56 @@ def _tail_quantile_cauchy(family: DensityFamily, t: np.ndarray) -> np.ndarray:
     )
 
 
-def _bracket_student_t(family: DensityFamily, t: np.ndarray) -> np.ndarray:
-    tau = family.extra
-    base = (
-        math.exp(0.5 * tau * math.log(tau) - log_beta(0.5, 0.5 * tau)) / (tau * t)
-    ) ** (1.0 / tau)
-    return 1.5 * base + 2.0
-
-
-def _bracket_slash_form(q: float, t: np.ndarray) -> np.ndarray:
-    a = 0.5 * (q + 1.0)
-    base = (_slash_amp(q) * math.exp(math.lgamma(a)) / (q * t)) ** (1.0 / q)
-    return 1.5 * base + 2.0
-
-
-def _bracket_power_exponential(family: DensityFamily, t: np.ndarray) -> np.ndarray:
-    tau = family.extra
-    ptau, _ = _pe_scale(tau)
-    a = 1.0 / tau
-    x0 = np.maximum(-np.log(2.0 * t), 1.0)
-    x0 = x0 + (abs(a - 1.0) + 1.0) * np.log(x0 + 3.0) + 5.0
-    return (2.0 * ptau * x0) ** (1.0 / tau) + 1.0
-
-
 def _tail_quantile_newton(family: DensityFamily, t: np.ndarray) -> np.ndarray:
-    """Solve P(S > s) = t for s >= 0, elementwise; t must lie in (0, 0.5]."""
-    eps = _EPS
-    spec = _SPECS[family.kind]
-    upper_tail = spec.upper_tail
-    with np.errstate(over="ignore", divide="ignore"):
-        hi = np.minimum(spec.bracket(family, t), 1e300)
-    # make sure the bracket really covers the root; doubling saturates at inf
-    for _ in range(120):
-        short = (t < 0.5) & (upper_tail(family, hi) > t)
-        if not np.any(short):
-            break
-        with np.errstate(over="ignore"):
-            hi = np.where(short, hi * 2.0, hi)
-    unreachable = np.isinf(hi) | ((t < 0.5) & (upper_tail(family, hi) > t))
+    """Solve P(S > s) = t for s > 0, elementwise; t must lie in (0, 0.5].
+
+    Newton in y = log s on log P(S > e^y) = log t, whose slope is
+    -s r(s^2) / P(S > s).  It starts from the decay with the tail's constant
+    dropped, or between the quartiles from the centre's (0.5 - t) / r(0).  A
+    step that leaves the bracket bisects it in y.  A t beyond every double
+    gives inf.
+    """
+    upper_tail = _SPECS[family.kind].upper_tail
+    decay = generator_decay(family)
+    log_t = np.log(t)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if decay[0] == "power":
+            y = -log_t / (decay[1] - 1.0)
+        else:
+            y = np.log(-np.log(2.0 * t) / decay[1]) / decay[2]
+        centre = np.log(0.5 - t) - float(eval_generator(family, 0.0).log_r)
+        s = np.clip(np.exp(np.where(t > 0.25, centre, y)), _S_MIN, _S_MAX)
     lo = np.zeros_like(t)
-    s = 0.5 * np.where(unreachable, 0.0, hi)
-    active = ~unreachable & (t < 0.5)
+    hi = np.full_like(t, np.inf)
+    active = t < 0.5
     for _ in range(200):
         if not np.any(active):
             break
         sa = s[active]
-        f = upper_tail(family, sa) - t[active]
-        # the tail equation is solved to relative precision
-        done = np.abs(f) <= 4.0 * eps * t[active]
-        lo_a = np.where(f > 0.0, np.maximum(lo[active], sa), lo[active])
-        hi_a = np.where(f < 0.0, np.minimum(hi[active], sa), hi[active])
-        with np.errstate(over="ignore"):
-            r = eval_generator(family, sa * sa).r
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            proposal = sa + f / r
-        bad = ~np.isfinite(proposal) | (proposal <= lo_a) | (proposal >= hi_a)
-        proposal = np.where(bad, 0.5 * (lo_a + hi_a), proposal)
-        done |= (hi_a - lo_a) <= eps * (np.abs(sa) + 1e-300)
+        with np.errstate(divide="ignore"):
+            log_tail = np.log(upper_tail(family, sa))
+        f = log_tail - log_t[active]
+        lo_a = np.where(f > 0.0, sa, lo[active])
+        hi_a = np.where(f < 0.0, sa, hi[active])
+        with np.errstate(over="ignore", under="ignore"):
+            u = sa * sa
+        with np.errstate(invalid="ignore", over="ignore"):
+            slope = np.exp(np.log(sa) + eval_generator(family, u).log_r - log_tail)
+        # where s^2 overflows, a power tail's slope is its limit g - 1; where
+        # s^2 underflows, r is read at 0, which misleads at tiny tau: bisect
+        if decay[0] == "power":
+            slope[np.isinf(u)] = decay[1] - 1.0
+        slope[u == 0.0] = np.nan
+        with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+            proposal = np.clip(sa * np.exp(f / slope), _S_MIN, _S_MAX)
+        # solved to relative precision in t, or a Newton step below an ulp
+        done = (np.abs(f) <= 4.0 * _EPS) | (hi_a - lo_a <= _EPS * sa)
+        done |= (proposal == sa) & np.isfinite(slope)
+        a, b = np.maximum(lo_a, _S_MIN), np.minimum(hi_a, _S_MAX)
+        inside = (lo_a < proposal) & (proposal < hi_a)
+        proposal = np.where(inside, proposal, np.clip(np.sqrt(a) * np.sqrt(b), a, b))
+        # no double is left inside the bracket
+        done |= (proposal <= lo_a) | (proposal >= hi_a)
         lo[active] = lo_a
         hi[active] = hi_a
         s[active] = np.where(done, sa, proposal)
@@ -570,8 +584,7 @@ def _tail_quantile_newton(family: DensityFamily, t: np.ndarray) -> np.ndarray:
         still[active] = ~done
         active = still
     s = np.where(t >= 0.5, 0.0, s)
-    s = np.where(unreachable, np.inf, s)
-    return s
+    return np.where(lo == _S_MAX, np.inf, s)
 
 
 def symmetric_quantile(family: DensityFamily, p):
@@ -634,10 +647,12 @@ def _w_slash(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> np.ndarray:
     out = np.zeros_like(u)
     fin = np.isfinite(u)
     x = 0.5 * u[fin]
+    num = lower_gamma_ratio(a + 1.0, x)
     with np.errstate(invalid="ignore"):
-        w = lower_gamma_ratio(a + 1.0, x) / lower_gamma_ratio(a, x)
-    # far out both ratios underflow to 0/0; there w = a / x = (q + 1) / z^2
-    out[fin] = np.where(np.isnan(w), a / x, w)
+        w = num / lower_gamma_ratio(a, x)
+    # far out the numerator underflows, alone or with the denominator; there
+    # w = a / x = (q + 1) / z^2
+    out[fin] = np.where(num < _TINY, a / x, w)
     out[np.isnan(u)] = np.nan
     return out
 
@@ -775,8 +790,8 @@ class _FamilySpec(NamedTuple):
     at call time, never as stored values, so that a name patched here (as
     perfbench's tracer does) sees every call.  The normal alone sets
     ``quantile`` and calls its own inverse cdf; every other family inverts
-    the upper tail by ``tail_quantile``, which defaults to Newton from
-    ``bracket``.
+    the upper tail by ``tail_quantile``, which defaults to Newton in log s
+    started from ``decay``.
     """
 
     generator: Callable  # (family, u) -> (r, log r, dr/du), u >= 0
@@ -787,7 +802,6 @@ class _FamilySpec(NamedTuple):
     extra_name: str | None = None
     quantile: Callable | None = None  # (family, p) -> s, 0 < p < 1
     tail_quantile: Callable = _tail_quantile_newton  # (family, t) -> s, P(S > s) = t
-    bracket: Callable | None = None  # (family, t) -> s with P(S > s) <= t
     weight_singular: Callable = lambda family: False  # w singular at z = 0
     weight_kink: Callable = lambda family: False  # w finite but not differentiable at 0
 
@@ -814,7 +828,6 @@ _SPECS = {
         extra_name="tau",
         generator=_gen_power_exponential,
         upper_tail=_tail_power_exponential,
-        bracket=_bracket_power_exponential,
         weight=_w_power_exponential,
         weight_derivative=_dw_power_exponential,
         weight_singular=lambda family: family.extra < 2.0,
@@ -835,7 +848,6 @@ _SPECS = {
         extra_name="tau",
         generator=_gen_student_t,
         upper_tail=_tail_student_t,
-        bracket=_bracket_student_t,
         weight=lambda family, z, u: (family.extra + 1.0) / (family.extra + u),
         weight_derivative=_dw_student_t,
         decay=lambda family: ("power", family.extra + 1.0),
@@ -843,7 +855,6 @@ _SPECS = {
     FamilyKind.LOGISTIC_I: _FamilySpec(
         generator=_gen_logistic_i,
         upper_tail=_tail_logistic_i,
-        bracket=lambda family, t: np.sqrt(np.maximum(-np.log(t), 1.0)) + 2.0,
         weight=lambda family, z, u: 2.0 * np.tanh(0.5 * u),
         weight_derivative=_dw_logistic_i,
         decay=lambda family: ("exp", 1.0, 2.0),
@@ -860,7 +871,6 @@ _SPECS = {
     FamilyKind.CANONICAL_SLASH: _FamilySpec(
         generator=_gen_canonical_slash,
         upper_tail=lambda family, s: _tail_slash_form(family, s, 1.0),
-        bracket=lambda family, t: _bracket_slash_form(1.0, t),
         weight=_w_canonical_slash,
         weight_derivative=_dw_canonical_slash,
         weight_singular=lambda family: True,
@@ -870,7 +880,6 @@ _SPECS = {
         extra_name="q",
         generator=_gen_slash,
         upper_tail=lambda family, s: _tail_slash_form(family, s, family.extra),
-        bracket=lambda family, t: _bracket_slash_form(family.extra, t),
         weight=_w_slash,
         weight_derivative=_dw_slash,
         weight_singular=lambda family: True,

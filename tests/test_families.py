@@ -8,6 +8,7 @@ bisection on the quadrature cdf.  None of them share a code path with the
 implementation under test.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -390,6 +391,47 @@ def test_deep_tail_survival(name, s):
     assert rel_err(got, expected) < 1e-12
 
 
+# power-decay families whose s^2 overflows before their tail underflows
+HEAVY = ("student_t_1.5", "student_t_4", "canonical_slash", "slash_1", "slash_2", "slash_4.5")
+
+
+def heavy_tail_leading_term(name, s):
+    """P(S > s) to leading order in 1/s, from the closed forms."""
+    fam = FAMS[name]
+    if fam.kind is FamilyKind.STUDENT_T:
+        # I_x(a, 1/2) / 2 with x = tau / s^2, a = tau / 2
+        a = 0.5 * fam.extra
+        log_beta = math.lgamma(a) + math.lgamma(0.5) - math.lgamma(a + 0.5)
+        log_lead = a * (math.log(fam.extra) - 2.0 * math.log(s)) - math.log(2.0 * a) - log_beta
+    else:
+        # s r(s^2) / q with r(s^2) ~ q 2^(q/2 - 1) Gamma((q + 1)/2) / (sqrt(pi) s^(q + 1))
+        q = fam.extra or 1.0
+        log_lead = (0.5 * q - 1.0) * math.log(2.0) + math.lgamma(0.5 * (q + 1.0)) - 0.5 * math.log(math.pi) - q * math.log(s)
+    return math.exp(log_lead) if log_lead > -745.0 else 0.0
+
+
+@pytest.mark.parametrize("name", HEAVY)
+def test_heavy_tail_survival_where_s_squared_overflows(name):
+    for s in (1e155, 1e200, 1e300):
+        expected = heavy_tail_leading_term(name, s)
+        got = symmetric_survival(FAMS[name], s)
+        if expected < 1e-300:
+            assert got <= 1e-300
+        else:
+            assert rel_err(got, expected) < 1e-12
+
+
+@pytest.mark.parametrize("name", HEAVY)
+def test_heavy_tail_quantile_round_trip_far_out(name):
+    fam = FAMS[name]
+    p = np.array([1e-300, 1e-200])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = symmetric_quantile(fam, p)
+        back = symmetric_cdf(fam, q)
+    assert np.all(np.isfinite(q)) and np.all(np.abs(back - p) / p < 1e-9)
+
+
 @pytest.mark.parametrize("name", sorted(FAMS))
 def test_cdf_limits(name):
     fam = FAMS[name]
@@ -584,9 +626,10 @@ def test_weight_scalar_and_array_contract():
 EXTREME_U = (1e154, 1e200, 1e308, 1.7e308, np.inf)
 EXTREME_Z = tuple(sign * m for m in (1e77, 1e154, 1e200, 1e308, np.inf) for sign in (1.0, -1.0))
 
-# |z| where the slash weight's ratios of lower incomplete gammas reach 0/0,
-# so the asymptotic forms w = (q + 1)/z^2 and w' = -2 (q + 1)/z^3 take over
-SLASH_FAR_W = {"slash_1": (), "slash_2": (1e154,), "slash_4.5": (1e77, 1e154)}
+# |z| where the slash weight's ratios of lower incomplete gammas underflow,
+# alone or to 0/0, so the asymptotic forms w = (q + 1)/z^2 and
+# w' = -2 (q + 1)/z^3 take over
+SLASH_FAR_W = {"slash_1": (), "slash_2": (1e70, 1e85, 1e100, 1e154), "slash_4.5": (1e77, 1e154)}
 SLASH_FAR_DW = {"slash_1": (1e154,), "slash_2": (1e77, 1e154), "slash_4.5": (1e77, 1e154)}
 
 
@@ -601,6 +644,8 @@ def test_extreme_arguments_give_limits_without_warnings(name):
         dw = weight_derivative(fam, np.array(EXTREME_Z))
         scalar_w = [weight_function(fam, z) for z in EXTREME_Z]
         scalar_dw = [weight_derivative(fam, z) for z in EXTREME_Z]
+        nan_ev = eval_generator(fam, np.nan)
+    assert np.isnan(nan_ev.r) and np.isnan(nan_ev.log_r) and np.isnan(nan_ev.dr_du)
     for e in [ev] + scalar_ev:
         assert not np.any(np.isnan(e.r) | np.isnan(e.log_r) | np.isnan(e.dr_du))
     assert not np.any(np.isnan(w) | np.isnan(dw))
@@ -668,6 +713,22 @@ def test_power_exponential_tiny_tau(tau):
     assert np.allclose(w[3:], -2.0 * ev.dr_du[1:] / ev.r[1:], rtol=1e-12, atol=0.0)
     assert np.all(np.isfinite(w) & (w > 0.0)) and np.array_equal(w[:3], w[3:][::-1])
     assert np.allclose(dw, dw_fd, rtol=1e-6, atol=0.0)
+
+
+@pytest.mark.parametrize("tau", [5e-3, 1e-3])
+def test_power_exponential_tiny_tau_quantiles(tau):
+    # nearly all the mass lies within 1e-200 of 0, so the quantiles do too
+    fam = DensityFamily.power_exponential(tau)
+    p = np.array([1e-10, 0.1, 0.4, 0.6, 0.9, 1.0 - 1e-10])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = symmetric_quantile(fam, p)
+        lower = symmetric_cdf(fam, q[:3])
+        upper = symmetric_survival(fam, q[3:])
+    assert np.all(np.diff(q) > 0.0)
+    assert np.all(np.abs(lower - p[:3]) / p[:3] < 1e-9)
+    t = 1.0 - p[3:]  # what the quantile saw
+    assert np.all(np.abs(upper - t) / t < 1e-9)
 
 
 # ---------------------------------------------------------------------------
