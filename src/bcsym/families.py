@@ -579,7 +579,8 @@ def _tail_quantile_newton(family: DensityFamily, t: np.ndarray) -> np.ndarray:
         done |= (proposal <= lo_a) | (proposal >= hi_a)
         lo[active] = lo_a
         hi[active] = hi_a
-        s[active] = np.where(done, sa, proposal)
+        # a last Newton step inside the bracket is kept; it needs no evaluation
+        s[active] = np.where(done & ~inside, sa, proposal)
         still = active.copy()
         still[active] = ~done
         active = still
