@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from bcsym.quadrature import integrate
 from bcsym.special import (
+    _SMALL_N,
     chi2_survival,
     erf,
     erfc,
@@ -377,3 +378,26 @@ def test_scalar_and_array_follow_one_set_of_edge_rules(name, x):
         assert scalar == EDGE_LIMITS[name]
     else:
         assert 0.0 <= scalar <= (1.0 / EDGE_A if name == "lower_gamma_ratio" else 1.0)
+
+
+def test_long_array_and_scalars_give_the_same_bits():
+    # A scalar takes the Python-float loops and an array longer than _SMALL_N
+    # the masked array loops.  Each branch (series and continued fraction,
+    # direct and reflected beta) gets more than _SMALL_N elements.
+    rng = np.random.default_rng(1604)
+    gamma_grid = np.concatenate([rng.uniform(0.0, 2.0 * (EDGE_A + 1.0), 300), 10.0 ** rng.uniform(-323.0, 300.0, 300)])
+    beta_grid = np.concatenate(
+        [rng.uniform(0.0, 1.0, 300), 10.0 ** rng.uniform(-323.5, -308.0, 100), 1.0 - 10.0 ** rng.uniform(-16.0, -1.0, 200)]
+    )
+    for name, f in EDGE_FUNCTIONS.items():
+        is_beta = name == "reg_inc_beta"
+        edges = [x for n, x in EDGE_CASES if n == name and not (x < 0.0 or (is_beta and x > 1.0))]
+        x = np.concatenate([edges, beta_grid if is_beta else gamma_grid])
+        split = (2.0 + 1.0) / (2.0 + 0.5 + 2.0) if is_beta else EDGE_A + 1.0
+        assert np.sum(x < split) > _SMALL_N and np.sum(x >= split) > _SMALL_N
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            array = f(x)
+            scalars = np.array([f(v) for v in x.tolist()])
+        same = (array.view(np.int64) == scalars.view(np.int64)) | (np.isnan(array) & np.isnan(scalars))
+        assert same.all(), (name, x[~same], array[~same], scalars[~same])
