@@ -151,7 +151,7 @@ def _erfc_positive(y):
 def erfc(x):
     """Complementary error function, accurate in both tails."""
     scalar = np.ndim(x) == 0
-    xa = np.asarray(x)
+    xa = np.asarray(x, dtype=float)
     y = np.abs(xa)
     out = np.empty_like(y)
     small = y <= 0.46875
@@ -169,7 +169,7 @@ def erfc(x):
 def erf(x):
     """Error function."""
     scalar = np.ndim(x) == 0
-    xa = np.asarray(x)
+    xa = np.asarray(x, dtype=float)
     y = np.abs(xa)
     out = np.empty_like(y)
     small = y <= 0.46875
@@ -190,19 +190,19 @@ def std_normal_cdf(x):
     ``std_normal_cdf(-40.0)`` is a faithful denormal-free tail value.
     """
     scalar = np.ndim(x) == 0
-    xa = np.asarray(x)
+    xa = np.asarray(x, dtype=float)
     out = 0.5 * erfc(-xa / _SQRT_2)
     return float(out) if scalar else out
 
 
 def std_normal_pdf(x):
-    xa = np.asarray(x)
+    xa = np.asarray(x, dtype=float)
     out = np.exp(-0.5 * xa * xa) / math.sqrt(2.0 * math.pi)
     return float(out) if np.ndim(x) == 0 else out
 
 
 def std_normal_log_pdf(x):
-    xa = np.asarray(x)
+    xa = np.asarray(x, dtype=float)
     out = -0.5 * xa * xa - 0.5 * math.log(2.0 * math.pi)
     return float(out) if np.ndim(x) == 0 else out
 
@@ -281,7 +281,7 @@ def _ppnd_poly(num, den, r):
 def std_normal_quantile(p):
     """Inverse standard normal cdf (algorithm AS 241, double precision)."""
     scalar = np.ndim(p) == 0
-    pa = np.asarray(p)
+    pa = np.asarray(p, dtype=float)
     # negated form so NaN is rejected too
     if not np.all((pa > 0.0) & (pa < 1.0)):
         raise ValueError("probability must lie strictly inside (0, 1)")
@@ -325,7 +325,7 @@ def log_beta(a: float, b: float) -> float:
 def _gamma_argument(a: float, x) -> np.ndarray:
     if not a > 0.0:
         raise ValueError("shape parameter must be positive")
-    xa = np.asarray(x)
+    xa = np.asarray(x, dtype=float)
     if np.any(xa < 0.0):
         raise ValueError("argument must be nonnegative")
     return xa
@@ -557,7 +557,7 @@ def reg_inc_beta(a: float, b: float, x):
     """Regularized incomplete beta I_x(a, b) for a, b > 0 and x in [0, 1]."""
     if not (a > 0.0 and b > 0.0):
         raise ValueError("shape parameters must be positive")
-    xa = np.asarray(x)
+    xa = np.asarray(x, dtype=float)
     if np.any((xa < 0.0) | (xa > 1.0)):
         raise ValueError("argument must lie in [0, 1]")
     out = np.full_like(xa, np.nan)

@@ -401,3 +401,36 @@ def test_long_array_and_scalars_give_the_same_bits():
             scalars = np.array([f(v) for v in x.tolist()])
         same = (array.view(np.int64) == scalars.view(np.int64)) | (np.isnan(array) & np.isnan(scalars))
         assert same.all(), (name, x[~same], array[~same], scalars[~same])
+
+
+# Integer and float32 inputs are read as float64: each gives the bits of the
+# float64 call, both as a scalar and as an array on either side of _SMALL_N.
+DTYPE_FUNCTIONS = {
+    "erfc": (erfc, (0, 1, 3)),
+    "erf": (erf, (0, 1, 3)),
+    "std_normal_cdf": (std_normal_cdf, (-2, 0, 1)),
+    "std_normal_pdf": (std_normal_pdf, (-2, 0, 1)),
+    "std_normal_log_pdf": (std_normal_log_pdf, (-2, 0, 1)),
+    # no integer lies inside (0, 1)
+    "std_normal_quantile": (std_normal_quantile, ()),
+    "reg_lower_gamma": (lambda x: reg_lower_gamma(2.0, x), (0, 1, 3, 40)),
+    "reg_upper_gamma": (lambda x: reg_upper_gamma(2.0, x), (0, 1, 3, 40)),
+    "lower_gamma_ratio": (lambda x: lower_gamma_ratio(2.0, x), (0, 1, 3, 40)),
+    "reg_inc_beta": (lambda x: reg_inc_beta(2.0, 3.0, x), (0, 1)),
+}
+
+
+@pytest.mark.parametrize("name", DTYPE_FUNCTIONS)
+def test_integer_and_float32_inputs_are_read_as_float64(name):
+    f, ints = DTYPE_FUNCTIONS[name]
+    x32 = np.float32([0.1, 0.3, 0.7, 0.9]) if name in ("std_normal_quantile", "reg_inc_beta") else np.float32([0.1, 0.3, 2.5, 7.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for v in ints:
+            assert f(v) == f(float(v))
+        for xs in [x32] + ([np.array(ints)] if ints else []):
+            for n in (1, _SMALL_N + 1):
+                xn = np.resize(xs, n * xs.size)
+                out = f(xn)
+                assert out.dtype == np.float64
+                assert np.array_equal(out, f(xn.astype(np.float64)))
