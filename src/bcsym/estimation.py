@@ -100,7 +100,11 @@ class LikelihoodContext:
 
     ``fixed_lambda`` pins lambda (0 gives the log-symmetric submodel);
     ``fit_extra`` frees the family's extra parameter, starting from the
-    value carried by ``family``.
+    value carried by ``family``.  The context owns the layout of the free
+    parameters: ``free_index`` gives their positions in (mu, sigma, lambda,
+    extra), ``free_values`` reads them from a parameter point and
+    ``params_at`` builds the point from them.  The fitter and its standard
+    errors go through these three alone.
     """
 
     data: np.ndarray
@@ -123,13 +127,26 @@ class LikelihoodContext:
         return self.data.size
 
     @property
+    def free_index(self) -> tuple[int, ...]:
+        """Positions of the free parameters in (mu, sigma, lambda, extra)."""
+        index = (0, 1) if self.fixed_lambda is not None else (0, 1, 2)
+        return index + (3,) if self.fit_extra else index
+
+    @property
     def free_names(self) -> tuple[str, ...]:
-        names = ["mu", "sigma"]
-        if self.fixed_lambda is None:
-            names.append("lambda")
-        if self.fit_extra:
-            names.append(self.family.extra_name)
-        return tuple(names)
+        names = PARAM_NAMES + (self.family.extra_name,)
+        return tuple(names[i] for i in self.free_index)
+
+    def free_values(self, params: BcsParams) -> list[float]:
+        """The free parameters of ``params``, lambda clamped out of the seam."""
+        full = (params.mu, params.sigma, _clamp_lambda(params.lam), params.family.extra)
+        return [full[i] for i in self.free_index]
+
+    def params_at(self, values) -> BcsParams:
+        """The parameter point whose free parameters, in ``free_index`` order, take ``values``."""
+        lam = _clamp_lambda(values[2]) if self.fixed_lambda is None else self.fixed_lambda
+        family = DensityFamily(self.family.kind, values[-1]) if self.fit_extra else self.family
+        return BcsParams(values[0], values[1], lam, family)
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,6 +357,8 @@ class FitResult:
     message: str = ""
 
 
+# gradient tolerance of a converged fit, in the optimizer's coordinates
+_GTOL = 1e-6
 # gradient ceiling for accepting a machine-precision plateau as converged
 _PLATEAU_GTOL = 1e-3
 
@@ -355,7 +374,6 @@ def fit(
     ctx: LikelihoodContext,
     init: BcsParams | None = None,
     mode: str = "analytic",
-    gtol: float = 1e-6,
     max_iter: int = 500,
 ) -> FitResult:
     """Maximize the likelihood over the free parameters of ``ctx``.
@@ -364,7 +382,8 @@ def fit(
     with BFGS and an Armijo backtracking line search.  ``init`` warm-starts
     all coordinates it covers.  mode "analytic" assembles the gradient from
     the closed-form score; "numeric" differentiates the objective and serves
-    as an independent cross-check.
+    as an independent cross-check.  A score that overflows or is not finite
+    ends the fit unconverged.
     """
     ya = ctx.data
     if ya.size < 5:
@@ -373,16 +392,12 @@ def fit(
         raise ValueError("observations have zero spread")
     if mode not in ("analytic", "numeric"):
         raise ValueError("mode must be 'analytic' or 'numeric'")
-    family = ctx.family
-    free_lambda = ctx.fixed_lambda is None
     free_names = ctx.free_names
+    # lambda is the only free coordinate the optimizer does not log
+    logged = [i != 2 for i in ctx.free_index]
 
     def build(x) -> BcsParams:
-        fam = family
-        if ctx.fit_extra:
-            fam = DensityFamily(family.kind, math.exp(x[-1]))
-        lam = _clamp_lambda(x[2]) if free_lambda else ctx.fixed_lambda
-        return BcsParams(math.exp(x[0]), math.exp(x[1]), lam, fam)
+        return ctx.params_at([math.exp(v) if lg else v for v, lg in zip(x.tolist(), logged)])
 
     def objective(x) -> float:
         # a step whose exp() under- or overflows is simply not admissible
@@ -401,32 +416,18 @@ def fit(
         except ValueError:
             # an iterate can land mu bitwise on a data point, putting one z on
             # the weight kink; one ulp sideways yields a valid one-sided slope
-            params = BcsParams(
-                np.nextafter(params.mu, np.inf), params.sigma, params.lam, params.family
-            )
+            params = replace(params, mu=np.nextafter(params.mu, np.inf))
             s = score(ctx, params)
-        g = [-s[0] * params.mu, -s[1] * params.sigma]
-        if free_lambda:
-            g.append(-s[2])
-        if ctx.fit_extra:
-            g.append(-s[-1] * params.family.extra)
-        return np.array(g)
+        except OverflowError:
+            return np.full(x.size, math.nan)
+        terms = zip(ctx.free_index, ctx.free_values(params), logged)
+        return np.array([-s[i] * v if lg else -s[i] for i, v, lg in terms])
 
-    # starting point
-    if init is not None:
-        mu0, sigma0, lam0 = init.mu, init.sigma, init.lam
-        extra0 = init.family.extra if init.family.extra is not None else family.extra
-    else:
-        mu0 = float(np.median(ya))
-        sigma0 = _initial_sigma(ya, family)
-        lam0 = 1.0
-        extra0 = family.extra
-    x = [math.log(mu0), math.log(sigma0)]
-    if free_lambda:
-        x.append(_clamp_lambda(lam0))
-    if ctx.fit_extra:
-        x.append(math.log(extra0))
-    x = np.array(x)
+    if init is None:
+        init = BcsParams(float(np.median(ya)), _initial_sigma(ya, ctx.family), 1.0, ctx.family)
+    elif init.family.extra is None:
+        init = replace(init, family=ctx.family)
+    x = np.array([math.log(v) if lg else v for v, lg in zip(ctx.free_values(init), logged)])
 
     dim = x.size
     h_inv = np.eye(dim)
@@ -438,7 +439,11 @@ def fit(
     iterations = 0
     history = [f0]
     for iterations in range(1, max_iter + 1):
-        if np.max(np.abs(g0)) < gtol:
+        g_max = np.max(np.abs(g0))  # NaN if any component is NaN
+        if not math.isfinite(g_max):
+            message = "score is not finite at the iterate"
+            break
+        if g_max < _GTOL:
             converged = True
             break
         d = -h_inv @ g0
@@ -493,15 +498,11 @@ def fit(
         message = "iteration limit reached"
 
     params_hat = build(x)
-    estimates = {"mu": params_hat.mu, "sigma": params_hat.sigma}
-    if free_lambda:
-        estimates["lambda"] = params_hat.lam
-    if ctx.fit_extra:
-        estimates[family.extra_name] = params_hat.family.extra
+    estimates = dict(zip(free_names, ctx.free_values(params_hat)))
     std_errors, se_message = _standard_errors(ctx, params_hat, mode)
     if se_message and not message:
         message = se_message
-    ll_hat = loglik(ctx, params_hat)
+    ll_hat = -f0  # f0 is the objective at x
     return FitResult(
         params=params_hat,
         loglik=ll_hat,
@@ -523,40 +524,19 @@ def _standard_errors(ctx: LikelihoodContext, params: BcsParams, mode: str):
     nan_errors = {name: math.nan for name in free}
     try:
         if mode == "analytic":
-            H = hessian(ctx, params)
-            idx = [0, 1]
-            if "lambda" in free:
-                idx.append(2)
-            if ctx.fit_extra:
-                idx.append(3)
-            h_obs = H[np.ix_(idx, idx)]
+            h_obs = hessian(ctx, params)[np.ix_(ctx.free_index, ctx.free_index)]
         else:
-            core = [n for n in free if n in PARAM_NAMES]
-            core_idx = [PARAM_NAMES.index(n) for n in core]
-
-            def build(theta) -> BcsParams:
-                vals = [params.mu, params.sigma, params.lam]
-                for pos, t in zip(core_idx, theta):
-                    vals[pos] = t
-                fam = params.family
-                if ctx.fit_extra:
-                    fam = DensityFamily(params.family.kind, theta[-1])
-                return BcsParams(vals[0], vals[1], _clamp_lambda(vals[2]), fam)
-
-            theta_hat = [(params.mu, params.sigma, params.lam)[i] for i in core_idx]
-            if ctx.fit_extra:
-                theta_hat.append(params.family.extra)
-            theta_hat = np.array(theta_hat)
 
             def ll(theta):
-                return loglik(ctx, build(theta))
+                return loglik(ctx, ctx.params_at(theta))
 
+            theta_hat = np.array(ctx.free_values(params))
             h_obs = finite_diff_jacobian(
                 lambda t: finite_diff_gradient(ll, t, step=1e-5), theta_hat, step=1e-5
             )
         h_obs = (h_obs + h_obs.T) / 2.0
         cov = np.linalg.inv(-h_obs)
-    except (np.linalg.LinAlgError, ValueError):
+    except (np.linalg.LinAlgError, ValueError, OverflowError):
         return nan_errors, "observed information is singular"
     diag = np.diag(cov)
     if not np.all(np.isfinite(diag)) or np.any(diag <= 0.0):

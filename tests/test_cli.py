@@ -280,6 +280,35 @@ def test_compare_constant_data_fails_every_family_cleanly(tmp_path, capsys):
     assert all(not r["converged"] for r in json.loads(out)["rows"])
 
 
+def _slash_walk_csv(tmp_path):
+    # a free-q slash fit on this BCS-t4 sample walks toward the normal limit
+    # until its score overflows
+    y = sample(BcsParams(1.0, 0.3, 0.5, DensityFamily.student_t(4.0)), 100, RngStream(304, 0))
+    return _write_csv(tmp_path / "walk.csv", y)
+
+
+def test_compare_reports_overflowing_free_q_slash_as_unconverged(tmp_path, capsys):
+    path = _slash_walk_csv(tmp_path)
+    code, out, err = _run(
+        capsys, ["compare", path, "--column", "value", "--families", "normal,slash:2"]
+    )
+    assert code == 0
+    rows = {r["family"]: r for r in json.loads(out)["rows"]}
+    assert rows["normal"]["converged"] is True
+    assert rows["slash(q=2)"]["converged"] is False
+    assert "Traceback" not in err
+
+
+def test_fit_overflowing_free_q_slash_is_numeric_error(tmp_path, capsys):
+    path = _slash_walk_csv(tmp_path)
+    code, out, err = _run(capsys, ["fit", path, "--column", "value", "--family", "slash"])
+    assert code == 4
+    assert json.loads(out)["fit"]["converged"] is False
+    error = _error_doc(err)
+    assert error["category"] == "numeric"
+    assert "score is not finite" in error["detail"]
+
+
 def test_extra_defaults_cover_exactly_the_kinds_with_an_extra_parameter():
     assert set(_EXTRA_DEFAULT) == {k for k in FamilyKind if k.extra_name is not None}
 

@@ -428,6 +428,44 @@ def test_fit_numeric_mode_agrees_with_analytic():
         assert abs(ra.std_errors[name] - rn.std_errors[name]) < 1e-4
 
 
+def test_fit_numeric_mode_agrees_with_analytic_on_fixed_lambda_layouts():
+    normal_truth = BcsParams(2.0, 0.5, 1.5, DensityFamily.normal())
+    normal_y = sample(normal_truth, 200, RngStream(20260816, 12))
+    t_truth = BcsParams(1.5, 0.4, 0.5, DensityFamily.student_t(4.0))
+    t_y = sample(t_truth, 800, RngStream(20260816, 13))
+    contexts = [
+        LikelihoodContext(normal_y, DensityFamily.normal(), fixed_lambda=1.5),
+        LikelihoodContext(t_y, DensityFamily.student_t(10.0), fixed_lambda=0.5, fit_extra=True),
+    ]
+    for ctx in contexts:
+        ra = fit(ctx, mode="analytic")
+        rn = fit(ctx, mode="numeric")
+        assert ra.converged and rn.converged
+        assert rn.free_names == ra.free_names == ctx.free_names
+        for name in ra.estimates:
+            assert abs(rn.estimates[name] / ra.estimates[name] - 1.0) < 1e-6
+            assert abs(rn.std_errors[name] / ra.std_errors[name] - 1.0) < 1e-3
+
+
+# n = 100 draws of BCS-t4 on which a free-q slash fit walks toward its normal
+# limit, until the slash normalizing constant overflows at q of about 2030
+_WALK_Y = sample(BcsParams(1.0, 0.3, 0.5, DensityFamily.student_t(4.0)), 100, RngStream(304, 0))
+
+
+@pytest.mark.parametrize("mode", ["analytic", "numeric"])
+@pytest.mark.parametrize("fixed_lambda", [None, 0.0])
+def test_fit_stops_unconverged_when_the_score_overflows(mode, fixed_lambda):
+    ctx = LikelihoodContext(
+        _WALK_Y, DensityFamily.slash(2.0), fixed_lambda=fixed_lambda, fit_extra=True
+    )
+    r = fit(ctx, mode=mode)
+    assert not r.converged
+    assert r.message == "score is not finite at the iterate"
+    assert r.estimates["q"] > 1000.0
+    assert r.loglik == loglik(ctx, r.params)
+    assert set(r.std_errors) == set(r.free_names)
+
+
 def test_fit_scale_consistency():
     truth = BcsParams(2.0, 0.5, 0.7, DensityFamily.normal())
     y = sample(truth, 300, RngStream(20260816, 43))
