@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import BcsParams, sample
-from .estimation import FitResult, LikelihoodContext, fit
+from .estimation import LikelihoodContext, fit
 from .families import DensityFamily, FamilyKind
-from .gof import GofReport, gof_report, qq_data
+from .gof import gof_report, qq_data
 from .rng import RngStream
 from .simulate import SimulationPlan, run_type1_study
 from .tails import classify, empirical_tail_slope
@@ -194,54 +194,39 @@ def _descriptive_stats(values: np.ndarray) -> dict:
     }
 
 
+def _dataset_json(ds: Dataset) -> dict:
+    return {
+        "name": ds.name,
+        "source_path": ds.source_path,
+        "column": ds.column,
+        "n": int(ds.values.size),
+        "rejected_rows": ds.rejected_rows,
+    }
+
+
 # ---------------------------------------------------------------------------
 # Family and parameter flags.
 
-_FAMILY_ALIASES = {"pe": "power_exponential", "t": "student_t", "cslash": "canonical_slash"}
-_EXTRA_DEFAULT = {
-    FamilyKind.STUDENT_T: 4.0,
-    FamilyKind.POWER_EXPONENTIAL: 2.0,
-    FamilyKind.SLASH: 2.0,
-}
 
-
-def _resolve_family(name: str, extra: float | None) -> tuple[DensityFamily, list[str]]:
-    key = name.strip().lower().replace("-", "_")
-    key = _FAMILY_ALIASES.get(key, key)
+def _from_name(name: str, extra: float | None) -> DensityFamily:
     try:
-        kind = FamilyKind(key)
-    except ValueError:
-        choices = sorted(k.value for k in FamilyKind)
-        raise CliError(EXIT_USAGE, "usage", f"unknown family {name!r}; choose from {choices}")
-    flag = kind.extra_name
-    if flag is None and extra is not None:
-        raise CliError(EXIT_USAGE, "usage", f"{kind.value} has no extra parameter")
-    if flag is not None and extra is None:
-        extra = _EXTRA_DEFAULT[kind]
-    try:
-        family = DensityFamily(kind, extra)
+        return DensityFamily.from_name(name, extra)
     except ValueError as err:
         raise CliError(EXIT_USAGE, "usage", str(err))
-    notes = []
-    if kind is FamilyKind.POWER_EXPONENTIAL and family.extra == 2.0:
-        notes.append("power_exponential with tau = 2 coincides with the normal family")
-    return family, notes
 
 
-def _family_from_flags(args) -> tuple[DensityFamily, list[str]]:
-    if args.tau is not None and args.q is not None:
+def _family(name: str, tau: float | None, q: float | None) -> DensityFamily:
+    """The family called ``name`` with extra ``tau`` or ``q``, else its default extra."""
+    if tau is not None and q is not None:
         raise CliError(EXIT_USAGE, "usage", "give --tau or --q, not both")
-    extra = args.tau if args.tau is not None else args.q
-    family, notes = _resolve_family(args.family, extra)
-    flag = family.extra_name
-    if args.tau is not None and flag != "tau":
-        raise CliError(EXIT_USAGE, "usage", f"{family.kind.value} does not take --tau")
-    if args.q is not None and flag != "q":
-        raise CliError(EXIT_USAGE, "usage", f"{family.kind.value} does not take --q")
-    return family, notes
+    family = _from_name(name, tau if tau is not None else q)
+    for flag, value in (("tau", tau), ("q", q)):
+        if value is not None and family.extra_name != flag:
+            raise CliError(EXIT_USAGE, "usage", f"{family.kind.value} does not take --{flag}")
+    return family
 
 
-def _family_from_spec(token: str) -> tuple[DensityFamily, list[str]]:
+def _family_from_spec(token: str) -> DensityFamily:
     """Parse a compare token: ``name`` or ``name:extra``."""
     name, _, raw = token.strip().partition(":")
     extra = None
@@ -250,7 +235,7 @@ def _family_from_spec(token: str) -> tuple[DensityFamily, list[str]]:
             extra = float(raw)
         except ValueError:
             raise CliError(EXIT_USAGE, "usage", f"bad family spec {token!r}: {raw!r} is not a number")
-    return _resolve_family(name, extra)
+    return _from_name(name, extra)
 
 
 def _params_from_flags(args, family: DensityFamily) -> BcsParams:
@@ -278,59 +263,12 @@ def _resolve_seed(args) -> int:
 # fit.
 
 
-@dataclass(frozen=True, eq=False)
-class FitReportDocument:
-    dataset: Dataset
-    family: DensityFamily
-    notes: tuple[str, ...]
-    result: FitResult
-    gof: GofReport | None
-    descriptive: dict
-
-    def to_json_dict(self) -> dict:
-        r = self.result
-        gof = None
-        if self.gof is not None:
-            gof = {
-                "aic": self.gof.aic,
-                "ad": self.gof.ad,
-                "adr": self.gof.adr,
-                "ad2r": self.gof.ad2r,
-                "clamped": self.gof.clamped,
-                "quantile_residuals": list(self.gof.quantile_residuals),
-            }
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "fit-report",
-            "dataset": {
-                "name": self.dataset.name,
-                "source_path": self.dataset.source_path,
-                "column": self.dataset.column,
-                "n": int(self.dataset.values.size),
-                "rejected_rows": self.dataset.rejected_rows,
-            },
-            "family": self.family.label(),
-            "notes": list(self.notes),
-            "fit": {
-                "converged": r.converged,
-                "mode": r.mode,
-                "free_parameters": list(r.free_names),
-                "estimates": dict(r.estimates),
-                "std_errors": dict(r.std_errors),
-                "loglik": r.loglik,
-                "aic": r.aic,
-                "iterations": r.iterations,
-                "gradient_norm": r.gradient_norm,
-                "message": r.message,
-            },
-            "gof": gof,
-            "descriptive": self.descriptive,
-        }
-
-
 def cmd_fit(args) -> int:
     ds = load_dataset(args.data, args.column, args.drop_nonpositive)
-    family, notes = _family_from_flags(args)
+    family = _family(args.family, args.tau, args.q)
+    notes = []
+    if family.kind is FamilyKind.POWER_EXPONENTIAL and family.extra == 2.0:
+        notes.append("power_exponential with tau = 2 coincides with the normal family")
     fit_extra = family.extra_name is not None and not args.no_extra
     try:
         ctx = LikelihoodContext(ds.values, family, fixed_lambda=args.fix_lambda, fit_extra=fit_extra)
@@ -346,16 +284,36 @@ def cmd_fit(args) -> int:
         gof = gof_report(ds.values, result)
     except ValueError as err:
         gof_error = str(err)
-        notes = notes + [f"goodness-of-fit evaluation failed: {gof_error}"]
-    doc = FitReportDocument(
-        dataset=ds,
-        family=family,
-        notes=tuple(notes),
-        result=result,
-        gof=gof,
-        descriptive=_descriptive_stats(ds.values),
-    )
-    _write_text(dumps_document(doc.to_json_dict()), args.out)
+        notes.append(f"goodness-of-fit evaluation failed: {gof_error}")
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "fit-report",
+        "dataset": _dataset_json(ds),
+        "family": family.label(),
+        "notes": notes,
+        "fit": {
+            "converged": result.converged,
+            "mode": result.mode,
+            "free_parameters": result.free_names,
+            "estimates": result.estimates,
+            "std_errors": result.std_errors,
+            "loglik": result.loglik,
+            "aic": result.aic,
+            "iterations": result.iterations,
+            "gradient_norm": result.gradient_norm,
+            "message": result.message,
+        },
+        "gof": None if gof is None else {
+            "aic": gof.aic,
+            "ad": gof.ad,
+            "adr": gof.adr,
+            "ad2r": gof.ad2r,
+            "clamped": gof.clamped,
+            "quantile_residuals": gof.quantile_residuals,
+        },
+        "descriptive": _descriptive_stats(ds.values),
+    }
+    _write_text(dumps_document(doc), args.out)
     if args.qq_out and gof is not None:
         pairs = qq_data(gof.quantile_residuals)
         lines = ["theoretical,empirical"]
@@ -400,7 +358,7 @@ def cmd_compare(args) -> int:
         raise CliError(EXIT_USAGE, "usage", "compare needs at least two families")
     rows = []
     for token in tokens:
-        family, _ = _family_from_spec(token)
+        family = _family_from_spec(token)
         row = {"family": family.label(), "converged": False, "extra_estimate": None}
         row.update({c: None for c in _GOF_COLUMNS})
         fit_extra = family.extra_name is not None and not args.no_extra
@@ -423,13 +381,7 @@ def cmd_compare(args) -> int:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": "comparison",
-        "dataset": {
-            "name": ds.name,
-            "source_path": ds.source_path,
-            "column": ds.column,
-            "n": int(ds.values.size),
-            "rejected_rows": ds.rejected_rows,
-        },
+        "dataset": _dataset_json(ds),
         "rows": rows,
         "best": best,
     }
@@ -446,7 +398,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    family, _ = _family_from_flags(args)
+    family = _family(args.family, args.tau, args.q)
     params = _params_from_flags(args, family)
     if args.n < 1:
         raise CliError(EXIT_USAGE, "usage", "--n must be a positive integer")
@@ -467,7 +419,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_tail(args) -> int:
-    family, _ = _family_from_flags(args)
+    family = _family(args.family, args.tau, args.q)
     params = _params_from_flags(args, family)
     report = classify(params)
     verify = None
@@ -531,12 +483,11 @@ def cmd_simulate(args) -> int:
     family_name = pick(args.family, "family", None)
     if family_name is None:
         raise CliError(EXIT_USAGE, "usage", "a family is required (--family or plan file)")
-    if args.tau is not None and args.q is not None:
-        raise CliError(EXIT_USAGE, "usage", "give --tau or --q, not both")
-    extra = pick(args.tau, "tau", None)
-    if extra is None:
-        extra = pick(args.q, "q", None)
-    family, _ = _resolve_family(str(family_name), extra)
+    # an inline --tau or --q replaces the plan's extra as a whole
+    if args.tau is None and args.q is None:
+        family = _family(str(family_name), spec.get("tau"), spec.get("q"))
+    else:
+        family = _family(str(family_name), args.tau, args.q)
     try:
         truth = BcsParams(
             pick(args.mu, "mu", 1.0),

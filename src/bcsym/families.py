@@ -117,9 +117,17 @@ class DensityFamily:
 
     @classmethod
     def from_name(cls, name: str, extra: float | None = None) -> "DensityFamily":
-        """Build from a kind name; hyphens are accepted in place of underscores."""
-        kind = FamilyKind(name.strip().lower().replace("-", "_"))
-        return cls(kind=kind, extra=extra)
+        """Build from a kind name or its alias, in any case, with hyphens for underscores.
+
+        A kind with an extra parameter takes its default extra when ``extra``
+        is None.
+        """
+        key = name.strip().lower().replace("-", "_")
+        for kind, spec in _SPECS.items():
+            if key in (kind.value, spec.alias):
+                return cls(kind, spec.default_extra if extra is None else extra)
+        choices = sorted(k.value for k in FamilyKind)
+        raise ValueError(f"unknown family {name!r}; choose from {choices}")
 
     @classmethod
     def normal(cls) -> "DensityFamily":
@@ -801,6 +809,8 @@ class _FamilySpec(NamedTuple):
     weight_derivative: Callable  # (family, z, z^2) -> dw/dz
     decay: Callable  # family -> generator_decay(family)
     extra_name: str | None = None
+    default_extra: float | None = None  # the extra from_name gives when none is passed
+    alias: str | None = None  # short name from_name also accepts
     quantile: Callable | None = None  # (family, p) -> s, 0 < p < 1
     tail_quantile: Callable = _tail_quantile_newton  # (family, t) -> s, P(S > s) = t
     weight_singular: Callable = lambda family: False  # w singular at z = 0
@@ -827,6 +837,8 @@ _SPECS = {
     ),
     FamilyKind.POWER_EXPONENTIAL: _FamilySpec(
         extra_name="tau",
+        default_extra=2.0,
+        alias="pe",
         generator=_gen_power_exponential,
         upper_tail=_tail_power_exponential,
         weight=_w_power_exponential,
@@ -847,6 +859,8 @@ _SPECS = {
     ),
     FamilyKind.STUDENT_T: _FamilySpec(
         extra_name="tau",
+        default_extra=4.0,
+        alias="t",
         generator=_gen_student_t,
         upper_tail=_tail_student_t,
         weight=lambda family, z, u: (family.extra + 1.0) / (family.extra + u),
@@ -870,6 +884,7 @@ _SPECS = {
         decay=lambda family: ("exp", 1.0, 1.0),
     ),
     FamilyKind.CANONICAL_SLASH: _FamilySpec(
+        alias="cslash",
         generator=_gen_canonical_slash,
         upper_tail=lambda family, s: _tail_slash_form(family, s, 1.0),
         weight=_w_canonical_slash,
@@ -879,6 +894,7 @@ _SPECS = {
     ),
     FamilyKind.SLASH: _FamilySpec(
         extra_name="q",
+        default_extra=2.0,
         generator=_gen_slash,
         upper_tail=lambda family, s: _tail_slash_form(family, s, family.extra),
         weight=_w_slash,

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import bcsym
-from bcsym.cli import _EXTRA_DEFAULT, dumps_document, load_dataset, main
+from bcsym.cli import dumps_document, load_dataset, main
 from bcsym.distribution import BcsParams, cdf, sample, transform, truncation
 from bcsym.estimation import LikelihoodContext, fit
 from bcsym.families import DensityFamily, FamilyKind
@@ -310,7 +310,36 @@ def test_fit_overflowing_free_q_slash_is_numeric_error(tmp_path, capsys):
 
 
 def test_extra_defaults_cover_exactly_the_kinds_with_an_extra_parameter():
-    assert set(_EXTRA_DEFAULT) == {k for k in FamilyKind if k.extra_name is not None}
+    defaulted = {k for k in FamilyKind if DensityFamily.from_name(k.value).extra is not None}
+    assert defaulted == {k for k in FamilyKind if k.extra_name is not None}
+
+
+def test_documents_keep_their_key_order(tmp_path, capsys):
+    path, _ = _bct_csv(tmp_path, n=60)
+    dataset_keys = ["name", "source_path", "column", "n", "rejected_rows"]
+    code, out, _ = _run(capsys, ["fit", path, "--column", "value", "--family", "normal"])
+    assert code == 0
+    doc = json.loads(out)
+    assert list(doc) == [
+        "schema_version", "kind", "dataset", "family", "notes", "fit", "gof", "descriptive",
+    ]
+    assert list(doc["dataset"]) == dataset_keys
+    assert list(doc["fit"]) == [
+        "converged", "mode", "free_parameters", "estimates", "std_errors",
+        "loglik", "aic", "iterations", "gradient_norm", "message",
+    ]
+    assert list(doc["gof"]) == ["aic", "ad", "adr", "ad2r", "clamped", "quantile_residuals"]
+
+    code, out, _ = _run(
+        capsys, ["compare", path, "--column", "value", "--families", "normal,t:4"]
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert list(doc) == ["schema_version", "kind", "dataset", "rows", "best"]
+    assert list(doc["dataset"]) == dataset_keys
+    for row in doc["rows"]:
+        assert list(row) == ["family", "converged", "extra_estimate", "aic", "ad", "adr", "ad2r"]
+    assert list(doc["best"]) == ["aic", "ad", "adr", "ad2r"]
 
 
 # ------------------------------------------------------------------- sample
@@ -507,6 +536,37 @@ def test_simulate_plan_file_with_inline_override(tmp_path, capsys):
     code, out, _ = _run(capsys, ["simulate", "--plan", str(plan_path), "--replicates", "6"])
     assert code == 0
     assert json.loads(out)["plan"]["replicates"] == 6
+
+
+def test_simulate_checks_the_extra_parameter(tmp_path, capsys):
+    code, out, err = _run(
+        capsys,
+        ["simulate", "--family", "t", "--q", "3", "--sizes", "20", "--replicates", "2"],
+    )
+    assert code == 2
+    assert "student_t does not take --q" in _error_doc(err)["detail"]
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(
+        {"family": "slash", "tau": 4, "sizes": [20], "replicates": 2}
+    ))
+    code, out, err = _run(capsys, ["simulate", "--plan", str(plan_path)])
+    assert code == 2
+    assert "slash does not take --tau" in _error_doc(err)["detail"]
+
+
+def test_simulate_inline_extra_replaces_the_plan_extra(tmp_path, capsys):
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(
+        {"family": "t", "tau": 4, "sizes": [20], "replicates": 2, "seed": 3}
+    ))
+    code, out, _ = _run(capsys, ["simulate", "--plan", str(plan_path)])
+    assert code == 0
+    assert json.loads(out)["plan"]["family"] == "student_t(tau=4)"
+    code, out, _ = _run(
+        capsys, ["simulate", "--plan", str(plan_path), "--family", "slash", "--q", "3"]
+    )
+    assert code == 0
+    assert json.loads(out)["plan"]["family"] == "slash(q=3)"
 
 
 def test_simulate_rejects_unknown_plan_keys(tmp_path, capsys):

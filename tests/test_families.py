@@ -756,6 +756,36 @@ def test_family_from_name_and_label():
         DensityFamily.from_name("triangular")
 
 
+def test_from_name_resolves_names_aliases_and_default_extras():
+    defaults = {FamilyKind.STUDENT_T: 4.0, FamilyKind.POWER_EXPONENTIAL: 2.0, FamilyKind.SLASH: 2.0}
+    for kind in FamilyKind:
+        value = kind.value
+        for name in (value, value.replace("_", "-"), value.upper(), f"  {value.title()} "):
+            fam = DensityFamily.from_name(name)
+            assert fam.kind is kind
+            assert fam.extra == defaults.get(kind)
+    aliases = {
+        "t": FamilyKind.STUDENT_T,
+        "pe": FamilyKind.POWER_EXPONENTIAL,
+        "cslash": FamilyKind.CANONICAL_SLASH,
+    }
+    for alias, kind in aliases.items():
+        for name in (alias, alias.upper(), f" {alias} "):
+            fam = DensityFamily.from_name(name)
+            assert fam.kind is kind
+            assert fam.extra == defaults.get(kind)
+    assert DensityFamily.from_name("T", 5.0) == DensityFamily.student_t(5.0)
+    assert DensityFamily.from_name("Pe", 1.5) == DensityFamily.power_exponential(1.5)
+    with pytest.raises(ValueError, match="unknown family 'gauss'; choose from"):
+        DensityFamily.from_name("gauss")
+    with pytest.raises(ValueError, match="normal takes no extra parameter"):
+        DensityFamily.from_name("normal", 3.0)
+    with pytest.raises(ValueError, match="requires tau > 0"):
+        DensityFamily.from_name("t", -1.0)
+    with pytest.raises(ValueError):
+        DensityFamily(FamilyKind.STUDENT_T)
+
+
 def test_family_is_hashable_and_frozen():
     fam = DensityFamily.student_t(4.0)
     assert fam == DensityFamily.student_t(4.0)

@@ -1,0 +1,26 @@
+"""The study scripts under ``scripts/`` run their documented invocations."""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _main(script):
+    return runpy.run_path(str(SCRIPTS / script))["main"]
+
+
+@pytest.mark.parametrize("family", [["--family", "t", "--tau", "4"], ["--family", "student_t"]])
+def test_type1_study_runs(family, capsys):
+    code = _main("type1_study.py")(family + ["--sizes", "20", "--replicates", "2"])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("family student_t(tau=4)")
+
+
+@pytest.mark.parametrize("family", [["--family", "t", "--tau", "4"], ["--family", "student_t"]])
+def test_recovery_study_runs(family, capsys):
+    code = _main("recovery_study.py")(family + ["--n", "100", "--replicates", "2"])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("family student_t(tau=4)")
