@@ -29,8 +29,10 @@ def main(argv=None) -> int:
     ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args(argv)
 
-    extra = args.tau if args.tau is not None else args.q
-    family = DensityFamily.from_name(args.family, extra)
+    try:
+        family = DensityFamily.from_flags(args.family, args.tau, args.q)
+    except ValueError as err:
+        ap.error(str(err))
     truth = BcsParams(args.mu, args.sigma, args.lam, family)
     t0 = time.perf_counter()
     res = run_recovery_study(

@@ -217,13 +217,10 @@ def _from_name(name: str, extra: float | None) -> DensityFamily:
 
 def _family(name: str, tau: float | None, q: float | None) -> DensityFamily:
     """The family called ``name`` with extra ``tau`` or ``q``, else its default extra."""
-    if tau is not None and q is not None:
-        raise CliError(EXIT_USAGE, "usage", "give --tau or --q, not both")
-    family = _from_name(name, tau if tau is not None else q)
-    for flag, value in (("tau", tau), ("q", q)):
-        if value is not None and family.extra_name != flag:
-            raise CliError(EXIT_USAGE, "usage", f"{family.kind.value} does not take --{flag}")
-    return family
+    try:
+        return DensityFamily.from_flags(name, tau, q)
+    except ValueError as err:
+        raise CliError(EXIT_USAGE, "usage", str(err))
 
 
 def _family_from_spec(token: str) -> DensityFamily:

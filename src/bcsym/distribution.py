@@ -117,7 +117,7 @@ def truncation(params: BcsParams) -> TruncationInfo:
 
 def _as_positive_array(y, what: str = "observations"):
     arr = np.asarray(y, dtype=float)
-    if np.any(arr <= 0.0):
+    if (arr <= 0.0).any():
         raise ValueError(f"{what} must be positive")
     return arr
 
@@ -146,7 +146,7 @@ def inverse_transform(params: BcsParams, z):
             y = params.mu * np.exp(params.sigma * za)
     else:
         w = params.sigma * params.lam * za
-        if np.any(1.0 + w <= 0.0):
+        if (1.0 + w <= 0.0).any():
             raise ValueError("z lies outside the truncated support")
         with np.errstate(over="ignore"):
             y = params.mu * np.exp(np.log1p(w) / params.lam)
@@ -210,7 +210,7 @@ def survival(params: BcsParams, y):
 def quantile(params: BcsParams, p):
     scalar = np.ndim(p) == 0
     pa = np.asarray(p, dtype=float)
-    if not np.all((pa > 0.0) & (pa < 1.0)):
+    if not ((pa > 0.0) & (pa < 1.0)).all():
         raise ValueError("probability must lie strictly inside (0, 1)")
     info = truncation(params)
     # the lower half uses the cdf target directly; the upper half goes

@@ -23,6 +23,7 @@ differences with step 1e-5 * (1 + extra).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -31,6 +32,7 @@ import numpy as np
 from .distribution import LAMBDA_SEAM, BcsParams, _z, log_pdf, truncation
 from .families import (
     DensityFamily,
+    FamilyKind,
     eval_generator,
     symmetric_quantile,
     weight_derivative,
@@ -363,10 +365,16 @@ _GTOL = 1e-6
 _PLATEAU_GTOL = 1e-3
 
 
+@functools.lru_cache(maxsize=64)
+def _upper_quartile(kind: FamilyKind, extra: float | None) -> float:
+    """The 0.75 quantile of the standard law of the family (kind, extra)."""
+    return symmetric_quantile(DensityFamily(kind, extra), 0.75)
+
+
 def _initial_sigma(y: np.ndarray, family: DensityFamily) -> float:
     q25, q50, q75 = np.quantile(y, [0.25, 0.5, 0.75])
     cv = 0.75 * (q75 - q25) / q50
-    s75 = symmetric_quantile(family, 0.75)
+    s75 = _upper_quartile(family.kind, family.extra)
     return max(math.asinh(cv / 1.5) / s75, 1e-3)
 
 

@@ -130,6 +130,20 @@ class DensityFamily:
         raise ValueError(f"unknown family {name!r}; choose from {choices}")
 
     @classmethod
+    def from_flags(cls, name: str, tau: float | None = None, q: float | None = None) -> "DensityFamily":
+        """``from_name`` with the extra given as the command-line flag --tau or --q.
+
+        Giving both flags, or a flag the kind does not take, is an error.
+        """
+        if tau is not None and q is not None:
+            raise ValueError("give --tau or --q, not both")
+        family = cls.from_name(name, tau if tau is not None else q)
+        for flag, value in (("tau", tau), ("q", q)):
+            if value is not None and family.extra_name != flag:
+                raise ValueError(f"{family.kind.value} does not take --{flag}")
+        return family
+
+    @classmethod
     def normal(cls) -> "DensityFamily":
         return cls(FamilyKind.NORMAL)
 
@@ -219,7 +233,8 @@ _logistic_cache: dict | None = None
 
 
 def _logistic_i_unnorm(t: np.ndarray) -> np.ndarray:
-    with np.errstate(under="ignore"):
+    # t * t overflows beyond t of about 1.3e154, where w is 0
+    with np.errstate(under="ignore", over="ignore"):
         w = np.exp(-t * t)
     return w / (1.0 + w) ** 2
 
@@ -353,15 +368,15 @@ def _gen_canonical_slash(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarr
         log_r = np.log(r)
     # sqrt(2 pi) u overflows beyond u of about 7e307, where log r is finite
     under = (r == 0.0) & np.isfinite(u)
-    if np.any(under):
+    if under.any():
         log_r[under] = np.log(-np.expm1(-x[under])) - math.log(_SQRT_2PI) - np.log(u[under])
     dr = np.empty_like(u)
     small = u < 0.5
-    if np.any(small):
+    if small.any():
         xs = x[small]
         dr[small] = np.polynomial.polynomial.polyval(xs, _CSLASH_DR_COEF) / (4.0 * _SQRT_2PI)
     big = ~small
-    if np.any(big):
+    if big.any():
         xb = np.where(np.isfinite(x[big]), x[big], 0.0)
         with np.errstate(under="ignore", over="ignore"):
             xe = np.where(np.isfinite(x[big]), xb * np.exp(-xb), 0.0)
@@ -377,7 +392,7 @@ def _gen_slash(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarray, np.nda
     log_r = np.full_like(u, -np.inf)
     dr = np.zeros_like(u)
     fin = np.isfinite(u)
-    if not np.all(fin):
+    if not fin.all():
         nan = np.isnan(u)
         r[nan] = log_r[nan] = dr[nan] = np.nan
     x = 0.5 * u[fin]
@@ -388,12 +403,12 @@ def _gen_slash(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarray, np.nda
         log_rf = math.log(amp) + np.log(ratio)
     # where r underflows, Q(a, x) is 0 and the ratio is Gamma(a) / x^a
     under = rf == 0.0
-    if np.any(under):
+    if under.any():
         log_rf[under] = math.log(amp) + math.lgamma(a) - a * np.log(x[under])
     log_r[fin] = log_rf
     drf = np.empty_like(x)
     small = x < 0.5
-    if np.any(small):
+    if small.any():
         xs = x[small]
         # e^-x - a ratio(a, x) = -e^-x sum over n >= 1 of x^n / ((a+1)...(a+n))
         term = np.full_like(xs, 1.0 / (a + 1.0))
@@ -403,7 +418,7 @@ def _gen_slash(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarray, np.nda
             acc += term
         drf[small] = -amp * 0.5 * np.exp(-xs) * acc
     big = ~small
-    if np.any(big):
+    if big.any():
         xb = x[big]
         with np.errstate(under="ignore"):
             drf[big] = amp * (np.exp(-xb) - a * ratio[big]) / (2.0 * xb)
@@ -415,7 +430,7 @@ def eval_generator(family: DensityFamily, u) -> GeneratorEval:
     """Evaluate r, log r and dr/du of the family's generator at u >= 0."""
     ua = np.asarray(u, dtype=float)
     flat = np.atleast_1d(ua).ravel()
-    if np.any(flat < 0.0):
+    if (flat < 0.0).any():
         raise ValueError("generator argument must be nonnegative")
     r, log_r, dr = _SPECS[family.kind].generator(family, flat)
     shape = ua.shape
@@ -455,7 +470,7 @@ def _tail_student_t(family: DensityFamily, s: np.ndarray) -> np.ndarray:
         u = s * s
     out = 0.5 * reg_inc_beta(0.5 * tau, 0.5, tau / (tau + u))
     far = np.isinf(u) & np.isfinite(s)
-    if np.any(far):
+    if far.any():
         # x = tau / s^2 < 1e-308, where I_x(a, 1/2) is x^a / (a B(a, 1/2))
         a = 0.5 * tau
         log_x = math.log(tau) - 2.0 * np.log(s[far])
@@ -488,7 +503,7 @@ def _tail_slash_form(family: DensityFamily, s: np.ndarray, q: float) -> np.ndarr
         bulge = np.where(np.isfinite(s), s * r / q, 0.0)
     # where r(s^2) underflows, s r(s^2) is A_q Gamma((q + 1)/2) s^-q
     far = (r < _TINY) & np.isfinite(s)
-    if np.any(far):
+    if far.any():
         log_lead = math.log(_slash_amp(q)) + math.lgamma(0.5 * (q + 1.0)) - math.log(q)
         with np.errstate(under="ignore"):
             bulge[far] = np.exp(log_lead - q * np.log(s[far]))
@@ -502,18 +517,13 @@ def symmetric_cdf(family: DensityFamily, s):
 
 def symmetric_survival(family: DensityFamily, s):
     """P(S > s), relatively accurate in the upper tail."""
-    upper_tail = _SPECS[family.kind].upper_tail
     sa = np.asarray(s, dtype=float)
-    flat = np.atleast_1d(sa).ravel().copy()
-    out = np.empty_like(flat)
-    pos = flat >= 0.0
-    if np.any(pos):
-        out[pos] = upper_tail(family, flat[pos])
-    neg = ~pos
-    if np.any(neg):
-        out[neg] = 1.0 - upper_tail(family, -flat[neg])
+    flat = sa.reshape(-1)
+    # one upper-tail call on |s|, mirrored by P(S > s) = 1 - P(S > -s)
+    tail = _SPECS[family.kind].upper_tail(family, np.abs(flat))
+    out = np.where(flat >= 0.0, tail, 1.0 - tail)
     nan = np.isnan(flat)
-    if np.any(nan):
+    if nan.any():
         out[nan] = np.nan
     out = out.reshape(sa.shape)
     return float(out) if sa.shape == () else out
@@ -558,7 +568,7 @@ def _tail_quantile_newton(family: DensityFamily, t: np.ndarray) -> np.ndarray:
     hi = np.full_like(t, np.inf)
     active = t < 0.5
     for _ in range(200):
-        if not np.any(active):
+        if not active.any():
             break
         sa = s[active]
         with np.errstate(divide="ignore"):
@@ -600,7 +610,7 @@ def symmetric_quantile(family: DensityFamily, p):
     """Quantile of the standard symmetric law; p must lie strictly in (0, 1)."""
     pa = np.asarray(p, dtype=float)
     flat = np.atleast_1d(pa).ravel()
-    if np.any(~((flat > 0.0) & (flat < 1.0))):
+    if not ((flat > 0.0) & (flat < 1.0)).all():
         raise ValueError("probability must lie strictly inside (0, 1)")
     spec = _SPECS[family.kind]
     if spec.quantile is not None:
@@ -642,10 +652,10 @@ def _w_canonical_slash(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> n
     x = 0.5 * u
     out = np.empty_like(u)
     small = x < 0.25
-    if np.any(small):
+    if small.any():
         out[small] = np.polynomial.polynomial.polyval(x[small], _CSLASH_W_COEF)
     big = ~small
-    if np.any(big):
+    if big.any():
         with np.errstate(over="ignore"):
             out[big] = 2.0 / u[big] - 1.0 / np.expm1(x[big])
     return out
@@ -705,12 +715,12 @@ def _dw_logistic_ii(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> np.n
     g = np.abs(z)
     out = np.empty_like(u)
     small = g < 0.05
-    if np.any(small):
+    if small.any():
         gs = g[small]
         g2 = gs * gs
         out[small] = -gs / 12.0 + gs * g2 / 60.0 - 17.0 * gs * g2 * g2 / 6720.0
     big = ~small
-    if np.any(big):
+    if big.any():
         gb = g[big]
         with np.errstate(over="ignore", invalid="ignore"):
             c2 = np.cosh(0.5 * gb) ** 2
@@ -723,11 +733,11 @@ def _dw_canonical_slash(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> 
     x = 0.5 * u
     dwdu = np.empty_like(u)
     small = x < 0.25
-    if np.any(small):
+    if small.any():
         x2 = x[small] ** 2
         dwdu[small] = 0.5 * np.polynomial.polynomial.polyval(x2, _CSLASH_DW_COEF[::2])
     big = ~small
-    if np.any(big):
+    if big.any():
         xb = x[big]
         with np.errstate(under="ignore", over="ignore"):
             dwdu[big] = -2.0 / u[big] ** 2 + 0.5 * np.exp(-xb) / np.expm1(-xb) ** 2
@@ -755,7 +765,7 @@ def _dw_slash(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> np.ndarray
 def _weight_args(spec: _FamilySpec, family: DensityFamily, za: np.ndarray):
     """z and z^2 as flat arrays; raises where the weight is singular at z = 0."""
     flat = np.atleast_1d(za).ravel()
-    if spec.weight_singular(family) and np.any(flat == 0.0):
+    if spec.weight_singular(family) and (flat == 0.0).any():
         raise ValueError(f"weight function of {family.label()} is singular at z = 0")
     with np.errstate(over="ignore"):
         return flat, flat * flat
@@ -775,7 +785,7 @@ def weight_derivative(family: DensityFamily, z):
     za = np.asarray(z, dtype=float)
     spec = _SPECS[family.kind]
     flat, u = _weight_args(spec, family, za)
-    if spec.weight_kink(family) and np.any(flat == 0.0):
+    if spec.weight_kink(family) and (flat == 0.0).any():
         raise ValueError(
             f"weight function of {family.label()} is not differentiable at z = 0"
         )

@@ -30,6 +30,7 @@ from bcsym.families import (
     weight_function,
 )
 from bcsym.quadrature import integrate
+from bcsym.special import _SMALL_N
 
 FAMS = {
     "normal": DensityFamily.normal(),
@@ -792,3 +793,29 @@ def test_family_is_hashable_and_frozen():
     assert hash(fam) == hash(DensityFamily.student_t(4.0))
     with pytest.raises(Exception):
         fam.extra = 5.0
+
+
+# ---------------------------------------------------------------------------
+# One size rule: a point gives the same bits as a scalar, inside a 3-element
+# array and inside an array longer than the special functions' _SMALL_N.
+
+SIZE_POINTS = [v for x in (0.0, 5e-324, 0.3, 2.7e-4, 40.0, 1e200, np.inf) for v in (x, -x)] + [np.nan]
+
+
+@pytest.mark.parametrize("fn", [symmetric_survival, symmetric_cdf])
+@pytest.mark.parametrize("name", FAMS)
+def test_tails_give_the_same_bits_at_any_size(name, fn):
+    fam = FAMS[name]
+    filler = np.resize([0.7, -1.2, 3.5], _SMALL_N + 1)
+    long = np.concatenate([filler, SIZE_POINTS])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        long_out = fn(fam, long)[filler.size:]
+        for s, in_long in zip(SIZE_POINTS, long_out):
+            scalar = fn(fam, s)
+            assert isinstance(scalar, float)
+            in_short = fn(fam, np.array([0.7, s, -1.2]))[1]
+            for other in (in_short, in_long):
+                assert math.isnan(scalar) == math.isnan(other), (s, scalar, other)
+                if not math.isnan(scalar):
+                    assert np.float64(scalar).view(np.int64) == np.float64(other).view(np.int64), (s, scalar, other)

@@ -381,9 +381,10 @@ def test_scalar_and_array_follow_one_set_of_edge_rules(name, x):
 
 
 def test_long_array_and_scalars_give_the_same_bits():
-    # A scalar takes the Python-float loops and an array longer than _SMALL_N
-    # the masked array loops.  Each branch (series and continued fraction,
-    # direct and reflected beta) gets more than _SMALL_N elements.
+    # A scalar and an array of 2 to _SMALL_N elements take the Python-float
+    # loops, and an array longer than _SMALL_N the array loops.  Each branch
+    # (series and continued fraction, direct and reflected beta) gets more
+    # than _SMALL_N elements.
     rng = np.random.default_rng(1604)
     gamma_grid = np.concatenate([rng.uniform(0.0, 2.0 * (EDGE_A + 1.0), 300), 10.0 ** rng.uniform(-323.0, 300.0, 300)])
     beta_grid = np.concatenate(
@@ -399,8 +400,12 @@ def test_long_array_and_scalars_give_the_same_bits():
             warnings.simplefilter("error")
             array = f(x)
             scalars = np.array([f(v) for v in x.tolist()])
-        same = (array.view(np.int64) == scalars.view(np.int64)) | (np.isnan(array) & np.isnan(scalars))
-        assert same.all(), (name, x[~same], array[~same], scalars[~same])
+            chunks = np.array_split(x, -(-x.size // _SMALL_N))
+            assert all(2 <= c.size <= _SMALL_N for c in chunks)
+            mid = np.concatenate([f(c) for c in chunks])
+        for other in (scalars, mid):
+            same = (array.view(np.int64) == other.view(np.int64)) | (np.isnan(array) & np.isnan(other))
+            assert same.all(), (name, x[~same], array[~same], other[~same])
 
 
 # Integer and float32 inputs are read as float64: each gives the bits of the
