@@ -390,8 +390,8 @@ def fit(
     with BFGS and an Armijo backtracking line search.  ``init`` warm-starts
     all coordinates it covers.  mode "analytic" assembles the gradient from
     the closed-form score; "numeric" differentiates the objective and serves
-    as an independent cross-check.  A score that overflows or is not finite
-    ends the fit unconverged.
+    as an independent cross-check.  A score that overflows, is not finite or
+    stays on a singular weight one ulp past a kink ends the fit unconverged.
     """
     ya = ctx.data
     if ya.size < 5:
@@ -415,6 +415,8 @@ def fit(
             return math.inf
         return -val if math.isfinite(val) else math.inf
 
+    kink = []  # the error of a score that stayed on a weight singularity
+
     def gradient(x) -> np.ndarray:
         if mode == "numeric":
             return finite_diff_gradient(objective, x)
@@ -423,9 +425,14 @@ def fit(
             s = score(ctx, params)
         except ValueError:
             # an iterate can land mu bitwise on a data point, putting one z on
-            # the weight kink; one ulp sideways yields a valid one-sided slope
+            # the weight kink; one ulp sideways yields a valid one-sided slope,
+            # unless log of the moved mu rounds to the same double
             params = replace(params, mu=np.nextafter(params.mu, np.inf))
-            s = score(ctx, params)
+            try:
+                s = score(ctx, params)
+            except ValueError as err:
+                kink.append(f"score is undefined at the iterate: {err}")
+                return np.full(x.size, math.nan)
         except OverflowError:
             return np.full(x.size, math.nan)
         terms = zip(ctx.free_index, ctx.free_values(params), logged)
@@ -449,7 +456,7 @@ def fit(
     for iterations in range(1, max_iter + 1):
         g_max = np.max(np.abs(g0))  # NaN if any component is NaN
         if not math.isfinite(g_max):
-            message = "score is not finite at the iterate"
+            message = kink[-1] if kink else "score is not finite at the iterate"
             break
         if g_max < _GTOL:
             converged = True
@@ -490,7 +497,8 @@ def fit(
             identity_h = False
         x, f0, g0 = x1, f1, g1
         history.append(f0)
-        if len(history) == 26:
+        # a gradient that is not finite is reported at the top of the loop
+        if len(history) == 26 and math.isfinite(np.max(np.abs(g0))):
             del history[0]
             # an unresolvable objective over a whole window marks a plateau
             # (likelihoods whose supremum sits at infinite mu and sigma reach

@@ -521,11 +521,7 @@ def symmetric_survival(family: DensityFamily, s):
     flat = sa.reshape(-1)
     # one upper-tail call on |s|, mirrored by P(S > s) = 1 - P(S > -s)
     tail = _SPECS[family.kind].upper_tail(family, np.abs(flat))
-    out = np.where(flat >= 0.0, tail, 1.0 - tail)
-    nan = np.isnan(flat)
-    if nan.any():
-        out[nan] = np.nan
-    out = out.reshape(sa.shape)
+    out = np.where(flat >= 0.0, tail, 1.0 - tail).reshape(sa.shape)
     return float(out) if sa.shape == () else out
 
 
@@ -612,15 +608,10 @@ def symmetric_quantile(family: DensityFamily, p):
     flat = np.atleast_1d(pa).ravel()
     if not ((flat > 0.0) & (flat < 1.0)).all():
         raise ValueError("probability must lie strictly inside (0, 1)")
-    spec = _SPECS[family.kind]
-    if spec.quantile is not None:
-        out = spec.quantile(family, flat)
-    else:
-        t = np.minimum(flat, 1.0 - flat)
-        mag = spec.tail_quantile(family, t)
-        out = np.where(flat >= 0.5, mag, -mag)
-        out = np.where(flat == 0.5, 0.0, out)
-    out = out.reshape(pa.shape)
+    t = np.minimum(flat, 1.0 - flat)
+    mag = _SPECS[family.kind].tail_quantile(family, t)
+    out = np.where(flat >= 0.5, mag, -mag)
+    out = np.where(flat == 0.5, 0.0, out).reshape(pa.shape)
     return float(out) if pa.shape == () else out
 
 
@@ -648,6 +639,12 @@ def _w_power_exponential(family: DensityFamily, z: np.ndarray, u: np.ndarray) ->
         return tau * u ** (0.5 * tau - 1.0) / (2.0 * ptau)
 
 
+def _w_logistic_ii(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> np.ndarray:
+    g = np.abs(z)
+    with np.errstate(invalid="ignore"):
+        return np.where(g == 0.0, 0.5, np.tanh(0.5 * g) / g)
+
+
 def _w_canonical_slash(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> np.ndarray:
     x = 0.5 * u
     out = np.empty_like(u)
@@ -667,11 +664,10 @@ def _w_slash(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> np.ndarray:
     fin = np.isfinite(u)
     x = 0.5 * u[fin]
     num = lower_gamma_ratio(a + 1.0, x)
-    with np.errstate(invalid="ignore"):
-        w = num / lower_gamma_ratio(a, x)
     # far out the numerator underflows, alone or with the denominator; there
-    # w = a / x = (q + 1) / z^2
-    out[fin] = np.where(num < _TINY, a / x, w)
+    # w = a / x = (q + 1) / z^2 (the discarded a / x divides by 0 at z = 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out[fin] = np.where(num < _TINY, a / x, num / lower_gamma_ratio(a, x))
     out[np.isnan(u)] = np.nan
     return out
 
@@ -754,7 +750,8 @@ def _dw_slash(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> np.ndarray
     r1 = lower_gamma_ratio(a + 1.0, x)
     r2 = lower_gamma_ratio(a + 2.0, x)
     zf = z[fin]
-    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+    # divide: the discarded -4 a / z^3 at z = 0
+    with np.errstate(under="ignore", over="ignore", invalid="ignore", divide="ignore"):
         dw = zf * (r1 * r1 - r0 * r2) / (r0 * r0)
         # far out r0^2 underflows to 0/0; there w' = -2 (q + 1) / z^3
         out[fin] = np.where(np.isnan(dw), -4.0 * a / zf**3, dw)
@@ -807,10 +804,10 @@ class _FamilySpec(NamedTuple):
 
     The callables reach the special functions through this module's globals
     at call time, never as stored values, so that a name patched here (as
-    perfbench's tracer does) sees every call.  The normal alone sets
-    ``quantile`` and calls its own inverse cdf; every other family inverts
-    the upper tail by ``tail_quantile``, which defaults to Newton in log s
-    started from ``decay``.
+    perfbench's tracer does) sees every call.  Every family inverts the
+    upper tail by ``tail_quantile``: the normal, double exponential, Cauchy
+    and logistic II in closed form, the others by the default, Newton in
+    log s started from ``decay``.
     """
 
     generator: Callable  # (family, u) -> (r, log r, dr/du), u >= 0
@@ -821,7 +818,6 @@ class _FamilySpec(NamedTuple):
     extra_name: str | None = None
     default_extra: float | None = None  # the extra from_name gives when none is passed
     alias: str | None = None  # short name from_name also accepts
-    quantile: Callable | None = None  # (family, p) -> s, 0 < p < 1
     tail_quantile: Callable = _tail_quantile_newton  # (family, t) -> s, P(S > s) = t
     weight_singular: Callable = lambda family: False  # w singular at z = 0
     weight_kink: Callable = lambda family: False  # w finite but not differentiable at 0
@@ -831,7 +827,8 @@ _SPECS = {
     FamilyKind.NORMAL: _FamilySpec(
         generator=_gen_normal,
         upper_tail=lambda family, s: std_normal_cdf(-s),
-        quantile=lambda family, p: np.asarray(std_normal_quantile(p), dtype=float),
+        # AS 241 is exactly odd, so this gives the bits of the quantile at p
+        tail_quantile=lambda family, t: -std_normal_quantile(t),
         weight=lambda family, z, u: np.ones_like(u),
         weight_derivative=lambda family, z, u: np.zeros_like(u),
         decay=lambda family: ("exp", 0.5, 2.0),
@@ -888,9 +885,8 @@ _SPECS = {
         generator=_gen_logistic_ii,
         upper_tail=_tail_logistic_ii,
         tail_quantile=lambda family, t: np.log1p(-t) - np.log(t),
-        weight=lambda family, z, u: np.tanh(0.5 * np.abs(z)) / np.abs(z),
+        weight=_w_logistic_ii,
         weight_derivative=_dw_logistic_ii,
-        weight_singular=lambda family: True,
         decay=lambda family: ("exp", 1.0, 1.0),
     ),
     FamilyKind.CANONICAL_SLASH: _FamilySpec(
@@ -899,7 +895,6 @@ _SPECS = {
         upper_tail=lambda family, s: _tail_slash_form(family, s, 1.0),
         weight=_w_canonical_slash,
         weight_derivative=_dw_canonical_slash,
-        weight_singular=lambda family: True,
         decay=lambda family: ("power", 2.0),
     ),
     FamilyKind.SLASH: _FamilySpec(
@@ -909,7 +904,6 @@ _SPECS = {
         upper_tail=lambda family, s: _tail_slash_form(family, s, family.extra),
         weight=_w_slash,
         weight_derivative=_dw_slash,
-        weight_singular=lambda family: True,
         decay=lambda family: ("power", family.extra + 1.0),
     ),
 }

@@ -85,7 +85,7 @@ def lr_test_lambda_zero(
     statistic = max(2.0 * (full_fit.loglik - null_fit.loglik), 0.0)
     return LrTestResult(
         statistic=statistic,
-        p_value=float(chi2_survival(statistic, 1)),
+        p_value=float(chi2_survival(statistic)),
         loglik_null=null_fit.loglik,
         loglik_full=full_fit.loglik,
     )

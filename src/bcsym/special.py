@@ -1,13 +1,13 @@
 """Special functions backing the distribution machinery.
 
-Everything is implemented in-repo (rational approximations, power series,
-continued fractions) so the accuracy contracts can be tested in isolation
-against independent quadrature oracles.  Functions accept floats or numpy
-arrays, and return a float for a scalar.  The incomplete gamma and beta
-functions choose their path by input size at the entry point: an input of at
-most _SMALL_N elements runs each element end to end in Python floats, and a
-larger one runs array recurrences over its unconverged elements.  Both paths
-give bit-identical results.
+Only what a library path calls lives here, all of it implemented in-repo
+(rational approximations, power series, continued fractions) so the accuracy
+contracts can be tested in isolation against independent quadrature oracles.
+Functions accept floats or numpy arrays, return a float for a scalar, and give
+NaN at NaN.  The incomplete gamma and beta functions choose their path by
+input size at the entry point: an input of at most _SMALL_N elements runs each
+element end to end in Python floats, and a larger one runs array recurrences
+over its unconverged elements.  Both paths give bit-identical results.
 """
 
 from __future__ import annotations
@@ -17,13 +17,9 @@ import math
 import numpy as np
 
 __all__ = [
-    "erf",
     "erfc",
     "std_normal_cdf",
-    "std_normal_log_pdf",
-    "std_normal_pdf",
     "std_normal_quantile",
-    "reg_lower_gamma",
     "reg_upper_gamma",
     "lower_gamma_ratio",
     "reg_inc_beta",
@@ -149,7 +145,8 @@ def _erfc_positive(y):
     if not mid.all():
         yl = y[~mid]
         with np.errstate(under="ignore"):
-            out[~mid] = np.where(yl < 26.7, _erfc_large(np.minimum(yl, 26.7)) * _exp_nxx(np.minimum(yl, 26.7)), 0.0)
+            # NaN fails the test and comes out of the formula as NaN
+            out[~mid] = np.where(yl >= 26.7, 0.0, _erfc_large(np.minimum(yl, 26.7)) * _exp_nxx(np.minimum(yl, 26.7)))
     return out
 
 
@@ -171,23 +168,6 @@ def erfc(x):
     return float(out) if scalar else out
 
 
-def erf(x):
-    """Error function."""
-    scalar = np.ndim(x) == 0
-    xa = np.asarray(x, dtype=float)
-    y = np.abs(xa)
-    out = np.empty_like(y)
-    small = y <= 0.46875
-    if small.any():
-        ys = y[small]
-        out[small] = xa[small] * _erf_small(ys * ys)
-    big = ~small
-    if big.any():
-        v = 1.0 - _erfc_positive(y[big])
-        out[big] = np.where(xa[big] < 0.0, -v, v)
-    return float(out) if scalar else out
-
-
 def std_normal_cdf(x):
     """Standard normal cdf via erfc; absolute error below 1e-12 on |x| <= 8.
 
@@ -198,18 +178,6 @@ def std_normal_cdf(x):
     xa = np.asarray(x, dtype=float)
     out = 0.5 * erfc(-xa / _SQRT_2)
     return float(out) if scalar else out
-
-
-def std_normal_pdf(x):
-    xa = np.asarray(x, dtype=float)
-    out = np.exp(-0.5 * xa * xa) / math.sqrt(2.0 * math.pi)
-    return float(out) if np.ndim(x) == 0 else out
-
-
-def std_normal_log_pdf(x):
-    xa = np.asarray(x, dtype=float)
-    out = -0.5 * xa * xa - 0.5 * math.log(2.0 * math.pi)
-    return float(out) if np.ndim(x) == 0 else out
 
 
 # Wichura's algorithm AS 241 (PPND16) for the normal quantile.
@@ -333,17 +301,13 @@ def log_beta(a: float, b: float) -> float:
 # default.  NaN elements give NaN.
 
 
-def _float_if_scalar(out: np.ndarray):
-    return float(out) if out.ndim == 0 else out
-
-
 def _by_size(xa: np.ndarray, element, array, *args):
     """element(*args, x) for each x of a small xa as a float, else array(*args, xa)."""
     if xa.size <= _SMALL_N:
         out = np.array([element(*args, v) for v in xa.ravel().tolist()]).reshape(xa.shape)
     else:
         out = array(*args, xa)
-    return _float_if_scalar(out)
+    return float(out) if out.ndim == 0 else out
 
 
 def _gamma_entry(a: float, x, element, array):
@@ -398,13 +362,6 @@ def _gser_sum(a: float, x: np.ndarray) -> np.ndarray:
 def _gamma_prefactor_float(a: float, x: float) -> float:
     """exp(-x) x^a / Gamma(a) for x > 0, as the array path forms it."""
     return float(np.exp(-x + a * float(np.log(x)) - math.lgamma(a)))
-
-
-def _gser_P_float(a: float, x: float) -> float:
-    """P(a, x) by the series, 0 <= x < a+1."""
-    if x == 0.0:
-        return 0.0
-    return _gser_sum_float(a, x) * _gamma_prefactor_float(a, x)
 
 
 def _gcf_float(a: float, b: float, d: float) -> float:
@@ -473,46 +430,14 @@ def _gcf_Q(a: float, x: np.ndarray) -> np.ndarray:
         return h * prefactor
 
 
-def _gser_P(a: float, x: np.ndarray) -> np.ndarray:
-    """P(a, x) by the series, 0 <= x < a+1."""
-    with np.errstate(divide="ignore", under="ignore"):
-        vals = _gser_sum(a, x) * np.exp(-x + a * np.log(x) - math.lgamma(a))
-    return np.where(x == 0.0, 0.0, vals)
-
-
-def _lower_gamma_float(a: float, x: float) -> float:
-    if x < 0.0:
-        raise ValueError("argument must be nonnegative")
-    if x < a + 1.0:
-        return _gser_P_float(a, x)
-    if x < math.inf:
-        return 1.0 - _gcf_Q_float(a, x)
-    return 1.0 if x == math.inf else math.nan
-
-
-def _lower_gamma_array(a: float, xa: np.ndarray) -> np.ndarray:
-    _check_nonnegative(xa)
-    out = np.full_like(xa, np.nan)
-    out[xa == np.inf] = 1.0
-    lo = xa < a + 1.0
-    if lo.any():
-        out[lo] = _gser_P(a, xa[lo])
-    hi = (xa >= a + 1.0) & (xa < np.inf)
-    if hi.any():
-        out[hi] = 1.0 - _gcf_Q(a, xa[hi])
-    return out
-
-
-def reg_lower_gamma(a: float, x):
-    """Regularized lower incomplete gamma P(a, x), a > 0, x >= 0."""
-    return _gamma_entry(a, x, _lower_gamma_float, _lower_gamma_array)
-
-
 def _upper_gamma_float(a: float, x: float) -> float:
     if x < 0.0:
         raise ValueError("argument must be nonnegative")
     if x < a + 1.0:
-        return 1.0 - _gser_P_float(a, x)
+        # 1 - P(a, x), with P by the series
+        if x == 0.0:
+            return 1.0
+        return 1.0 - _gser_sum_float(a, x) * _gamma_prefactor_float(a, x)
     if x < math.inf:
         return _gcf_Q_float(a, x)
     return 0.0 if x == math.inf else math.nan
@@ -524,7 +449,11 @@ def _upper_gamma_array(a: float, xa: np.ndarray) -> np.ndarray:
     out[xa == np.inf] = 0.0
     lo = xa < a + 1.0
     if lo.any():
-        out[lo] = 1.0 - _gser_P(a, xa[lo])
+        # 1 - P(a, x), with P by the series
+        xlo = xa[lo]
+        with np.errstate(divide="ignore", under="ignore"):
+            p = _gser_sum(a, xlo) * np.exp(-xlo + a * np.log(xlo) - math.lgamma(a))
+        out[lo] = 1.0 - np.where(xlo == 0.0, 0.0, p)
     hi = (xa >= a + 1.0) & (xa < np.inf)
     if hi.any():
         out[hi] = _gcf_Q(a, xa[hi])
@@ -571,11 +500,9 @@ def lower_gamma_ratio(a: float, x):
     return _gamma_entry(a, x, _lower_gamma_ratio_float, _lower_gamma_ratio_array)
 
 
-def chi2_survival(x, df: int = 1):
-    """Survival function of a chi-squared distribution; 1 for x <= 0."""
-    if df <= 0:
-        raise ValueError("degrees of freedom must be positive")
-    return reg_upper_gamma(0.5 * df, np.maximum(np.asarray(x, dtype=float), 0.0) / 2.0)
+def chi2_survival(x):
+    """Survival function of the chi-squared law with one degree of freedom; 1 for x <= 0."""
+    return reg_upper_gamma(0.5, np.maximum(np.asarray(x, dtype=float), 0.0) / 2.0)
 
 
 # ---------------------------------------------------------------------------

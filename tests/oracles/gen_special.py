@@ -20,7 +20,7 @@ def dump(tag, pairs):
 
 
 def main():
-    dump("ERF", [(x, mp.erf(x)) for x in (0.001, 0.3, 1.0, 2.5, 5.0)])
+    dump("ERF", [(x, mp.erf(x)) for x in (0.001, 0.3)])
     dump("ERFC", [(x, mp.erfc(x)) for x in (0.5, 2.0, 6.0, 15.0, 26.6)])
     dump("NORMAL_CDF", [(x, mp.ncdf(x)) for x in (-37.0, -8.0, -1.2, 0.4, 3.0)])
     dump(

@@ -466,6 +466,46 @@ def test_fit_stops_unconverged_when_the_score_overflows(mode, fixed_lambda):
     assert set(r.std_errors) == set(r.free_names)
 
 
+# Rounded data: tied observations sit at the start mu = median(y), so some z
+# are exactly 0 there
+_ROUNDED = [np.round(np.random.default_rng(s).lognormal(2.0, 0.3, 60)) for s in range(10)]
+
+
+@pytest.mark.parametrize(
+    "family",
+    [DensityFamily.logistic_ii(), DensityFamily.canonical_slash(), DensityFamily.slash(2.0), DensityFamily.slash(4.5)],
+    ids=lambda family: family.label(),
+)
+def test_fit_smooth_weights_on_rounded_data(family):
+    # these weights are smooth at z = 0, so z = 0 is an ordinary point; some
+    # canonical-slash fits walk to the sigma -> inf boundary (ROADMAP item 1)
+    for y in _ROUNDED:
+        r = fit(LikelihoodContext(y, family))
+        assert r.converged or r.message
+        assert math.isfinite(r.loglik)
+
+
+@pytest.mark.parametrize(
+    "family", [DensityFamily.double_exponential(), DensityFamily.power_exponential(1.5)], ids=lambda family: family.label()
+)
+def test_fit_on_a_singular_weight_ends_unconverged_with_a_reason(family):
+    # the kink retry moves mu one ulp, but log mu rounds to the same double,
+    # so z stays 0 where the weight is singular
+    for y in _ROUNDED:
+        _assert_stopped_on_singular_weight(fit(LikelihoodContext(y, family)))
+
+
+def test_fit_kink_retry_on_continuous_data_ends_unconverged_with_a_reason():
+    y = np.random.default_rng(12345).lognormal(0.0, 1.0, 50)
+    _assert_stopped_on_singular_weight(fit(LikelihoodContext(y, DensityFamily.double_exponential())))
+
+
+def _assert_stopped_on_singular_weight(r):
+    assert not r.converged
+    assert r.message.endswith(f"weight function of {r.params.family.label()} is singular at z = 0")
+    assert set(r.std_errors) == set(r.free_names)
+
+
 def test_fit_scale_consistency():
     truth = BcsParams(2.0, 0.5, 0.7, DensityFamily.normal())
     y = sample(truth, 300, RngStream(20260816, 43))

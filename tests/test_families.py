@@ -580,13 +580,7 @@ def test_generator_decay_matches_generator(name):
 
 
 def test_weight_singularities_raise():
-    singular = [
-        FAMS["double_exponential"],
-        FAMS["logistic_ii"],
-        FAMS["canonical_slash"],
-        FAMS["slash_2"],
-        FAMS["power_exponential_1.5"],
-    ]
+    singular = [FAMS["double_exponential"], FAMS["power_exponential_1.5"]]
     for fam in singular:
         with pytest.raises(ValueError):
             weight_function(fam, np.array([0.3, 0.0]))
@@ -601,6 +595,16 @@ def test_weight_smooth_families_at_zero():
     assert weight_function(FAMS["cauchy"], 0.0) == 2.0
     assert weight_function(FAMS["student_t_4"], 0.0) == 1.25
     assert weight_function(FAMS["logistic_i"], 0.0) == 0.0
+    # logistic II, canonical slash and slash(q) take their limits 1/2, 1/2
+    # and (q + 1)/(q + 3), and w' its limit 0, in scalars and arrays alike
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, w0 in (("logistic_ii", 0.5), ("canonical_slash", 0.5), ("slash_2", 0.6), ("slash_4.5", 5.5 / 7.5)):
+            fam = FAMS[name]
+            assert rel_err(weight_function(fam, 0.0), w0) < 1e-15
+            assert rel_err(weight_function(fam, np.array([0.3, 0.0]))[1], w0) < 1e-15
+            assert weight_derivative(fam, 0.0) == 0.0
+            assert weight_derivative(fam, np.array([0.0, -0.0, 0.3]))[:2].tolist() == [0.0, 0.0]
     # a jump in the weight derivative at zero is reported, not silently
     # evaluated
     with pytest.raises(ValueError):
@@ -608,7 +612,7 @@ def test_weight_smooth_families_at_zero():
 
 
 def test_weight_limits_near_zero():
-    # finite one-sided limits of the singular-at-zero weights
+    # the smooth weights near zero approach their values at zero
     assert abs(weight_function(FAMS["logistic_ii"], 1e-8) - 0.5) < 1e-9
     assert abs(weight_function(FAMS["canonical_slash"], 1e-8) - 0.5) < 1e-9
     assert abs(weight_function(FAMS["slash_2"], 1e-8) - 0.6) < 1e-9
