@@ -24,7 +24,6 @@ import numpy as np
 from .families import (
     DensityFamily,
     eval_generator,
-    symmetric_cdf,
     symmetric_quantile,
     symmetric_survival,
 )
@@ -181,30 +180,29 @@ def pdf(params: BcsParams, y):
     return float(out) if scalar else out
 
 
-def cdf(params: BcsParams, y):
+def _truncated_tail(params: BcsParams, y, side: float):
+    """Mass of the truncated law above y (side 1) or below it (side -1).
+
+    It is S(side z) / R(v), with S the symmetric survival function.  When
+    the support edge lies on that side (below for lambda > 0, above for
+    lambda <= 0), the cut mass 1 - R(v) comes off S first.
+    """
     scalar = np.ndim(y) == 0
     z = transform(params, np.asarray(y, dtype=float))
     info = truncation(params)
-    if params.lam > 0.0:
-        num = symmetric_cdf(params.family, z) - info.complement
-        out = np.maximum(num, 0.0) / info.normalizer
-    else:
-        out = symmetric_cdf(params.family, z) / info.normalizer
-    out = np.minimum(out, 1.0)
+    tail = symmetric_survival(params.family, side * z)
+    if (params.lam > 0.0) == (side < 0.0):
+        tail = np.maximum(tail - info.complement, 0.0)
+    out = np.minimum(tail / info.normalizer, 1.0)
     return float(out) if scalar else out
+
+
+def cdf(params: BcsParams, y):
+    return _truncated_tail(params, y, -1.0)
 
 
 def survival(params: BcsParams, y):
-    scalar = np.ndim(y) == 0
-    z = transform(params, np.asarray(y, dtype=float))
-    info = truncation(params)
-    if params.lam > 0.0:
-        out = symmetric_survival(params.family, z) / info.normalizer
-    else:
-        num = symmetric_survival(params.family, z) - info.complement
-        out = np.maximum(num, 0.0) / info.normalizer
-    out = np.minimum(out, 1.0)
-    return float(out) if scalar else out
+    return _truncated_tail(params, y, 1.0)
 
 
 def quantile(params: BcsParams, p):

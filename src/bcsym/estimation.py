@@ -552,7 +552,7 @@ def _standard_errors(ctx: LikelihoodContext, params: BcsParams, mode: str):
             )
         h_obs = (h_obs + h_obs.T) / 2.0
         cov = np.linalg.inv(-h_obs)
-    except (np.linalg.LinAlgError, ValueError, OverflowError):
+    except (np.linalg.LinAlgError, ValueError, OverflowError, ZeroDivisionError):
         return nan_errors, "observed information is singular"
     diag = np.diag(cov)
     if not np.all(np.isfinite(diag)) or np.any(diag <= 0.0):

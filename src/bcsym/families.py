@@ -2,13 +2,14 @@
 
 Every distribution in this library is built from a density generator r(u),
 defined for u >= 0, such that s -> r(s^2) is a density on the real line.
-This module owns the nine supported generators together with their exact
-first derivatives, cdfs, survival functions and quantiles of the standard
-symmetric laws, and the weight function
+This module owns the nine supported generators, the cdfs, survival
+functions and quantiles of the standard symmetric laws, and the weight
+function
 
     w(z) = -2 r'(z^2) / r(z^2)
 
-plus its z-derivative, which drive scoring and maximum likelihood.
+plus its z-derivative, which drive scoring and maximum likelihood.  The
+weight is where each generator's derivative is written: r' = -w r / 2.
 
 Design notes
 ------------
@@ -182,15 +183,10 @@ class DensityFamily:
 
 @dataclass(frozen=True)
 class GeneratorEval:
-    """Generator values at a batch of nonnegative arguments u.
-
-    ``r`` and ``dr_du`` are the generator and its derivative; ``log_r`` is
-    computed directly so it stays finite wherever the true log is.
-    """
+    """r and log r at a batch of u >= 0; log r stays finite where r underflows."""
 
     r: np.ndarray
     log_r: np.ndarray
-    dr_du: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -283,30 +279,21 @@ def _logistic_i_tail0(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Generator evaluation.
 
-# Taylor coefficients of (x e^-x + expm1(-x)) / x^2 at 0:
-# sum over k >= 2 of (-1)^(k-1) (k-1) x^(k-2) / k!
-_CSLASH_DR_COEF = np.array(
-    [(-1.0) ** (j + 1) * (j + 1) / math.factorial(j + 2) for j in range(18)]
-)
-
-
-def _gen_normal(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _gen_normal(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     log_r = -0.5 * (_LOG_2PI + u)
     with np.errstate(under="ignore"):
         r = np.exp(log_r)
-    return r, log_r, -0.5 * r
+    return r, log_r
 
 
-def _gen_double_exponential(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _gen_double_exponential(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     log_r = -0.5 * math.log(2.0) - _SQRT2 * np.sqrt(u)
     with np.errstate(under="ignore"):
         r = np.exp(log_r)
-    with np.errstate(divide="ignore", over="ignore"):
-        dr = np.where(u == 0.0, -np.inf, -r / np.sqrt(2.0 * u))
-    return r, log_r, dr
+    return r, log_r
 
 
-def _gen_power_exponential(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _gen_power_exponential(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     tau = family.extra
     ptau, log_p = _pe_scale(tau)
     with np.errstate(over="ignore"):
@@ -314,54 +301,46 @@ def _gen_power_exponential(family: DensityFamily, u: np.ndarray) -> tuple[np.nda
     # r(0) itself overflows for tau below about 2e-3
     with np.errstate(under="ignore", over="ignore"):
         r = np.exp(log_r)
-    with np.errstate(divide="ignore", over="ignore"):
-        fac = tau * u ** (0.5 * tau - 1.0) / (4.0 * ptau)
-    # r underflows long before fac can overflow, so 0 * inf is resolved to 0;
-    # near u = 0 at tiny tau, r * fac overflows to its limit
-    with np.errstate(invalid="ignore", over="ignore"):
-        dr = np.where(r == 0.0, -0.0, -r * fac)
-    return r, log_r, dr
+    return r, log_r
 
 
-def _gen_cauchy(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _gen_cauchy(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(over="ignore"):
         r = 1.0 / (math.pi * (1.0 + u))
     log_r = -math.log(math.pi) - np.log1p(u)
-    return r, log_r, -r / (1.0 + u)
+    return r, log_r
 
 
-def _gen_student_t(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _gen_student_t(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     tau = family.extra
     log_norm = 0.5 * tau * math.log(tau) - log_beta(0.5, 0.5 * tau)
     log_r = log_norm - 0.5 * (tau + 1.0) * np.log(tau + u)
     with np.errstate(under="ignore"):
         r = np.exp(log_r)
-    return r, log_r, -0.5 * (tau + 1.0) * r / (tau + u)
+    return r, log_r
 
 
-def _gen_logistic_i(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _gen_logistic_i(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     c = _logistic_i_cache()["c"]
     with np.errstate(under="ignore"):
         eu = np.exp(-u)
     log_r = math.log(c) - u - 2.0 * np.log1p(eu)
     with np.errstate(under="ignore"):
         r = np.exp(log_r)
-    return r, log_r, -r * np.tanh(0.5 * u)
+    return r, log_r
 
 
-def _gen_logistic_ii(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _gen_logistic_ii(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     g = np.sqrt(u)
     with np.errstate(under="ignore"):
         eg = np.exp(-g)
     log_r = -g - 2.0 * np.log1p(eg)
     with np.errstate(under="ignore"):
         r = np.exp(log_r)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(u > 0.0, np.tanh(0.5 * g) / (2.0 * g), 0.25)
-    return r, log_r, -r * ratio
+    return r, log_r
 
 
-def _gen_canonical_slash(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _gen_canonical_slash(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x = 0.5 * u
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r = np.where(u == 0.0, 1.0 / (2.0 * _SQRT_2PI), -np.expm1(-x) / (_SQRT_2PI * u))
@@ -370,31 +349,19 @@ def _gen_canonical_slash(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarr
     under = (r == 0.0) & np.isfinite(u)
     if under.any():
         log_r[under] = np.log(-np.expm1(-x[under])) - math.log(_SQRT_2PI) - np.log(u[under])
-    dr = np.empty_like(u)
-    small = u < 0.5
-    if small.any():
-        xs = x[small]
-        dr[small] = np.polynomial.polynomial.polyval(xs, _CSLASH_DR_COEF) / (4.0 * _SQRT_2PI)
-    big = ~small
-    if big.any():
-        xb = np.where(np.isfinite(x[big]), x[big], 0.0)
-        with np.errstate(under="ignore", over="ignore"):
-            xe = np.where(np.isfinite(x[big]), xb * np.exp(-xb), 0.0)
-            dr[big] = (xe + np.expm1(-xb)) / (_SQRT_2PI * u[big] ** 2)
-    return r, log_r, dr
+    return r, log_r
 
 
-def _gen_slash(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _gen_slash(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     q = family.extra
     a = 0.5 * (q + 1.0)
     amp = _slash_amp(q) * 2.0**-a
     r = np.zeros_like(u)
     log_r = np.full_like(u, -np.inf)
-    dr = np.zeros_like(u)
     fin = np.isfinite(u)
     if not fin.all():
         nan = np.isnan(u)
-        r[nan] = log_r[nan] = dr[nan] = np.nan
+        r[nan] = log_r[nan] = np.nan
     x = 0.5 * u[fin]
     ratio = lower_gamma_ratio(a, x)
     rf = amp * ratio
@@ -406,37 +373,17 @@ def _gen_slash(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarray, np.nda
     if under.any():
         log_rf[under] = math.log(amp) + math.lgamma(a) - a * np.log(x[under])
     log_r[fin] = log_rf
-    drf = np.empty_like(x)
-    small = x < 0.5
-    if small.any():
-        xs = x[small]
-        # e^-x - a ratio(a, x) = -e^-x sum over n >= 1 of x^n / ((a+1)...(a+n))
-        term = np.full_like(xs, 1.0 / (a + 1.0))
-        acc = term.copy()
-        for n in range(1, 24):
-            term = term * xs / (a + 1.0 + n)
-            acc += term
-        drf[small] = -amp * 0.5 * np.exp(-xs) * acc
-    big = ~small
-    if big.any():
-        xb = x[big]
-        with np.errstate(under="ignore"):
-            drf[big] = amp * (np.exp(-xb) - a * ratio[big]) / (2.0 * xb)
-    dr[fin] = drf
-    return r, log_r, dr
+    return r, log_r
 
 
 def eval_generator(family: DensityFamily, u) -> GeneratorEval:
-    """Evaluate r, log r and dr/du of the family's generator at u >= 0."""
+    """Evaluate r and log r of the family's generator at u >= 0."""
     ua = np.asarray(u, dtype=float)
     flat = np.atleast_1d(ua).ravel()
     if (flat < 0.0).any():
         raise ValueError("generator argument must be nonnegative")
-    r, log_r, dr = _SPECS[family.kind].generator(family, flat)
-    shape = ua.shape
-    return GeneratorEval(
-        r=r.reshape(shape), log_r=log_r.reshape(shape), dr_du=dr.reshape(shape)
-    )
+    r, log_r = _SPECS[family.kind].generator(family, flat)
+    return GeneratorEval(r=r.reshape(ua.shape), log_r=log_r.reshape(ua.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -810,7 +757,7 @@ class _FamilySpec(NamedTuple):
     log s started from ``decay``.
     """
 
-    generator: Callable  # (family, u) -> (r, log r, dr/du), u >= 0
+    generator: Callable  # (family, u) -> (r, log r), u >= 0
     upper_tail: Callable  # (family, s) -> P(S > s), s >= 0
     weight: Callable  # (family, z, z^2) -> w(z)
     weight_derivative: Callable  # (family, z, z^2) -> dw/dz

@@ -121,6 +121,7 @@ def main():
     print("LOGISTIC_I_C =", fmt(C_LI))
     print()
 
+    # the dr column pins the weight w(sqrt(u)) = -2 r'(u) / r(u), not a generator output
     print("# name -> {u: (r, dr_du)}")
     print("GENERATOR_POINTS = {")
     for name, r in FAMILIES:

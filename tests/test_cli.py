@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -285,6 +286,40 @@ def _slash_walk_csv(tmp_path):
     # until its score overflows
     y = sample(BcsParams(1.0, 0.3, 0.5, DensityFamily.student_t(4.0)), 100, RngStream(304, 0))
     return _write_csv(tmp_path / "walk.csv", y)
+
+
+def _outlier_sample():
+    # the seventh of nine adversarial samples drawn in this order from one
+    # default_rng(12345): lognormal(0, 0.2), n = 49, plus one value of 1e6
+    rng = np.random.default_rng(12345)
+    rng.lognormal(0.0, 1.0, 50)
+    rng.lognormal(0.0, 3.0, 50)
+    rng.lognormal(0.0, 1.0, 5)
+    rng.lognormal(2.0, 0.3, 60)
+    rng.uniform(0.0, 1.0, 40)
+    return np.append(rng.lognormal(0.0, 0.2, 49), 1e6)
+
+
+def test_outlier_sample_fits_and_compare_end_without_raising(tmp_path, capsys):
+    # these four fits walk mu toward 0 until mu^2 underflows in the observed
+    # information; the fit must end unconverged, not raise ZeroDivisionError
+    y = _outlier_sample()
+    path = _write_csv(tmp_path / "outlier.csv", y)
+    families = "normal,double_exponential,pe,cauchy,t,logistic_i,logistic_ii,cslash,slash"
+    # the walks still leak RuntimeWarnings; they are recorded, not raised
+    with warnings.catch_warnings(record=True):
+        warnings.simplefilter("always", RuntimeWarning)
+        results = [
+            fit(LikelihoodContext(y, DensityFamily.from_name(name)))
+            for name in ("normal", "pe", "logistic_i", "logistic_ii")
+        ]
+        code, out, err = _run(capsys, ["compare", path, "--column", "value", "--families", families])
+    for result in results:
+        assert not result.converged and result.message
+        assert all(math.isnan(se) for se in result.std_errors.values())
+    assert code in (0, 4)
+    assert "Traceback" not in err
+    assert len(json.loads(out)["rows"]) == 9
 
 
 def test_compare_reports_overflowing_free_q_slash_as_unconverged(tmp_path, capsys):

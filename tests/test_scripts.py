@@ -1,6 +1,9 @@
-"""The study scripts under ``scripts/`` run their documented invocations."""
+"""The scripts under ``scripts/`` run their documented invocations."""
 
+import re
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,3 +42,28 @@ def test_study_scripts_check_the_family_flags(script, flags, message, capsys):
         _main(script)(flags + ["--replicates", "2"])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+def test_output_digest_prints_the_same_digests_twice():
+    ops = {"type1_t4_n50": 3, "recovery_t4_n500": 2, "compare_n1000": 1}
+    cmd = [sys.executable, str(SCRIPTS / "output_digest.py"), "--checkout", str(SCRIPTS.parent),
+           "--seed", "7302"]
+    for name, n in ops.items():
+        cmd += ["--ops", f"{name}={n}"]
+    runs = [
+        subprocess.run(cmd, capture_output=True, text=True, check=True, timeout=300).stdout
+        for _ in range(2)
+    ]
+    lines = runs[0].splitlines()
+    assert [line.split()[:2] for line in lines] == [[name, str(n)] for name, n in ops.items()]
+    assert all(re.fullmatch(r"\S+ \d+ ops [0-9a-f]{64}", line) for line in lines)
+    assert runs[1] == runs[0]
+
+
+@pytest.mark.parametrize("verify", [[], ["--verify"]])
+def test_tail_gallery_runs(verify, capsys):
+    assert _main("tail_gallery.py")(verify) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # a header, then nine families at three lambdas
+    assert len(lines) == 28
+    assert ("probe 1/xi" in lines[0]) == bool(verify)
