@@ -6,6 +6,10 @@ and sampling routines; right-tail classification; maximum-likelihood fitting
 with analytic score and observed information; LR testing of the
 log-symmetric submodel; goodness-of-fit statistics; and Monte Carlo study
 harnesses.  The ``bcsym`` console command exposes the same operations.
+
+Underflow follows numpy's setting, which is silent by default, and is guarded
+nowhere; every other floating-point event is guarded with ``np.errstate``
+where it is expected.
 """
 
 from .distribution import (

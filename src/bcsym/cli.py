@@ -4,8 +4,8 @@ Channel conventions: every command writes one JSON document to stdout (or
 ``--out FILE``); ``compare`` additionally renders an aligned two-decimal
 table on stderr; ``sample`` and ``--qq-out`` write CSV.  Errors are reported
 as a JSON object on stderr with exit code 2 (usage), 3 (ingestion) or
-4 (numeric failure).  Floats serialize with 17 significant digits so every
-value round-trips exactly; non-finite values use the NaN/Infinity tokens
+4 (numeric failure).  Floats serialize in their shortest round-trip form, so
+every value reads back exactly; non-finite values use the NaN/Infinity tokens
 ``json.loads`` accepts.  The ``BCSYM_SEED`` environment variable supplies the
 default seed where one is needed.
 """
@@ -45,51 +45,17 @@ class CliError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# JSON rendering with exact float round-trip.
+# JSON documents.
 
 
-def _json_scalar(x) -> str:
-    if x is None:
-        return "null"
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        xf = float(x)
-        if math.isnan(xf):
-            return "NaN"
-        if math.isinf(xf):
-            return "Infinity" if xf > 0 else "-Infinity"
-        return format(xf, ".17g")
-    if isinstance(x, str):
-        return json.dumps(x)
-    raise TypeError(f"cannot serialize {type(x).__name__}")
-
-
-def _is_scalar(x) -> bool:
-    return x is None or isinstance(x, (bool, np.bool_, int, np.integer, float, np.floating, str))
-
-
-def _render_json(obj, pad: str = "") -> str:
-    inner = pad + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f'{inner}{json.dumps(str(k))}: {_render_json(v, inner)}' for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        if not seq:
-            return "[]"
-        if all(_is_scalar(v) for v in seq):
-            return "[" + ", ".join(_json_scalar(v) for v in seq) + "]"
-        return "[\n" + ",\n".join(inner + _render_json(v, inner) for v in seq) + "\n" + pad + "]"
-    return _json_scalar(obj)
+def _plain(obj):
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def dumps_document(doc: dict) -> str:
-    return _render_json(doc) + "\n"
+    return json.dumps(doc, indent=2, default=_plain) + "\n"
 
 
 def _write_text(text: str, out_path: str | None) -> None:

@@ -175,8 +175,7 @@ def log_pdf(params: BcsParams, y):
 
 def pdf(params: BcsParams, y):
     scalar = np.ndim(y) == 0
-    with np.errstate(under="ignore"):
-        out = np.exp(log_pdf(params, y))
+    out = np.exp(log_pdf(params, y))
     return float(out) if scalar else out
 
 
@@ -270,8 +269,7 @@ def moment(params: BcsParams, k: float) -> MomentResult:
 
         def integrand(z):
             ev = eval_generator(fam, z * z)
-            with np.errstate(under="ignore"):
-                return np.exp(ks * z + ev.log_r)
+            return np.exp(ks * z + ev.log_r)
 
         lo, hi = -np.inf, np.inf
     else:
@@ -279,8 +277,7 @@ def moment(params: BcsParams, k: float) -> MomentResult:
 
         def integrand(z):
             ev = eval_generator(fam, z * z)
-            with np.errstate(under="ignore"):
-                return np.exp(kl * np.log1p(sig_lam * z) + ev.log_r)
+            return np.exp(kl * np.log1p(sig_lam * z) + ev.log_r)
 
         if params.lam > 0.0:
             lo, hi = -info.edge, np.inf

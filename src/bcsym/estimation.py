@@ -378,6 +378,8 @@ def _initial_sigma(y: np.ndarray, family: DensityFamily) -> float:
     return max(math.asinh(cv / 1.5) / s75, 1e-3)
 
 
+# fit rejects a non-finite objective, stops with a reason on a non-finite gradient, gives NaN SEs
+@np.errstate(all="ignore")
 def fit(
     ctx: LikelihoodContext,
     init: BcsParams | None = None,

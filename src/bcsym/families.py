@@ -230,7 +230,7 @@ _logistic_cache: dict | None = None
 
 def _logistic_i_unnorm(t: np.ndarray) -> np.ndarray:
     # t * t overflows beyond t of about 1.3e154, where w is 0
-    with np.errstate(under="ignore", over="ignore"):
+    with np.errstate(over="ignore"):
         w = np.exp(-t * t)
     return w / (1.0 + w) ** 2
 
@@ -281,15 +281,13 @@ def _logistic_i_tail0(x: np.ndarray) -> np.ndarray:
 
 def _gen_normal(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     log_r = -0.5 * (_LOG_2PI + u)
-    with np.errstate(under="ignore"):
-        r = np.exp(log_r)
+    r = np.exp(log_r)
     return r, log_r
 
 
 def _gen_double_exponential(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     log_r = -0.5 * math.log(2.0) - _SQRT2 * np.sqrt(u)
-    with np.errstate(under="ignore"):
-        r = np.exp(log_r)
+    r = np.exp(log_r)
     return r, log_r
 
 
@@ -299,7 +297,7 @@ def _gen_power_exponential(family: DensityFamily, u: np.ndarray) -> tuple[np.nda
     with np.errstate(over="ignore"):
         log_r = _pe_log_norm(tau, log_p) - u ** (0.5 * tau) / (2.0 * ptau)
     # r(0) itself overflows for tau below about 2e-3
-    with np.errstate(under="ignore", over="ignore"):
+    with np.errstate(over="ignore"):
         r = np.exp(log_r)
     return r, log_r
 
@@ -315,28 +313,23 @@ def _gen_student_t(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarray, np
     tau = family.extra
     log_norm = 0.5 * tau * math.log(tau) - log_beta(0.5, 0.5 * tau)
     log_r = log_norm - 0.5 * (tau + 1.0) * np.log(tau + u)
-    with np.errstate(under="ignore"):
-        r = np.exp(log_r)
+    r = np.exp(log_r)
     return r, log_r
 
 
 def _gen_logistic_i(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     c = _logistic_i_cache()["c"]
-    with np.errstate(under="ignore"):
-        eu = np.exp(-u)
+    eu = np.exp(-u)
     log_r = math.log(c) - u - 2.0 * np.log1p(eu)
-    with np.errstate(under="ignore"):
-        r = np.exp(log_r)
+    r = np.exp(log_r)
     return r, log_r
 
 
 def _gen_logistic_ii(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     g = np.sqrt(u)
-    with np.errstate(under="ignore"):
-        eg = np.exp(-g)
+    eg = np.exp(-g)
     log_r = -g - 2.0 * np.log1p(eg)
-    with np.errstate(under="ignore"):
-        r = np.exp(log_r)
+    r = np.exp(log_r)
     return r, log_r
 
 
@@ -390,8 +383,7 @@ def eval_generator(family: DensityFamily, u) -> GeneratorEval:
 # cdf / survival of the standard symmetric laws.
 
 def _tail_double_exponential(family: DensityFamily, s: np.ndarray) -> np.ndarray:
-    with np.errstate(under="ignore"):
-        return 0.5 * np.exp(-_SQRT2 * s)
+    return 0.5 * np.exp(-_SQRT2 * s)
 
 
 def _tail_power_exponential(family: DensityFamily, s: np.ndarray) -> np.ndarray:
@@ -421,8 +413,7 @@ def _tail_student_t(family: DensityFamily, s: np.ndarray) -> np.ndarray:
         # x = tau / s^2 < 1e-308, where I_x(a, 1/2) is x^a / (a B(a, 1/2))
         a = 0.5 * tau
         log_x = math.log(tau) - 2.0 * np.log(s[far])
-        with np.errstate(under="ignore"):
-            out[far] = 0.5 * np.exp(a * log_x - math.log(a) - log_beta(a, 0.5))
+        out[far] = 0.5 * np.exp(a * log_x - math.log(a) - log_beta(a, 0.5))
     return out
 
 
@@ -437,8 +428,7 @@ def _tail_logistic_i(family: DensityFamily, s: np.ndarray) -> np.ndarray:
 
 
 def _tail_logistic_ii(family: DensityFamily, s: np.ndarray) -> np.ndarray:
-    with np.errstate(under="ignore"):
-        eg = np.exp(-s)
+    eg = np.exp(-s)
     return eg / (1.0 + eg)
 
 
@@ -452,8 +442,7 @@ def _tail_slash_form(family: DensityFamily, s: np.ndarray, q: float) -> np.ndarr
     far = (r < _TINY) & np.isfinite(s)
     if far.any():
         log_lead = math.log(_slash_amp(q)) + math.lgamma(0.5 * (q + 1.0)) - math.log(q)
-        with np.errstate(under="ignore"):
-            bulge[far] = np.exp(log_lead - q * np.log(s[far]))
+        bulge[far] = np.exp(log_lead - q * np.log(s[far]))
     return std_normal_cdf(-s) + bulge
 
 
@@ -519,7 +508,7 @@ def _tail_quantile_newton(family: DensityFamily, t: np.ndarray) -> np.ndarray:
         f = log_tail - log_t[active]
         lo_a = np.where(f > 0.0, sa, lo[active])
         hi_a = np.where(f < 0.0, sa, hi[active])
-        with np.errstate(over="ignore", under="ignore"):
+        with np.errstate(over="ignore"):
             u = sa * sa
         with np.errstate(invalid="ignore", over="ignore"):
             slope = np.exp(np.log(sa) + eval_generator(family, u).log_r - log_tail)
@@ -528,7 +517,7 @@ def _tail_quantile_newton(family: DensityFamily, t: np.ndarray) -> np.ndarray:
         if decay[0] == "power":
             slope[np.isinf(u)] = decay[1] - 1.0
         slope[u == 0.0] = np.nan
-        with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+        with np.errstate(invalid="ignore", over="ignore"):
             proposal = np.clip(sa * np.exp(f / slope), _S_MIN, _S_MAX)
         # solved to relative precision in t, or a Newton step below an ulp
         done = (np.abs(f) <= 4.0 * _EPS) | (hi_a - lo_a <= _EPS * sa)
@@ -682,7 +671,7 @@ def _dw_canonical_slash(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> 
     big = ~small
     if big.any():
         xb = x[big]
-        with np.errstate(under="ignore", over="ignore"):
+        with np.errstate(over="ignore"):
             dwdu[big] = -2.0 / u[big] ** 2 + 0.5 * np.exp(-xb) / np.expm1(-xb) ** 2
     with np.errstate(over="ignore", invalid="ignore"):
         return _limit_where_nan(2.0 * z * dwdu, z)
@@ -698,7 +687,7 @@ def _dw_slash(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> np.ndarray
     r2 = lower_gamma_ratio(a + 2.0, x)
     zf = z[fin]
     # divide: the discarded -4 a / z^3 at z = 0
-    with np.errstate(under="ignore", over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         dw = zf * (r1 * r1 - r0 * r2) / (r0 * r0)
         # far out r0^2 underflows to 0/0; there w' = -2 (q + 1) / z^3
         out[fin] = np.where(np.isnan(dw), -4.0 * a / zf**3, dw)

@@ -58,7 +58,6 @@ def lr_test_lambda_zero(
     family: DensityFamily,
     mode: str = "analytic",
     fit_extra: bool = False,
-    max_iter: int = 500,
 ) -> LrTestResult:
     """Likelihood-ratio test of the log-symmetric submodel lambda = 0.
 
@@ -70,7 +69,6 @@ def lr_test_lambda_zero(
     null_fit = fit(
         LikelihoodContext(data, family, fixed_lambda=0.0, fit_extra=fit_extra),
         mode=mode,
-        max_iter=max_iter,
     )
     if not null_fit.converged:
         raise FitFailedError("null (lambda = 0)", null_fit)
@@ -78,7 +76,6 @@ def lr_test_lambda_zero(
         LikelihoodContext(data, family, fit_extra=fit_extra),
         init=null_fit.params,
         mode=mode,
-        max_iter=max_iter,
     )
     if not full_fit.converged:
         raise FitFailedError("full", full_fit)

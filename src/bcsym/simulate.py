@@ -2,8 +2,8 @@
 
 Replicate i always draws from the stream keyed by (seed, i), and aggregation
 walks replicates in index order, so results are bit-identical for any worker
-count and for repeated runs of the same plan.  Replicates whose fits do not
-converge are counted and excluded; a single failure never aborts a study.
+count and for repeated runs of the same plan.  Failed replicates are counted
+and excluded; a single failure never aborts a study.
 """
 
 from __future__ import annotations
@@ -20,10 +20,6 @@ from .estimation import LikelihoodContext, fit
 from .families import DensityFamily
 from .gof import FitFailedError, lr_test_lambda_zero
 from .rng import RngStream
-
-# headroom over the fit default: the occasional near-degenerate replicate
-# sits in a long flat valley and converges late
-STUDY_MAX_ITER = 2000
 
 _MODES = ("analytic", "numeric")
 
@@ -105,15 +101,20 @@ def _map_tasks(runner, tasks, workers: int):
         return list(pool.map(runner, tasks, chunksize=chunk))
 
 
+def _in_range(y: np.ndarray) -> bool:
+    # a heavy log-symmetric tail can draw 0 or inf, which no fit accepts
+    return bool(np.all(np.isfinite(y) & (y > 0.0)))
+
+
 def _type1_replicate(plan: SimulationPlan, estimate_extra: bool, task):
     n, i = task
     y = sample(plan.true_params, n, RngStream(plan.seed, i))
+    if not _in_range(y):
+        return dict.fromkeys(plan.modes)
     out = {}
     for mode in plan.modes:
         try:
-            res = lr_test_lambda_zero(
-                y, plan.family, mode=mode, fit_extra=estimate_extra, max_iter=STUDY_MAX_ITER
-            )
+            res = lr_test_lambda_zero(y, plan.family, mode=mode, fit_extra=estimate_extra)
         except FitFailedError:
             out[mode] = None
         else:
@@ -184,7 +185,9 @@ def _recovery_replicate(
     i: int,
 ):
     y = sample(true_params, n, RngStream(seed, i))
-    r = fit(LikelihoodContext(y, family, fit_extra=estimate_extra), max_iter=STUDY_MAX_ITER)
+    if not _in_range(y):
+        return None
+    r = fit(LikelihoodContext(y, family, fit_extra=estimate_extra))
     if not r.converged or any(not math.isfinite(v) for v in r.std_errors.values()):
         return None
     return r.estimates, r.std_errors
@@ -201,8 +204,9 @@ def run_recovery_study(
 ) -> RecoveryResult:
     """Bias, spread, reported-SE quality, and 95% CI coverage per parameter.
 
-    A replicate counts as failed when its fit does not converge or reports a
-    non-finite standard error (coverage is undefined there).
+    A replicate counts as failed when its sample holds a draw of 0 or inf, or
+    when its fit does not converge or reports a non-finite standard error
+    (coverage is undefined there).
     """
     if n < 10:
         raise ValueError("sample size must be at least 10")

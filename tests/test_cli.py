@@ -643,6 +643,25 @@ def test_json_nonfinite_tokens():
     assert parsed["c"] == -math.inf
 
 
+def test_json_numpy_values_become_plain_values():
+    doc = {
+        "f32": np.float32(0.1),
+        "i64": np.int64(-7),
+        "flag": np.bool_(True),
+        "grid": np.arange(6.0).reshape(2, 3) / 3.0,
+    }
+    parsed = json.loads(dumps_document(doc))
+    assert parsed == {
+        "f32": float(np.float32(0.1)),
+        "i64": -7,
+        "flag": True,
+        "grid": (np.arange(6.0).reshape(2, 3) / 3.0).tolist(),
+    }
+    assert type(parsed["flag"]) is bool and type(parsed["i64"]) is int
+    with pytest.raises(TypeError):
+        dumps_document({"x": object()})
+
+
 # ----------------------------------------------------------- console script
 
 

@@ -154,6 +154,17 @@ def test_type1_counts_failed_fits_without_aborting(monkeypatch):
     assert cell.rejection_rate == 1.0
 
 
+def test_studies_count_out_of_range_draws_as_failed_replicates():
+    # log-Cauchy at sigma = 1: replicate 6 of seed 0 draws a 0.0 or an inf
+    cauchy = DensityFamily.cauchy()
+    truth = BcsParams(1.0, 1.0, 0.0, cauchy)
+    plan = _plan(family=cauchy, true_params=truth, sample_sizes=(100,), replicates=10, seed=0)
+    res = run_type1_study(plan)
+    assert res.cells[(100, "analytic")].failed_fits == 1
+    assert res.decisions[(100, "analytic")][6] is None
+    assert run_recovery_study(cauchy, truth, 100, 10, 0).failed_fits == 1
+
+
 def test_type1_single_replicate_runs():
     plan = _plan(sample_sizes=(25,), replicates=1, seed=2)
     res = run_type1_study(plan)

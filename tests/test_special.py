@@ -460,3 +460,17 @@ def test_every_export_is_used_by_another_function_of_the_package():
                 if name in exports and name != own:
                     used.add(name)
     assert sorted(exports - used) == []
+
+
+# ---------------------------------------------------------------------------
+# Underflow follows numpy's setting: no errstate guard in the package names it.
+
+def test_no_errstate_call_names_underflow():
+    package = Path(bcsym.special.__file__).parent
+    guards = []
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "errstate":
+                guards.append((path.name, node.lineno, {k.arg for k in node.keywords}))
+    assert guards
+    assert [(name, line) for name, line, events in guards if "under" in events] == []
