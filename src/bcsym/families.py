@@ -594,16 +594,30 @@ def _w_canonical_slash(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> n
     return out
 
 
+def _slash_ratios(a: float, x: np.ndarray, top: int) -> list:
+    """lower_gamma_ratio(a + k, x) for k = 0, ..., top at finite x >= 0.
+
+    One series at a + top, then the downward recurrence
+    L(b) = (x L(b + 1) + e^-x) / b, whose terms are all positive, so each step
+    only adds rounding (Gautschi 1979, ACM TOMS 5:466).
+    """
+    ratios = [lower_gamma_ratio(a + top, x)]
+    ex = np.exp(-x)
+    for k in range(top - 1, -1, -1):
+        ratios.append((x * ratios[-1] + ex) / (a + k))
+    return ratios[::-1]
+
+
 def _w_slash(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> np.ndarray:
     a = 0.5 * (family.extra + 1.0)
     out = np.zeros_like(u)
     fin = np.isfinite(u)
     x = 0.5 * u[fin]
-    num = lower_gamma_ratio(a + 1.0, x)
+    den, num = _slash_ratios(a, x, 1)
     # far out the numerator underflows, alone or with the denominator; there
     # w = a / x = (q + 1) / z^2 (the discarded a / x divides by 0 at z = 0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out[fin] = np.where(num < _TINY, a / x, num / lower_gamma_ratio(a, x))
+        out[fin] = np.where(num < _TINY, a / x, num / den)
     out[np.isnan(u)] = np.nan
     return out
 
@@ -682,9 +696,7 @@ def _dw_slash(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> np.ndarray
     out = np.zeros_like(u)
     fin = np.isfinite(u)
     x = 0.5 * u[fin]
-    r0 = lower_gamma_ratio(a, x)
-    r1 = lower_gamma_ratio(a + 1.0, x)
-    r2 = lower_gamma_ratio(a + 2.0, x)
+    r0, r1, r2 = _slash_ratios(a, x, 2)
     zf = z[fin]
     # divide: the discarded -4 a / z^3 at z = 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -4,14 +4,18 @@ Only what a library path calls lives here, all of it implemented in-repo
 (rational approximations, power series, continued fractions) so the accuracy
 contracts can be tested in isolation against independent quadrature oracles.
 Functions accept floats or numpy arrays, return a float for a scalar, and give
-NaN at NaN.  The incomplete gamma and beta functions choose their path by
-input size at the entry point: an input of at most _SMALL_N elements runs each
-element end to end in Python floats, and a larger one runs array recurrences
-over its unconverged elements.  Both paths give bit-identical results.
+NaN at NaN.  The error function and the incomplete gamma and beta functions
+choose their path by input size at the entry point: a short input runs each
+element end to end in Python floats, and a longer one runs array code.  Both
+paths give bit-identical results.  The lower gamma
+ratio sums a fixed number of series terms by Horner's rule on x <= 15, one code
+for floats and arrays, and keeps a convergent series or continued fraction
+beyond.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -33,13 +37,47 @@ _INV_SQRT_PI = 1.0 / _SQRT_PI
 _EPS = 2.220446049250313e-16
 _TINY = 1e-300
 _MAX_ITER = 600
-# Incomplete gamma and beta inputs of at most this many elements take the
-# Python-float path, larger ones the array path.  The float path is faster up
-# to about 90 elements for reg_inc_beta(2, 1/2, x), 250 for
-# reg_upper_gamma(2/3, x) and 300 for lower_gamma_ratio(3/2, x) (2-CPU VM,
-# Python 3.11, numpy 2.4).  Calls of 65 to 256 elements are rare in the
-# library's fits and samplers.
+# Inputs of at most a limit of elements take the Python-float path, longer
+# ones the array path; the limits come from the measured crossovers of the two
+# (2-CPU VM, Python 3.11, numpy 2.4).  Codes that iterate to convergence share
+# _SMALL_N, between the crossovers of reg_inc_beta(2, 1/2, x) on uniform x at
+# about 80 elements (its float path costs 1.5 times the array path at 128) and
+# reg_upper_gamma(2/3, x) on x = 2|t4|^0.75 at about 140.  Fixed-length codes,
+# erfc's rational functions and the lower ratio's Horner series, use
+# _SMALL_N_FIXED: their float path costs 2-4 us an element and their array
+# path 55-70 us at any short length, a crossover at about 28 elements for
+# erfc(t4 / sqrt 2) and 24 for lower_gamma_ratio(3/2, t4^2 / 2).
 _SMALL_N = 128
+_SMALL_N_FIXED = 24
+
+
+# ---------------------------------------------------------------------------
+# One size rule at the entry points of erfc and the incomplete gamma and beta
+# functions.
+#
+# An entry point whose input has at most its limit of elements runs each
+# element end to end in Python floats: range check, edge values, prefactor and
+# recurrence (the *_float functions).  A larger input takes the array path,
+# whose recurrences loop over the elements that have not yet converged.  Both
+# paths do the same operations in the same order, with the same _TINY clamps
+# and stopping tests, so they give bit-identical results and follow one set
+# of edge rules at any size.  The float path takes exp, floor, log and log1p
+# from numpy ufuncs called on floats, which give the bits of the array loops;
+# the math module's differ from them in the last place on some inputs (about
+# 5% of exp arguments where numpy has AVX-512 loops).  The float path sets no
+# errstate, which costs more than its loop on short recurrences: its only
+# floating-point event is an exp that underflows, which follows the package's
+# underflow rule (see the ``bcsym`` docstring).  NaN elements give NaN.
+
+
+def _by_size(xa: np.ndarray, limit: int, element, array, *args):
+    """element(*args, x) for each x of an xa of at most limit elements, else array(*args, xa)."""
+    if xa.size <= limit:
+        out = np.array([element(*args, v) for v in xa.ravel().tolist()]).reshape(xa.shape)
+    else:
+        out = array(*args, xa)
+    return float(out) if out.ndim == 0 else out
+
 
 # Cody-style rational approximations for erf/erfc, three regions.
 _ERF_A = (
@@ -135,6 +173,22 @@ def _exp_nxx(y):
     return np.exp(-ysq * ysq) * np.exp(-delta)
 
 
+def _erfc_float(x: float) -> float:
+    """erfc(x) for one float, by the operations of _erfc_array."""
+    y = abs(x)
+    if y <= 0.46875:
+        return 1.0 - x * _erf_small(y * y)
+    if y <= 4.0:
+        v = float(_erfc_mid(y) * _exp_nxx(y))
+    elif y < 26.7:
+        v = float(_erfc_large(y) * _exp_nxx(y))
+    elif y >= 26.7:
+        v = 0.0
+    else:
+        return math.nan
+    return 2.0 - v if x < 0.0 else v
+
+
 def _erfc_positive(y):
     """erfc(y) for array y >= 0.46875."""
     out = np.empty_like(y)
@@ -149,10 +203,7 @@ def _erfc_positive(y):
     return out
 
 
-def erfc(x):
-    """Complementary error function, accurate in both tails."""
-    scalar = np.ndim(x) == 0
-    xa = np.asarray(x, dtype=float)
+def _erfc_array(xa: np.ndarray) -> np.ndarray:
     y = np.abs(xa)
     out = np.empty_like(y)
     small = y <= 0.46875
@@ -164,7 +215,12 @@ def erfc(x):
         v = _erfc_positive(y[big])
         neg = xa[big] < 0.0
         out[big] = np.where(neg, 2.0 - v, v)
-    return float(out) if scalar else out
+    return out
+
+
+def erfc(x):
+    """Complementary error function, accurate in both tails."""
+    return _by_size(np.asarray(x, dtype=float), _SMALL_N_FIXED, _erfc_float, _erfc_array)
 
 
 def std_normal_cdf(x):
@@ -282,37 +338,10 @@ def log_beta(a: float, b: float) -> float:
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
-# ---------------------------------------------------------------------------
-# Incomplete gamma and beta: one size rule at the entry points.
-#
-# An entry point whose input has at most _SMALL_N elements runs each element
-# end to end in Python floats: range check, edge values, prefactor and
-# recurrence (the *_float functions).  A larger input takes the array path,
-# whose recurrences loop over the elements that have not yet converged.  Both
-# paths do the same operations in the same order, with the same _TINY clamps
-# and stopping tests, so they give bit-identical results and follow one set
-# of edge rules at any size.  The float path takes exp, log and log1p from
-# numpy ufuncs called on floats, which give the bits of the array loops; the
-# math module's differ from them in the last place on some inputs (about 5%
-# of exp arguments where numpy has AVX-512 loops).  The float path sets no
-# errstate, which costs more than its loop on short recurrences: its only
-# floating-point event is an exp that underflows, which follows the package's
-# underflow rule (see the ``bcsym`` docstring).  NaN elements give NaN.
-
-
-def _by_size(xa: np.ndarray, element, array, *args):
-    """element(*args, x) for each x of a small xa as a float, else array(*args, xa)."""
-    if xa.size <= _SMALL_N:
-        out = np.array([element(*args, v) for v in xa.ravel().tolist()]).reshape(xa.shape)
-    else:
-        out = array(*args, xa)
-    return float(out) if out.ndim == 0 else out
-
-
-def _gamma_entry(a: float, x, element, array):
+def _gamma_entry(a: float, x, limit: int, element, array):
     if not a > 0.0:
         raise ValueError("shape parameter must be positive")
-    return _by_size(np.asarray(x, dtype=float), element, array, a)
+    return _by_size(np.asarray(x, dtype=float), limit, element, array, a)
 
 
 def _check_nonnegative(x: np.ndarray) -> None:
@@ -320,7 +349,10 @@ def _check_nonnegative(x: np.ndarray) -> None:
         raise ValueError("argument must be nonnegative")
 
 
-# Regularized incomplete gamma: series for x < a+1, continued fraction beyond.
+# Incomplete gamma: the regularized Q(a, x) by its series for x < a+1 and its
+# continued fraction beyond.  The lower ratio gamma(a, x) / x^a sums a
+# fixed-length series by Horner's rule on x <= _KUMMER_X and uses the same
+# series or continued fraction only above it.
 
 
 def _gser_sum_float(a: float, x: float) -> float:
@@ -459,30 +491,64 @@ def _upper_gamma_array(a: float, xa: np.ndarray) -> np.ndarray:
 
 def reg_upper_gamma(a: float, x):
     """Regularized upper incomplete gamma Q(a, x) with accurate small values."""
-    return _gamma_entry(a, x, _upper_gamma_float, _upper_gamma_array)
+    return _gamma_entry(a, x, _SMALL_N, _upper_gamma_float, _upper_gamma_array)
+
+
+# Kummer's series gamma(a, x) / x^a = e^-x sum_k x^k / (a (a+1) ... (a+k)) has
+# positive terms.  Normalised to sum 1, they fall from one to the next by the
+# factor x / (a+k+1), faster than the Poisson(x) probabilities, which fall by
+# x / (k+1).  So for every a > 0 the share of the sum beyond the first K terms
+# is at most P(N >= K) for N ~ Poisson(x), which grows with x.  At x = 15 that
+# bound is 1.6e-15 for K = 55 and 1.8e-18 for K = 60, under a hundredth of an
+# ulp, so 60 terms summed by Horner's rule give the ratio to rounding on every
+# x <= 15: a fixed count of multiply-adds that one code runs on floats and on
+# arrays.  For x = z^2 / 2 the bound 15 means |z| <= 5.48, so in a fit few
+# elements lie above it; they take the series or continued fraction, which
+# converges faster the further x lies from a + 1.
+_KUMMER_X = 15.0
+_KUMMER_K = 60
+
+
+@functools.lru_cache(maxsize=64)
+def _kummer_coefficients(a: float) -> tuple:
+    """1 / (a (a+1) ... (a+k)) for k = K-1 down to 0, in Horner order."""
+    c = [1.0 / a]
+    for k in range(1, _KUMMER_K):
+        c.append(c[-1] / (a + k))
+    return tuple(reversed(c))
+
+
+def _kummer(a: float, x):
+    """gamma(a, x) / x^a for a float or an array of x in [0, _KUMMER_X]."""
+    c = _kummer_coefficients(a)
+    total = c[0] * x + c[1]  # a new float or array, updated in place below
+    for b in c[2:]:
+        total *= x
+        total += b
+    return np.exp(-x) * total
 
 
 def _lower_gamma_ratio_float(a: float, x: float) -> float:
     if x < 0.0:
         raise ValueError("argument must be nonnegative")
+    if x <= _KUMMER_X:
+        return _kummer(a, x)
     if x < a + 1.0:
-        if x == 0.0:
-            return 1.0 / a
-        return float(np.exp(-x)) * _gser_sum_float(a, max(x, 1e-320))
+        return float(np.exp(-x)) * _gser_sum_float(a, x)
     if x < math.inf:
         q = _gcf_Q_float(a, x)
         return float(np.exp(math.lgamma(a) + float(np.log1p(-q)) - a * float(np.log(x))))
     return 0.0 if x == math.inf else math.nan
 
 
-def _lower_gamma_ratio_array(a: float, xa: np.ndarray) -> np.ndarray:
-    _check_nonnegative(xa)
+def _lower_gamma_ratio_far(a: float, xa: np.ndarray) -> np.ndarray:
+    """The ratio on an array of x above _KUMMER_X, inf or NaN."""
     out = np.full_like(xa, np.nan)
     out[xa == np.inf] = 0.0
     lo = xa < a + 1.0
     if lo.any():
         xlo = xa[lo]
-        out[lo] = np.where(xlo == 0.0, 1.0 / a, np.exp(-xlo) * _gser_sum(a, np.maximum(xlo, 1e-320)))
+        out[lo] = np.exp(-xlo) * _gser_sum(a, xlo)
     hi = (xa >= a + 1.0) & (xa < np.inf)
     if hi.any():
         xhi = xa[hi]
@@ -491,9 +557,21 @@ def _lower_gamma_ratio_array(a: float, xa: np.ndarray) -> np.ndarray:
     return out
 
 
+def _lower_gamma_ratio_array(a: float, xa: np.ndarray) -> np.ndarray:
+    _check_nonnegative(xa)
+    near = xa <= _KUMMER_X
+    out = np.empty_like(xa)
+    out[near] = _kummer(a, xa[near])
+    far = ~near
+    if far.any():
+        # few elements in a fit's residuals, so mostly the float path
+        out[far] = _by_size(xa[far], _SMALL_N, _lower_gamma_ratio_float, _lower_gamma_ratio_far, a)
+    return out
+
+
 def lower_gamma_ratio(a: float, x):
     """Lower incomplete gamma(a, x) / x**a, stable for small x (positive-term series)."""
-    return _gamma_entry(a, x, _lower_gamma_ratio_float, _lower_gamma_ratio_array)
+    return _gamma_entry(a, x, _SMALL_N_FIXED, _lower_gamma_ratio_float, _lower_gamma_ratio_array)
 
 
 def chi2_survival(x):
@@ -619,4 +697,4 @@ def reg_inc_beta(a: float, b: float, x):
     """Regularized incomplete beta I_x(a, b) for a, b > 0 and x in [0, 1]."""
     if not (a > 0.0 and b > 0.0):
         raise ValueError("shape parameters must be positive")
-    return _by_size(np.asarray(x, dtype=float), _inc_beta_float, _inc_beta_array, a, b)
+    return _by_size(np.asarray(x, dtype=float), _SMALL_N, _inc_beta_float, _inc_beta_array, a, b)

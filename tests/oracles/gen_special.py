@@ -55,6 +55,21 @@ def main():
             for (a, x) in ((1.5, 1e-8), (1.5, 0.5), (2.75, 9.0))
         ],
     )
+    # both sides of the x = 15 bound of the fixed-length Horner series
+    dump(
+        "LOWER_GAMMA_RATIO_GRID",
+        [
+            (
+                (a, x),
+                mp.gammainc(a, 0, x, regularized=True) * mp.gamma(a) / mp.mpf(x) ** a,
+            )
+            for a in (0.5, 1.5, 2.5, 3.5)
+            for x in (
+                1e-300, 1e-8, 0.01, 0.5, 1.0, 2.5, 4.0, 6.5, 9.0,
+                12.0, 14.0, 14.999, 15.0, 15.001, 16.0, 18.0, 20.0,
+            )
+        ],
+    )
     dump(
         "CHI2_SURVIVAL",
         [

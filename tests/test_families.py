@@ -25,6 +25,7 @@ from bcsym.families import (
     DensityFamily,
     FamilyKind,
     GeneratorEval,
+    _slash_ratios,
     eval_generator,
     generator_decay,
     logistic_i_normalizer,
@@ -35,7 +36,7 @@ from bcsym.families import (
     weight_function,
 )
 from bcsym.quadrature import integrate
-from bcsym.special import _SMALL_N
+from bcsym.special import _SMALL_N, lower_gamma_ratio
 
 FAMS = {
     "normal": DensityFamily.normal(),
@@ -633,6 +634,24 @@ def test_weight_smooth_families_at_zero():
     # evaluated
     with pytest.raises(ValueError):
         weight_derivative(DensityFamily.power_exponential(2.5), 0.0)
+
+
+def test_slash_ratios_follow_the_lower_gamma_ratio():
+    # one series at a + 2, then the downward recurrence: exact at x = 0, and
+    # within twice the 5e-15 accuracy of the ratio of a direct evaluation on
+    # both sides of its x = 15 switch
+    x = np.concatenate([[0.0, 5e-324, 1e-300, 1e-8], np.linspace(0.01, 20.0, 200)])
+    for a in (0.75, 1.5, 2.75, 5.5):
+        ladder = _slash_ratios(a, x, 2)
+        assert [r[0] for r in ladder] == [1.0 / a, 1.0 / (a + 1.0), 1.0 / (a + 2.0)]
+        for k, r in enumerate(ladder):
+            direct = lower_gamma_ratio(a + k, x)
+            assert np.all(np.abs(r - direct) <= 1e-14 * direct), (a, k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name in ("slash_1", "slash_2", "slash_4.5"):
+            assert math.isnan(weight_function(FAMS[name], math.nan))
+            assert math.isnan(weight_derivative(FAMS[name], math.nan))
 
 
 def test_weight_limits_near_zero():

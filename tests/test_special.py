@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 import bcsym.special
 from bcsym.quadrature import integrate
 from bcsym.special import (
+    _KUMMER_X,
     _SMALL_N,
+    _SMALL_N_FIXED,
     chi2_survival,
     erfc,
     log_beta,
@@ -78,6 +80,77 @@ LOWER_GAMMA_RATIO = {
     (1.5, 1e-08): 0.66666666266666668,
     (1.5, 0.5): 0.49818746435903076,
     (2.75, 9.0): 0.0038047494557675604,
+}
+
+LOWER_GAMMA_RATIO_GRID = {
+    (0.5, 1e-300): 2.0,
+    (0.5, 1e-08): 1.9999999933333334,
+    (0.5, 0.01): 1.993353285806727,
+    (0.5, 0.5): 1.7112487837842976,
+    (0.5, 1.0): 1.4936482656248541,
+    (0.5, 2.5): 1.092583943570296,
+    (0.5, 4.0): 0.88208139076242168,
+    (0.5, 6.5): 0.69499704513808967,
+    (0.5, 9.0): 0.59080489883968082,
+    (0.5, 12.0): 0.51166286105876613,
+    (0.5, 14.0): 0.47370815995734134,
+    (0.5, 14.999): 0.45766085225507701,
+    (0.5, 15.0): 0.4576455966594747,
+    (0.5, 15.001): 0.45763034258933529,
+    (0.5, 16.0): 0.44311345589478447,
+    (0.5, 18.0): 0.41777137828083059,
+    (0.5, 20.0): 0.39633272965994731,
+    (1.5, 1e-300): 0.66666666666666667,
+    (1.5, 1e-08): 0.66666666266666668,
+    (1.5, 0.01): 0.6626809154195449,
+    (1.5, 0.5): 0.49818746435903076,
+    (1.5, 1.0): 0.3789446916409847,
+    (1.5, 2.5): 0.18568278926449968,
+    (1.5, 4.0): 0.10568126412311916,
+    (1.5, 6.5): 0.053230012827087271,
+    (1.5, 9.0): 0.032808782179528192,
+    (1.5, 12.0): 0.021318773859752478,
+    (1.5, 14.0): 0.01691808917499654,
+    (1.5, 14.999): 0.015256358418505412,
+    (1.5, 15.0): 0.015254832828494457,
+    (1.5, 15.001): 0.015253307492706924,
+    (1.5, 16.0): 0.013847288463263595,
+    (1.5, 18.0): 0.011604759661690864,
+    (1.5, 20.0): 0.0099083181384410016,
+    (2.5, 1e-300): 0.4,
+    (2.5, 1e-08): 0.39999999714285715,
+    (2.5, 0.01): 0.39715393801492957,
+    (2.5, 0.5): 0.28150107365182543,
+    (2.5, 1.0): 0.20053759629003473,
+    (2.5, 2.5): 0.078575674109140289,
+    (2.5, 4.0): 0.035051564323986142,
+    (2.5, 6.5): 0.012052550776562051,
+    (2.5, 9.0): 0.0054544181628006232,
+    (2.5, 12.0): 0.0026643347147729491,
+    (2.5, 14.0): 0.0018125930166982648,
+    (2.5, 14.999): 0.0015257171424349818,
+    (2.5, 15.0): 0.0015254628893614122,
+    (2.5, 15.001): 0.001525208695586248,
+    (2.5, 16.0): 0.0012981762599825421,
+    (2.5, 18.0): 0.0009670624590309195,
+    (2.5, 20.0): 0.000743123757325394,
+    (3.5, 1e-300): 0.28571428571428571,
+    (3.5, 1e-08): 0.2857142834920635,
+    (3.5, 0.01): 0.28350112881558642,
+    (3.5, 0.5): 0.1944440488338603,
+    (3.5, 1.0): 0.13346454955364451,
+    (3.5, 2.5): 0.045741674659580771,
+    (3.5, 4.0): 0.017328317980307794,
+    (3.5, 6.5): 0.0044042981151427009,
+    (3.5, 9.0): 0.0015014039558794309,
+    (3.5, 12.0): 0.0005545577145482537,
+    (3.5, 14.0): 0.00032361792950189703,
+    (3.5, 14.999): 0.00025428272869602173,
+    (3.5, 15.0): 0.00025422342140553525,
+    (3.5, 15.001): 0.00025416413188417696,
+    (3.5, 16.0): 0.00020283300717385224,
+    (3.5, 18.0): 0.00013431338431097522,
+    (3.5, 20.0): 9.2890366607993128e-5,
 }
 
 CHI2_SURVIVAL = {
@@ -251,6 +324,18 @@ def test_lower_gamma_ratio_points():
     assert lower_gamma_ratio(1.5, 0.0) == 1.0 / 1.5
 
 
+def test_lower_gamma_ratio_grid_across_the_horner_bound():
+    # the fixed-length Horner series below x = 15 and the continued fraction
+    # above it, as scalars and inside an array longer than _SMALL_N
+    for a in sorted({a for a, _ in LOWER_GAMMA_RATIO_GRID}):
+        xs = np.array([x for b, x in LOWER_GAMMA_RATIO_GRID if b == a])
+        expected = np.array([LOWER_GAMMA_RATIO_GRID[(a, x)] for x in xs.tolist()])
+        scalars = np.array([lower_gamma_ratio(a, x) for x in xs.tolist()])
+        assert np.all(np.abs(scalars - expected) < 5e-15 * expected)
+        long = lower_gamma_ratio(a, np.resize(xs, _SMALL_N + xs.size))
+        assert np.array_equal(long[: xs.size], scalars)
+
+
 # Near x = 5e307 and beyond, the continued fraction's 1/(x+1-a) is
 # subnormal and its iteration cannot converge; Q's prefactor
 # exp(-x + a log x - lgamma a) has long since underflowed, so Q is 0.
@@ -387,13 +472,33 @@ def test_scalar_and_array_follow_one_set_of_edge_rules(name, x):
         assert 0.0 <= scalar <= (1.0 / EDGE_A if name == "lower_gamma_ratio" else 1.0)
 
 
+def _assert_paths_give_the_same_bits(name, f, x, limit):
+    # A scalar and an array of at most `limit` elements take the Python-float
+    # loops, and a longer array the array loops: compare the bits of one long
+    # array with scalars and with chunks just below and just above the limit.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        array = f(x)
+        others = {"scalars": np.array([f(v) for v in x.tolist()])}
+        for size in (limit, limit + 1):
+            others[f"chunks of {size}"] = np.concatenate([f(x[i : i + size]) for i in range(0, x.size, size)])
+    for label, other in others.items():
+        same = (array.view(np.int64) == other.view(np.int64)) | (np.isnan(array) & np.isnan(other))
+        assert same.all(), (name, label, x[~same], array[~same], other[~same])
+
+
 def test_long_array_and_scalars_give_the_same_bits():
-    # A scalar and an array of 2 to _SMALL_N elements take the Python-float
-    # loops, and an array longer than _SMALL_N the array loops.  Each branch
-    # (series and continued fraction, direct and reflected beta) gets more
+    # Each branch (series and continued fraction, the lower ratio's Horner
+    # series and what lies beyond it, direct and reflected beta) gets more
     # than _SMALL_N elements.
     rng = np.random.default_rng(1604)
-    gamma_grid = np.concatenate([rng.uniform(0.0, 2.0 * (EDGE_A + 1.0), 300), 10.0 ** rng.uniform(-323.0, 300.0, 300)])
+    gamma_grid = np.concatenate(
+        [
+            rng.uniform(0.0, 2.0 * (EDGE_A + 1.0), 300),
+            rng.uniform(0.0, 2.0 * _KUMMER_X, 300),
+            10.0 ** rng.uniform(-323.0, 300.0, 300),
+        ]
+    )
     beta_grid = np.concatenate(
         [rng.uniform(0.0, 1.0, 300), 10.0 ** rng.uniform(-323.5, -308.0, 100), 1.0 - 10.0 ** rng.uniform(-16.0, -1.0, 200)]
     )
@@ -401,22 +506,35 @@ def test_long_array_and_scalars_give_the_same_bits():
         is_beta = name == "reg_inc_beta"
         edges = [x for n, x in EDGE_CASES if n == name and not (x < 0.0 or (is_beta and x > 1.0))]
         x = np.concatenate([edges, beta_grid if is_beta else gamma_grid])
-        split = (2.0 + 1.0) / (2.0 + 0.5 + 2.0) if is_beta else EDGE_A + 1.0
-        assert np.sum(x < split) > _SMALL_N and np.sum(x >= split) > _SMALL_N
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            array = f(x)
-            scalars = np.array([f(v) for v in x.tolist()])
-            chunks = np.array_split(x, -(-x.size // _SMALL_N))
-            assert all(2 <= c.size <= _SMALL_N for c in chunks)
-            mid = np.concatenate([f(c) for c in chunks])
-        for other in (scalars, mid):
-            same = (array.view(np.int64) == other.view(np.int64)) | (np.isnan(array) & np.isnan(other))
-            assert same.all(), (name, x[~same], array[~same], other[~same])
+        splits = [(2.0 + 1.0) / (2.0 + 0.5 + 2.0)] if is_beta else [EDGE_A + 1.0, _KUMMER_X]
+        for split in splits:
+            assert np.sum(x < split) > _SMALL_N and np.sum(x > split) > _SMALL_N
+        _assert_paths_give_the_same_bits(name, f, x, _SMALL_N_FIXED if name == "lower_gamma_ratio" else _SMALL_N)
+
+
+def test_erfc_and_normal_cdf_long_array_and_scalars_give_the_same_bits():
+    # more than _SMALL_N elements in each of erfc's three regions,
+    # |y| <= 0.46875, 0.46875 < |y| <= 4 and beyond, on either sign
+    rng = np.random.default_rng(1605)
+    sign = rng.choice([-1.0, 1.0], 900)
+    y = np.concatenate(
+        [
+            rng.uniform(-0.46875, 0.46875, 300),
+            sign[:300] * rng.uniform(0.46875, 4.0, 300),
+            sign[300:] * 10.0 ** rng.uniform(np.log10(4.0), 2.0, 600),
+            [0.0, -0.0, 0.46875, -0.46875, 4.0, -4.0, 26.7, -26.7, 5e-324, np.inf, -np.inf, np.nan],
+        ]
+    )
+    for bound in (0.46875, 4.0):
+        assert np.sum(np.abs(y) <= bound) > _SMALL_N and np.sum(np.abs(y) > bound) > _SMALL_N
+    assert np.sum(np.abs(y) > 26.7) > _SMALL_N
+    _assert_paths_give_the_same_bits("erfc", erfc, y, _SMALL_N_FIXED)
+    # std_normal_cdf(x) is erfc(-x / sqrt 2) / 2
+    _assert_paths_give_the_same_bits("std_normal_cdf", std_normal_cdf, -math.sqrt(2.0) * y, _SMALL_N_FIXED)
 
 
 # Integer and float32 inputs are read as float64: each gives the bits of the
-# float64 call, both as a scalar and as an array on either side of _SMALL_N.
+# float64 call, both as a scalar and as an array on either side of the size limits.
 DTYPE_FUNCTIONS = {
     "erfc": (erfc, (0, 1, 3)),
     "std_normal_cdf": (std_normal_cdf, (-2, 0, 1)),
