@@ -22,14 +22,21 @@ Design notes
   cdf uses a cached cumulative Gauss-Kronrod table on [0, 9] plus direct
   panel sums for the far tail, which is accurate to ~1e-15.
 * Quantiles use exact inversions where available.  Otherwise a vectorized
-  Newton iteration in y = log s solves log P(S > e^y) = log t.  It starts
-  from the generator's decay fact, or from the centre between the quartiles,
-  and bisects in y where a step leaves its bracket of finite doubles.
+  Newton iteration in y = log s solves log P(S > e^y) = log t, and bisects
+  in y where a step leaves its bracket of finite doubles.  It starts from a
+  table of the family's exact inverse at 320 fixed nodes in t, built on
+  first use and cached, by cubic Hermite interpolation with the known
+  slopes, so a draw costs about 2.5 tail evaluations (the numerical
+  inversion of Hoermann and Leydold 2003, ACM TOMACS 13:347).  A t on a node
+  returns the stored value.  The table is built by the same iteration
+  started cold, from the generator's decay fact or from the centre between
+  the quartiles; a t outside the table starts cold too.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -405,13 +412,33 @@ def _tail_cauchy(family: DensityFamily, s: np.ndarray) -> np.ndarray:
 
 def _tail_student_t(family: DensityFamily, s: np.ndarray) -> np.ndarray:
     tau = family.extra
+    a = 0.5 * tau
     with np.errstate(over="ignore"):
         u = s * s
-    out = 0.5 * reg_inc_beta(0.5 * tau, 0.5, tau / (tau + u))
+    with np.errstate(invalid="ignore"):
+        y = u / (tau + u)
+    # P(S > s) = I_x(a, 1/2) / 2 = 1/2 - I_y(1/2, a) / 2, x = tau / (tau + s^2)
+    # and y = 1 - x.  Where y < 3 / (tau + 5), reg_inc_beta(a, 1/2, x) takes
+    # that complement and runs its continued fraction on 1 - x, which keeps
+    # only the bits of the rounded x: y is off by up to eps / 2, a relative
+    # eps tau / (2 s^2).  Near s = 0 the tail then moves in steps (6e-13 for
+    # t4 at s = 2.7e-4).  There the same fraction runs on y, formed to a
+    # rounding.  Two cuts bound the switch:
+    # - y < 3 / (tau + 5), the complement branch: beyond it the direct
+    #   fraction on x has no cancellation.  The cut is tested on y: at huge
+    #   tau (a free-tau walk tried 3.7e140) x rounds to 1, and a cut tested
+    #   on x let y past the branch point, where the fraction did not converge;
+    # - s^2 <= tau / 16, so y <= 1/17: beyond it the rounded 1 - x is off by
+    #   at most 8 eps relative, and the values toward the quartiles keep their
+    #   bits, t4's quartile among them, which starts every t4 fit.
+    near = (y < 1.5 / (a + 2.5)) & (u <= tau / 16.0)
+    out = np.empty_like(s)
+    out[near] = 0.5 - 0.5 * reg_inc_beta(0.5, a, y[near])
+    rest = ~near
+    out[rest] = 0.5 * reg_inc_beta(a, 0.5, tau / (tau + u[rest]))
     far = np.isinf(u) & np.isfinite(s)
     if far.any():
         # x = tau / s^2 < 1e-308, where I_x(a, 1/2) is x^a / (a B(a, 1/2))
-        a = 0.5 * tau
         log_x = math.log(tau) - 2.0 * np.log(s[far])
         out[far] = 0.5 * np.exp(a * log_x - math.log(a) - log_beta(a, 0.5))
     return out
@@ -477,28 +504,33 @@ def _tail_quantile_cauchy(family: DensityFamily, t: np.ndarray) -> np.ndarray:
     )
 
 
-def _tail_quantile_newton(family: DensityFamily, t: np.ndarray) -> np.ndarray:
-    """Solve P(S > s) = t for s > 0, elementwise; t must lie in (0, 0.5].
+def _cold_start(family: DensityFamily, t: np.ndarray) -> np.ndarray:
+    """The start from the decay with the tail's constant dropped, or between
+    the quartiles from the centre's (0.5 - t) / r(0)."""
+    decay = generator_decay(family)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if decay[0] == "power":
+            y = -np.log(t) / (decay[1] - 1.0)
+        else:
+            y = np.log(-np.log(2.0 * t) / decay[1]) / decay[2]
+        centre = np.log(0.5 - t) - float(eval_generator(family, 0.0).log_r)
+        return np.clip(np.exp(np.where(t > 0.25, centre, y)), _S_MIN, _S_MAX)
+
+
+def _newton_in_log_s(family: DensityFamily, t: np.ndarray, s: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """Solve P(S > s) = t for the active elements, from the start s.
 
     Newton in y = log s on log P(S > e^y) = log t, whose slope is
-    -s r(s^2) / P(S > s).  It starts from the decay with the tail's constant
-    dropped, or between the quartiles from the centre's (0.5 - t) / r(0).  A
-    step that leaves the bracket bisects it in y.  A t beyond every double
-    gives inf.
+    -s r(s^2) / P(S > s).  A step that leaves the bracket bisects it in y.
+    The inactive elements keep s, except that t >= 0.5 gives 0; a t beyond
+    every double gives inf.
     """
     upper_tail = _SPECS[family.kind].upper_tail
     decay = generator_decay(family)
     log_t = np.log(t)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if decay[0] == "power":
-            y = -log_t / (decay[1] - 1.0)
-        else:
-            y = np.log(-np.log(2.0 * t) / decay[1]) / decay[2]
-        centre = np.log(0.5 - t) - float(eval_generator(family, 0.0).log_r)
-        s = np.clip(np.exp(np.where(t > 0.25, centre, y)), _S_MIN, _S_MAX)
+    s = s.copy()
     lo = np.zeros_like(t)
     hi = np.full_like(t, np.inf)
-    active = t < 0.5
     for _ in range(200):
         if not active.any():
             break
@@ -536,6 +568,86 @@ def _tail_quantile_newton(family: DensityFamily, t: np.ndarray) -> np.ndarray:
         active = still
     s = np.where(t >= 0.5, 0.0, s)
     return np.where(lo == _S_MAX, np.inf, s)
+
+
+# Nodes of the cached inverse tables: 256 in log t over [2^-60, 1/4], where
+# y = log s is smooth in x = log t, and 64 more in t over (1/4, 1/2], where
+# s falls to s(1/2) = 0.  A draw's t = min(p, 1 - p) lies in [2^-54, 1/2].
+# The cubic Hermite start errs by at most h^4 max|y^(4)| / 384 on a step h.
+# |y^(4)| is largest at t = 1/4, where the centre's log(1/2 - t) alone
+# gives 26, so h = log(2^58) / 255 = 0.158 bounds the start's error in
+# log s by 4e-5.  (Measured on pe(0.8, 1.5, 3), t(1.5, 4), logistic I,
+# canonical slash and slash(1, 2, 4.5): at most 2.7e-5, median at most
+# 2e-10.)  Newton squares that error each step, so the worst start
+# needs two steps and the median one: about 2.5 tail evaluations a draw.
+# One step at worst would need an error of 1e-8: 8 times the nodes, and 8
+# times the 3-12 ms a table takes to build.  On the t grid, h = 1/256 and
+# |s^(4)| <= 2.5e4 (pe(0.8), whose r has a cusp at 0) bound it by 2e-8.
+_TABLE_T = np.concatenate([
+    np.exp(np.linspace(math.log(2.0**-60), math.log(0.25), 256)[:-1]),
+    0.25 + np.arange(65) / 256.0,
+])
+_TABLE_LOG_T = np.log(_TABLE_T)
+
+
+class _InverseTable(NamedTuple):
+    """One family's exact tail quantiles at ``_TABLE_T``, with their slopes."""
+
+    s: np.ndarray  # P(S > s) = t, as the cold-started Newton solves it
+    log_s: np.ndarray
+    dlog_s: np.ndarray  # d log s / d log t = -t / (s r(s^2)), used for t <= 1/4
+    ds: np.ndarray  # ds/dt = -1 / r(s^2), used for t >= 1/4
+
+
+@functools.lru_cache(maxsize=64)
+def _inverse_table(kind: FamilyKind, extra: float | None) -> _InverseTable:
+    family = DensityFamily(kind, extra)
+    t = _TABLE_T
+    s = _newton_in_log_s(family, t, _cold_start(family, t), t < 0.5)
+    with np.errstate(over="ignore"):
+        log_r = eval_generator(family, s * s).log_r
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_s = np.log(s)
+        table = _InverseTable(s, log_s, -np.exp(_TABLE_LOG_T - log_s - log_r), -np.exp(-log_r))
+    # every caller gets these same arrays
+    for column in table:
+        column.setflags(write=False)
+    return table
+
+
+def _hermite(theta, h, f0, f1, m0, m1):
+    """The cubic through (0, f0) and (h, f1) with slopes m0 and m1, at theta h."""
+    d = f1 - f0
+    return f0 + theta * (h * m0 + theta * (3.0 * d - h * (2.0 * m0 + m1) + theta * (h * (m0 + m1) - 2.0 * d)))
+
+
+def _tail_quantile_newton(family: DensityFamily, t: np.ndarray) -> np.ndarray:
+    """Solve P(S > s) = t for s > 0, elementwise; t must lie in (0, 0.5].
+
+    Newton in log s (``_newton_in_log_s``), started from the family's cached
+    inverse table: at a node, its stored value, returned as it is; between
+    two nodes, the cubic Hermite through them, in log s over log t below
+    1/4 and in s over t above.  A t outside the table, or a start that is
+    not a positive double, starts cold (``_cold_start``).  The start is a
+    function of (family, t) alone, so a quantile has the same bits at any
+    input size.
+    """
+    table = _inverse_table(family.kind, family.extra)
+    k = np.clip(np.searchsorted(_TABLE_T, t, side="right") - 1, 0, _TABLE_T.size - 2)
+    t0, t1 = _TABLE_T[k], _TABLE_T[k + 1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        h_log = _TABLE_LOG_T[k + 1] - _TABLE_LOG_T[k]
+        in_log = np.exp(_hermite(
+            (np.log(t) - _TABLE_LOG_T[k]) / h_log, h_log,
+            table.log_s[k], table.log_s[k + 1], table.dlog_s[k], table.dlog_s[k + 1],
+        ))
+        in_t = _hermite((t - t0) / (t1 - t0), t1 - t0, table.s[k], table.s[k + 1], table.ds[k], table.ds[k + 1])
+    hit = t == t0
+    start = np.where(hit, table.s[k], np.where(t1 <= 0.25, in_log, in_t))
+    cold = ~((t >= _TABLE_T[0]) & (start > 0.0) & (start <= _S_MAX))
+    if cold.any():
+        start[cold] = _cold_start(family, t[cold])
+    return _newton_in_log_s(family, t, start, (t < 0.5) & ~hit)
 
 
 def symmetric_quantile(family: DensityFamily, p):
@@ -755,7 +867,8 @@ class _FamilySpec(NamedTuple):
     perfbench's tracer does) sees every call.  Every family inverts the
     upper tail by ``tail_quantile``: the normal, double exponential, Cauchy
     and logistic II in closed form, the others by the default, Newton in
-    log s started from ``decay``.
+    log s started from the family's cached inverse table, which is itself
+    solved from ``decay``.
     """
 
     generator: Callable  # (family, u) -> (r, log r), u >= 0

@@ -38,16 +38,19 @@ _EPS = 2.220446049250313e-16
 _TINY = 1e-300
 _MAX_ITER = 600
 # Inputs of at most a limit of elements take the Python-float path, longer
-# ones the array path; the limits come from the measured crossovers of the two
-# (2-CPU VM, Python 3.11, numpy 2.4).  Codes that iterate to convergence share
-# _SMALL_N, between the crossovers of reg_inc_beta(2, 1/2, x) on uniform x at
-# about 80 elements (its float path costs 1.5 times the array path at 128) and
-# reg_upper_gamma(2/3, x) on x = 2|t4|^0.75 at about 140.  Fixed-length codes,
-# erfc's rational functions and the lower ratio's Horner series, use
-# _SMALL_N_FIXED: their float path costs 2-4 us an element and their array
-# path 55-70 us at any short length, a crossover at about 28 elements for
-# erfc(t4 / sqrt 2) and 24 for lower_gamma_ratio(3/2, t4^2 / 2).
+# ones the array path; each limit is a measured crossover of the two (2-CPU
+# VM, Python 3.11, numpy 2.4).  reg_upper_gamma(2/3, x) on x = 2|t4|^0.75
+# crosses at about 140 elements, so the other iterating codes keep
+# _SMALL_N.  reg_inc_beta(2, 1/2, x) on uniform x crosses at about 85, so it
+# has _SMALL_N_BETA.  (On the t tail's near-centre y, whose fraction stops
+# within a few steps, reg_inc_beta(1/2, 2, y) crosses at about 28; one
+# limit serves both.)  Fixed-length codes, erfc's rational functions and the
+# lower ratio's Horner series, use _SMALL_N_FIXED: their float path costs
+# 2-4 us an element and their array path 55-70 us at any short length, a
+# crossover at about 28 elements for erfc(t4 / sqrt 2) and 24 for
+# lower_gamma_ratio(3/2, t4^2 / 2).
 _SMALL_N = 128
+_SMALL_N_BETA = 80
 _SMALL_N_FIXED = 24
 
 
@@ -697,4 +700,4 @@ def reg_inc_beta(a: float, b: float, x):
     """Regularized incomplete beta I_x(a, b) for a, b > 0 and x in [0, 1]."""
     if not (a > 0.0 and b > 0.0):
         raise ValueError("shape parameters must be positive")
-    return _by_size(np.asarray(x, dtype=float), _SMALL_N, _inc_beta_float, _inc_beta_array, a, b)
+    return _by_size(np.asarray(x, dtype=float), _SMALL_N_BETA, _inc_beta_float, _inc_beta_array, a, b)

@@ -206,6 +206,20 @@ def main():
     print("}")
     print()
 
+    # near-centre Student t survival, from the closed form
+    # P(S > s) = 1/2 - I_y(1/2, tau/2) / 2 with y = s^2 / (tau + s^2)
+    print("# (name, s) -> survival near s = 0")
+    print("CENTRE_TAIL_POINTS = {")
+    for name, tau in (("student_t_1.5", "1.5"), ("student_t_4", "4")):
+        tv = mp.mpf(tau)
+        for s in ("1e-9", "1e-6", "2.7e-4", "0.01", "0.3", "0.49"):
+            sv = mp.mpf(s)
+            y = sv * sv / (tv + sv * sv)
+            val = mp.mpf(1) / 2 - mp.betainc(mp.mpf(1) / 2, tv / 2, 0, y, regularized=True) / 2
+            print(f'    ("{name}", {s}): {fmt(val)},')
+    print("}")
+    print()
+
     # quantiles for the families without closed-form inverses, by bisection
     # on the quadrature cdf
     print("# (name, p) -> quantile")

@@ -14,7 +14,7 @@ import pytest
 import bcsym
 from bcsym.cli import dumps_document, load_dataset, main
 from bcsym.distribution import BcsParams, cdf, sample, transform, truncation
-from bcsym.estimation import LikelihoodContext, fit
+from bcsym.estimation import LikelihoodContext, _initial_sigma, fit
 from bcsym.families import DensityFamily, FamilyKind
 from bcsym.rng import RngStream
 
@@ -300,19 +300,24 @@ def _outlier_sample():
 
 
 def test_outlier_sample_fits_and_compare_end_without_raising(tmp_path, capsys):
-    # these four fits walk mu toward 0 until mu^2 underflows in the observed
-    # information; the fit must end unconverged, not raise ZeroDivisionError
+    # from the default start these four fits walk mu toward 0 until mu^2
+    # underflows in the observed information; the walk must end unconverged,
+    # not raise ZeroDivisionError, and fit then restarts from the lambda = 0
+    # optimum, whose maximum is higher
     y = _outlier_sample()
     path = _write_csv(tmp_path / "outlier.csv", y)
     families = "normal,double_exponential,pe,cauchy,t,logistic_i,logistic_ii,cslash,slash"
-    results = [
-        fit(LikelihoodContext(y, DensityFamily.from_name(name)))
-        for name in ("normal", "pe", "logistic_i", "logistic_ii")
-    ]
+    fits = []
+    for name in ("normal", "pe", "logistic_i", "logistic_ii"):
+        family = DensityFamily.from_name(name)
+        ctx = LikelihoodContext(y, family)
+        default_start = BcsParams(float(np.median(y)), _initial_sigma(y, family), 1.0, family)
+        fits.append((fit(ctx, init=default_start), fit(ctx)))
     code, out, err = _run(capsys, ["compare", path, "--column", "value", "--families", families])
-    for result in results:
-        assert not result.converged and result.message
-        assert all(math.isnan(se) for se in result.std_errors.values())
+    for walk, result in fits:
+        assert not walk.converged and walk.message
+        assert all(math.isnan(se) for se in walk.std_errors.values())
+        assert result.converged and result.loglik > walk.loglik
     assert code in (0, 4)
     assert "Traceback" not in err
     assert len(json.loads(out)["rows"]) == 9

@@ -30,6 +30,7 @@ from bcsym.distribution import (
     transform,
     truncation,
 )
+from bcsym import families
 from bcsym.families import DensityFamily
 from bcsym.quadrature import integrate
 from bcsym.rng import RngStream
@@ -401,6 +402,35 @@ def test_sample_matches_cdf(label):
     emp = np.searchsorted(np.sort(draws), grid, side="right") / draws.size
     # DKW band at n = 20000 for a 1e-4 failure probability is ~0.016
     assert np.max(np.abs(emp - np.array([0.1, 0.3, 0.5, 0.7, 0.9]))) < 0.016
+
+
+# Sampling inverts the tail from a cached inverse table, so a draw costs
+# about 2.5 tail evaluations (4.5 to 6 from a cold start).  A work count, not
+# a time: the elements each family's upper tail sees while 500 draws are made.
+WORK_FAMILIES = [
+    DensityFamily.power_exponential(1.5),
+    DensityFamily.student_t(4.0),
+    DensityFamily.logistic_i(),
+    DensityFamily.canonical_slash(),
+    DensityFamily.slash(2.0),
+]
+
+
+@pytest.mark.parametrize("family", WORK_FAMILIES, ids=DensityFamily.label)
+def test_sampling_costs_at_most_three_tail_evaluations_a_draw(family, monkeypatch):
+    params = BcsParams(1.0, 0.5, 0.5, family)
+    sample(params, 5, RngStream(1, 0))  # builds the family's table
+    spec = families._SPECS[family.kind]
+    seen = []
+
+    def counting(fam, s):
+        seen.append(s.size)
+        return spec.upper_tail(fam, s)
+
+    monkeypatch.setitem(families._SPECS, family.kind, spec._replace(upper_tail=counting))
+    for seed in (7303, 7304):
+        sample(params, 500, RngStream(seed, 0))
+    assert sum(seen) / 1000 <= 3.0
 
 
 # ---------------------------------------------------------------------------

@@ -557,6 +557,36 @@ def test_fit_warm_start():
         assert abs(warm.estimates[name] - cold.estimates[name]) < 1e-5
 
 
+def test_fit_that_walks_to_the_boundary_restarts_from_the_log_symmetric_optimum():
+    # one replicate of a t4 recovery study (n = 500): from the default start
+    # the search walks to sigma |lambda| of about 2e9, where the likelihood
+    # flattens toward -475.63, below its value at the truth
+    truth = BcsParams(1.0, 0.5, 0.5, DensityFamily.student_t(4.0))
+    y = sample(truth, 500, RngStream(21_001_635, 0))
+    ctx = LikelihoodContext(y, truth.family)
+    result = fit(ctx)
+    assert result.converged
+    assert result.params.sigma * abs(result.params.lam) < 10.0
+    assert result.loglik >= loglik(ctx, truth)
+
+
+@pytest.mark.parametrize("seed", [1000, 1009, 1015])
+def test_fit_is_never_below_its_log_symmetric_submodel(seed):
+    # lognormal(0, 1), n = 100: before fit restarted boundary walks,
+    # free-lambda fits of these samples walked to the sigma |lambda| boundary
+    # and ended up to 20 below their own lambda = 0 fit, in six of the eight
+    # families
+    y = np.random.default_rng(seed).lognormal(0.0, 1.0, 100)
+    for family in (
+        DensityFamily.normal(), DensityFamily.power_exponential(2.0), DensityFamily.cauchy(),
+        DensityFamily.student_t(4.0), DensityFamily.logistic_i(), DensityFamily.logistic_ii(),
+        DensityFamily.canonical_slash(), DensityFamily.slash(2.0),
+    ):
+        full = fit(LikelihoodContext(y, family))
+        null = fit(LikelihoodContext(y, family, fixed_lambda=0.0))
+        assert full.loglik >= null.loglik - 1e-8, family.label()
+
+
 def test_fit_score_vanishes_at_optimum():
     truth = BcsParams(2.0, 0.5, 1.0, DensityFamily.power_exponential(1.5))
     y = sample(truth, 400, RngStream(20260816, 39))

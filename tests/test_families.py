@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcsym.families import (
+    _TABLE_T,
     LOGISTIC_I_NORMALIZER,
     DensityFamily,
     FamilyKind,
@@ -248,6 +249,22 @@ TAIL_POINTS = {
     ("slash_4.5", 1e3): 6.8248901533018345e-14,
 }
 
+# (name, s) -> survival near s = 0
+CENTRE_TAIL_POINTS = {
+    ("student_t_1.5", 1e-9): 0.49999999965926502,
+    ("student_t_1.5", 1e-6): 0.49999965926501871,
+    ("student_t_1.5", 2.7e-4): 0.49990800155691502,
+    ("student_t_1.5", 0.01): 0.49659274483146001,
+    ("student_t_1.5", 0.3): 0.40023609840179243,
+    ("student_t_1.5", 0.49): 0.34310374148371771,
+    ("student_t_4", 1e-9): 0.49999999962500000,
+    ("student_t_4", 1e-6): 0.49999962500000000,
+    ("student_t_4", 2.7e-4): 0.49989875000153773,
+    ("student_t_4", 0.01): 0.49625007812294927,
+    ("student_t_4", 0.3): 0.38956071413872985,
+    ("student_t_4", 0.49): 0.32489704107570718,
+}
+
 # (name, p) -> quantile, for the families solved by Newton iteration
 QUANTILE_POINTS = {
     ("power_exponential_1.5", 0.001): -3.5384788334602908,
@@ -413,6 +430,13 @@ def test_deep_tail_survival(name, s):
     expected = TAIL_POINTS[(name, s)]
     got = symmetric_survival(FAMS[name], s)
     assert rel_err(got, expected) < 1e-12
+
+
+@pytest.mark.parametrize("name,s", sorted(CENTRE_TAIL_POINTS))
+def test_student_t_survival_near_the_centre(name, s):
+    # the tail near s = 0 must not keep only the bits of a rounded tau / (tau + s^2)
+    expected = CENTRE_TAIL_POINTS[(name, s)]
+    assert rel_err(symmetric_survival(FAMS[name], s), expected) < 5e-15
 
 
 # power-decay families whose s^2 overflows before their tail underflows
@@ -857,6 +881,29 @@ def test_family_is_hashable_and_frozen():
 # array and inside an array longer than the special functions' _SMALL_N.
 
 SIZE_POINTS = [v for x in (0.0, 5e-324, 0.3, 2.7e-4, 40.0, 1e200, np.inf) for v in (x, -x)] + [np.nan]
+
+
+# a quantile's Newton start comes from a per-family table at every size;
+# _TABLE_T[128] is a node of its log-t grid, 0.25 + 3/256 one of its t grid
+SIZE_PROBABILITIES = [
+    2.0**-54, 1e-300, 1e-4, 0.2, 0.25, 0.75, 0.4999, 0.5001, 1.0 - 2.0**-53,
+    float(_TABLE_T[128]), 0.25 + 3.0 / 256.0,
+]
+
+
+@pytest.mark.parametrize("name", FAMS)
+def test_quantiles_give_the_same_bits_at_any_size(name):
+    fam = FAMS[name]
+    filler = np.resize([0.3, 0.9, 0.01], _SMALL_N + 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        long_out = symmetric_quantile(fam, np.concatenate([filler, SIZE_PROBABILITIES]))[filler.size:]
+        for p, in_long in zip(SIZE_PROBABILITIES, long_out):
+            scalar = symmetric_quantile(fam, p)
+            assert isinstance(scalar, float)
+            in_short = symmetric_quantile(fam, np.array([0.3, p, 0.9]))[1]
+            for other in (in_short, in_long):
+                assert np.float64(scalar).view(np.int64) == np.float64(other).view(np.int64), (p, scalar, other)
 
 
 @pytest.mark.parametrize("fn", [symmetric_survival, symmetric_cdf])

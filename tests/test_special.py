@@ -21,6 +21,7 @@ from bcsym.quadrature import integrate
 from bcsym.special import (
     _KUMMER_X,
     _SMALL_N,
+    _SMALL_N_BETA,
     _SMALL_N_FIXED,
     chi2_survival,
     erfc,
@@ -509,7 +510,8 @@ def test_long_array_and_scalars_give_the_same_bits():
         splits = [(2.0 + 1.0) / (2.0 + 0.5 + 2.0)] if is_beta else [EDGE_A + 1.0, _KUMMER_X]
         for split in splits:
             assert np.sum(x < split) > _SMALL_N and np.sum(x > split) > _SMALL_N
-        _assert_paths_give_the_same_bits(name, f, x, _SMALL_N_FIXED if name == "lower_gamma_ratio" else _SMALL_N)
+        limit = {"lower_gamma_ratio": _SMALL_N_FIXED, "reg_inc_beta": _SMALL_N_BETA}.get(name, _SMALL_N)
+        _assert_paths_give_the_same_bits(name, f, x, limit)
 
 
 def test_erfc_and_normal_cdf_long_array_and_scalars_give_the_same_bits():
