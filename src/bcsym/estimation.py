@@ -19,11 +19,16 @@ instead clamps lambda to 0 there.
 The extra parameter (tau or q) has no closed-form derivatives; where it is
 fitted, its score and information entries come from central finite
 differences with step 1e-5 * (1 + extra).
+
+fit stops at the gradient tolerance; where a line search cannot resolve a
+decrease of the log-likelihood (converged if the gradient is below 1e-3); on
+a score that is not finite or undefined; or at the iteration limit.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -357,10 +362,11 @@ class FitResult:
     message: str = ""
 
 
-# gradient tolerance of a converged fit, in the optimizer's coordinates
+# a search stops below _GTOL; where a line search cannot resolve a decrease
+# (converged below _PLATEAU_GTOL); on a non-finite score; or at _MAX_ITER
 _GTOL = 1e-6
-# gradient ceiling for accepting a machine-precision plateau as converged
 _PLATEAU_GTOL = 1e-3
+_MAX_ITER = 500
 
 
 def _initial_sigma(y: np.ndarray, family: DensityFamily) -> float:
@@ -380,7 +386,6 @@ def fit(
     ctx: LikelihoodContext,
     init: BcsParams | None = None,
     mode: str = "analytic",
-    max_iter: int = 500,
 ) -> FitResult:
     """Maximize the likelihood over the free parameters of ``ctx``.
 
@@ -388,8 +393,13 @@ def fit(
     with BFGS and an Armijo backtracking line search.  ``init`` warm-starts
     all coordinates it covers.  mode "analytic" assembles the gradient from
     the closed-form score; "numeric" differentiates the objective and serves
-    as an independent cross-check.  A score that overflows, is not finite or
-    stays on a singular weight one ulp past a kink ends the fit unconverged.
+    as an independent cross-check.  The search converges at a gradient below
+    1e-6.  It also ends where a line search, even from steepest descent,
+    cannot resolve a decrease t |g'd| > eps (1 + |f|), one ulp of the
+    objective: converged if the gradient is below 1e-3 (the likelihood is
+    flat to machine precision), stalled otherwise.  A score that overflows,
+    is not finite or stays on a singular weight one ulp past a kink ends the
+    fit unconverged, and so do 500 iterations.
 
     Without ``init``, a free-lambda search that walks toward the
     sigma |lambda| -> inf boundary is run again from the optimum of the
@@ -397,11 +407,11 @@ def fit(
     that boundary the likelihood flattens toward the limit law's supremum,
     which may lie below the interior maximum.
     """
-    result = _maximize(ctx, init, mode, max_iter)
+    result = _maximize(ctx, init, mode)
     p = result.params
     if init is None and ctx.fixed_lambda is None and p.sigma * abs(p.lam) > _BOUNDARY_SIGMA_LAMBDA:
-        null = _maximize(replace(ctx, fixed_lambda=0.0), None, mode, max_iter)
-        second = _maximize(ctx, null.params, mode, max_iter)
+        null = _maximize(replace(ctx, fixed_lambda=0.0), None, mode)
+        second = _maximize(ctx, null.params, mode)
         if second.loglik > result.loglik:
             return second
     return result
@@ -409,7 +419,7 @@ def fit(
 
 # fit rejects a non-finite objective, stops with a reason on a non-finite gradient, gives NaN SEs
 @np.errstate(all="ignore")
-def _maximize(ctx: LikelihoodContext, init: BcsParams | None, mode: str, max_iter: int) -> FitResult:
+def _maximize(ctx: LikelihoodContext, init: BcsParams | None, mode: str) -> FitResult:
     ya = ctx.data
     if ya.size < 5:
         raise ValueError("need at least 5 observations to fit")
@@ -469,8 +479,7 @@ def _maximize(ctx: LikelihoodContext, init: BcsParams | None, mode: str, max_ite
     converged = False
     message = ""
     iterations = 0
-    history = [f0]
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         g_max = np.max(np.abs(g0))  # NaN if any component is NaN
         if not math.isfinite(g_max):
             message = kink[-1] if kink else "score is not finite at the iterate"
@@ -484,8 +493,10 @@ def _maximize(ctx: LikelihoodContext, init: BcsParams | None, mode: str, max_ite
             identity_h = True
             d = -g0
         slope = d @ g0
+        resolution = sys.float_info.epsilon * (1.0 + abs(f0))  # one ulp of f
         t = 1.0
-        while t > 1e-14:
+        # after the unit step, stop at the step floor or an unresolvable t |g'd|
+        while t == 1.0 or (t > 1e-14 and t * abs(slope) > resolution):
             f1 = objective(x + t * d)
             if math.isfinite(f1) and f1 <= f0 + 1e-4 * t * slope:
                 break
@@ -496,7 +507,7 @@ def _maximize(ctx: LikelihoodContext, init: BcsParams | None, mode: str, max_ite
                 h_inv = np.eye(dim)
                 identity_h = True
                 continue
-            if np.max(np.abs(g0)) < _PLATEAU_GTOL:
+            if g_max < _PLATEAU_GTOL:
                 converged = True
                 message = "stopped where the likelihood is flat to machine precision"
             else:
@@ -513,20 +524,6 @@ def _maximize(ctx: LikelihoodContext, init: BcsParams | None, mode: str, max_ite
             h_inv = outer @ h_inv @ outer.T + rho * np.outer(s_step, s_step)
             identity_h = False
         x, f0, g0 = x1, f1, g1
-        history.append(f0)
-        # a gradient that is not finite is reported at the top of the loop
-        if len(history) == 26 and math.isfinite(np.max(np.abs(g0))):
-            del history[0]
-            # an unresolvable objective over a whole window marks a plateau
-            # (likelihoods whose supremum sits at infinite mu and sigma reach
-            # it along a valley the gradient test alone may never terminate)
-            if history[0] - f0 <= 1e-11 * (1.0 + abs(f0)):
-                if np.max(np.abs(g0)) < _PLATEAU_GTOL:
-                    converged = True
-                    message = "stopped where the likelihood is flat to machine precision"
-                else:
-                    message = "no objective progress before the gradient tolerance"
-                break
     else:
         message = "iteration limit reached"
 

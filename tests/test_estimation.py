@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bcsym import estimation
 from bcsym.distribution import BcsParams, log_pdf, sample, transform
 from bcsym.estimation import (
     PARAM_NAMES,
@@ -497,7 +498,13 @@ def test_fit_on_a_singular_weight_ends_unconverged_with_a_reason(family):
 
 def test_fit_kink_retry_on_continuous_data_ends_unconverged_with_a_reason():
     y = np.random.default_rng(12345).lognormal(0.0, 1.0, 50)
-    _assert_stopped_on_singular_weight(fit(LikelihoodContext(y, DensityFamily.double_exponential())))
+    # mu bitwise on an observation whose log does not move when mu moves one
+    # ulp, so the one-ulp retry lands on the same kink (9 of the 50 qualify)
+    mu = y[np.argmin(np.abs(y - 3.5386))]
+    assert math.log(np.nextafter(mu, np.inf)) == math.log(mu)
+    family = DensityFamily.double_exponential()
+    r = fit(LikelihoodContext(y, family), init=BcsParams(float(mu), 1.0, 1.0, family))
+    _assert_stopped_on_singular_weight(r)
 
 
 def _assert_stopped_on_singular_weight(r):
@@ -585,6 +592,41 @@ def test_fit_is_never_below_its_log_symmetric_submodel(seed):
         full = fit(LikelihoodContext(y, family))
         null = fit(LikelihoodContext(y, family, fixed_lambda=0.0))
         assert full.loglik >= null.loglik - 1e-8, family.label()
+
+
+def _compare_corpus_sample(j):
+    # sample j of the benchmark's compare corpus: BCS-t4, n = 1000, truth
+    # (1, 0.3, 0.5), by rejection on the truncated support
+    rng, edge, z = np.random.default_rng(j), -1.0 / (0.3 * 0.5), np.empty(0)
+    while z.size < 1000:
+        draw = rng.standard_t(4.0, size=1000)
+        z = np.concatenate([z, draw[draw > edge]])
+    return (1.0 + 0.3 * 0.5 * z[:1000]) ** (1.0 / 0.5)
+
+
+@pytest.mark.parametrize(
+    "j, family, expected",
+    [
+        (14, DensityFamily.normal(), -506.35840307853226),
+        (14, DensityFamily.cauchy(), -468.30653585003984),
+        (6, DensityFamily.logistic_ii(), -478.0054393567763),
+    ],
+)
+def test_fit_stops_at_the_resolution_of_the_likelihood(j, family, expected, monkeypatch):
+    # these fits end within the rounding noise of the log-likelihood; a line
+    # search that halved t down to its floor there, then retried, once cost
+    # about 700 objective evaluations each
+    calls = []
+
+    def counting(ctx, params):
+        calls.append(1)
+        return loglik(ctx, params)
+
+    monkeypatch.setattr(estimation, "loglik", counting)
+    r = fit(LikelihoodContext(_compare_corpus_sample(j), family))
+    assert r.converged
+    assert len(calls) <= 100
+    assert abs(r.loglik - expected) < 1e-10
 
 
 def test_fit_score_vanishes_at_optimum():

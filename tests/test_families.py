@@ -439,6 +439,14 @@ def test_student_t_survival_near_the_centre(name, s):
     assert rel_err(symmetric_survival(FAMS[name], s), expected) < 5e-15
 
 
+@pytest.mark.parametrize("tau", [1e12, 1e15, 1e20])
+def test_student_t_survival_at_huge_tau_reaches_the_normal_limit(tau):
+    # log B(tau/2, 1/2) must not cancel: the direct lgamma difference read
+    # P(S > 1) = 0.2596 at tau = 1e15; the gap to Phi(-1) is O(1/tau)
+    got = symmetric_survival(DensityFamily.student_t(tau), 1.0)
+    assert abs(got - 0.15865525393145705) < 1e-12
+
+
 # power-decay families whose s^2 overflows before their tail underflows
 HEAVY = ("student_t_1.5", "student_t_4", "canonical_slash", "slash_1", "slash_2", "slash_4.5")
 

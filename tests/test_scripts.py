@@ -60,6 +60,23 @@ def test_output_digest_prints_the_same_digests_twice():
     assert runs[1] == runs[0]
 
 
+def test_fit_moves_finds_no_move_between_a_checkout_and_itself():
+    ops = {"compare_n1000": 1, "type1_t4_n50": 3, "recovery_t4_n500": 2}
+    root = str(SCRIPTS.parent)
+    cmd = [sys.executable, str(SCRIPTS / "fit_moves.py"), "--parent", root, "--change", root,
+           "--seed", "7302"]
+    for name, n in ops.items():
+        cmd += ["--ops", f"{name}={n}"]
+    out = subprocess.run(cmd, capture_output=True, text=True, check=True, timeout=300).stdout
+    heads = [line for line in out.splitlines() if not line.startswith(" ")]
+    fits = {"compare_n1000": 9, "type1_t4_n50": 6, "recovery_t4_n500": 2}
+    assert heads == [f"{name}: {n} fits, {n} bit-identical, 0 convergence flips"
+                     for name, n in fits.items()]
+    assert " op " not in out
+    assert all(" max |dl| 0 (largest rise 0)" in line for line in out.splitlines()[1:]
+               if line.startswith("  "))
+
+
 @pytest.mark.parametrize("verify", [[], ["--verify"]])
 def test_tail_gallery_runs(verify, capsys):
     assert _main("tail_gallery.py")(verify) == 0

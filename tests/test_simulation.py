@@ -137,7 +137,7 @@ def test_type1_rate_is_near_nominal_under_null():
 
 
 def test_type1_counts_failed_fits_without_aborting(monkeypatch):
-    def flaky(y, family, mode="analytic", fit_extra=False, max_iter=500):
+    def flaky(y, family, mode="analytic", fit_extra=False):
         i = int(round(float(np.sum(y)) * 1e6)) % 2  # arbitrary but deterministic
         if i == 0:
             raise FitFailedError("full", SimpleNamespace(message="stub"))

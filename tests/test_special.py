@@ -11,6 +11,7 @@ import math
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -269,6 +270,17 @@ def test_log_beta_points():
         assert rel_err(log_beta(a, b), expected) < 1e-13
     # B(1, b) = 1/b exactly
     assert rel_err(log_beta(1.0, 4.0), -math.log(4.0)) < 1e-15
+
+
+@pytest.mark.parametrize("a", [5e4, 5e7, 5e11, 5e14])
+@pytest.mark.parametrize("b", [0.5, 2.0])
+def test_log_beta_at_large_arguments(a, b):
+    # the direct lgamma(a) - lgamma(a + b) erred by 2.3e-11 at a = 5e4 and
+    # 0.35 at a = 5e14
+    with mpmath.workdps(40):
+        expected = float(mpmath.log(mpmath.beta(a, b)))
+    assert abs(log_beta(a, b) - expected) <= 2.0 * math.ulp(expected)
+    assert log_beta(b, a) == log_beta(a, b)
 
 
 def test_reg_lower_gamma_points():
