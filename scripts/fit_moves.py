@@ -9,7 +9,9 @@ the largest |dl| (l the log-likelihood), relative mu or sigma move and
 |dlambda|, for interior fits (sigma |lambda| < 1e3 on both sides) and
 boundary walks, converged and not, apart; and every fit whose l moved by
 more than 1e-10, that flipped convergence, or that is a boundary walk and
-moved at all.
+moved at all.  For a workload whose ops run LR tests (the type-I study) it
+also prints how many accept/reject decisions changed, with the rejections on
+each side, and lists each changed op with both LR statistics.
 
     python3 scripts/fit_moves.py --parent ../parent --change . --seed 7302
     python3 scripts/fit_moves.py --parent ../parent --change . --seed 7302 --ops compare_n1000=4
@@ -26,6 +28,8 @@ from output_digest import op_counts, ops_flag, workload_outputs
 DEFAULT_OPS = {"compare_n1000": 32, "type1_t4_n50": 300, "recovery_t4_n500": 200}
 # every workload's op output holds the fits it captured at this position
 FITS_AT = 2
+# and a study op's output also holds its LR test results at this position
+TESTS_AT = 3
 BOUNDARY = 1e3
 LISTED_DL = 1e-10
 
@@ -45,6 +49,12 @@ def collect(root: str, seed: int, counts: dict) -> None:
                         lam=p.lam, converged=fit.converged, message=fit.message,
                     )
                 print(json.dumps(rec), flush=True)
+            if len(output) > TESTS_AT:
+                decisions = [d for ds in output[0].decisions.values() for d in ds]
+                for i, (test, decision) in enumerate(zip(output[TESTS_AT], decisions)):
+                    lr = getattr(test, "statistic", None)  # None where a fit failed
+                    rec = {"workload": name, "op": k, "test": i, "lr": lr, "reject": decision}
+                    print(json.dumps(rec), flush=True)
 
 
 def run(root: str, seed: int, counts: dict) -> list:
@@ -60,6 +70,24 @@ def moves(a: dict, b: dict) -> tuple:
     rel = max(0.0 if a[k] == b[k] else abs(b[k] - a[k]) / a[k] if a[k] else math.inf
               for k in ("mu", "sigma"))
     return abs(b["loglik"] - a["loglik"]), rel, abs(b["lam"] - a["lam"])
+
+
+def decision_report(parent: list, change: list) -> list:
+    """The lines on a workload's paired LR decisions; none if it ran no tests."""
+    if not parent:
+        return []
+    rejects = [sum(r["reject"] is True for r in side) for side in (parent, change)]
+    changed = [(a, b) for a, b in zip(parent, change) if a["reject"] != b["reject"]]
+    lines = [
+        f"  LR decisions: {len(changed)} of {len(parent)} changed accept/reject"
+        f" ({rejects[0]} -> {rejects[1]} rejections)"
+    ]
+    for a, b in changed:
+        lines.append(
+            f"  op {a['op']} test {a['test']}: LR {a['lr']!r} -> {b['lr']!r},"
+            f" reject {a['reject']} -> {b['reject']}"
+        )
+    return lines
 
 
 def report(name: str, parent: list, change: list) -> list:
@@ -110,8 +138,9 @@ def main(argv=None) -> int:
         ap.error("give --parent and --change")
     parent, change = run(args.parent, args.seed, counts), run(args.change, args.seed, counts)
     for name in counts:
-        side = [[r for r in fits if r["workload"] == name] for fits in (parent, change)]
-        print("\n".join(report(name, *side)), flush=True)
+        side = [[r for r in recs if r["workload"] == name and "test" not in r] for recs in (parent, change)]
+        tests = [[r for r in recs if r["workload"] == name and "test" in r] for recs in (parent, change)]
+        print("\n".join(report(name, *side) + decision_report(*tests)), flush=True)
     return 0
 
 

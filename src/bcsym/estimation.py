@@ -20,9 +20,12 @@ The extra parameter (tau or q) has no closed-form derivatives; where it is
 fitted, its score and information entries come from central finite
 differences with step 1e-5 * (1 + extra).
 
-fit stops at the gradient tolerance; where a line search cannot resolve a
-decrease of the log-likelihood (converged if the gradient is below 1e-3); on
-a score that is not finite or undefined; or at the iteration limit.
+fit runs BFGS.  In analytic mode it starts from the inverse observed
+information at the start point where that is positive definite, and from the
+identity otherwise; in numeric mode from the identity.  It stops at the gradient tolerance; where a line
+search cannot resolve a decrease of the log-likelihood (converged if the
+gradient is below 1e-3); on a score that is not finite or undefined; or at
+the iteration limit.
 """
 
 from __future__ import annotations
@@ -392,14 +395,20 @@ def fit(
     The search runs in (log mu, log sigma, lambda, log extra) coordinates
     with BFGS and an Armijo backtracking line search.  ``init`` warm-starts
     all coordinates it covers.  mode "analytic" assembles the gradient from
-    the closed-form score; "numeric" differentiates the objective and serves
-    as an independent cross-check.  The search converges at a gradient below
-    1e-6.  It also ends where a line search, even from steepest descent,
-    cannot resolve a decrease t |g'd| > eps (1 + |f|), one ulp of the
-    objective: converged if the gradient is below 1e-3 (the likelihood is
-    flat to machine precision), stalled otherwise.  A score that overflows,
-    is not finite or stays on a singular weight one ulp past a kink ends the
-    fit unconverged, and so do 500 iterations.
+    the closed-form score and starts BFGS from the inverse of the observed
+    information at the start point, mapped to the search coordinates, each
+    eigenvalue e raised to at least 1e-8 max e (the identity where that
+    information is not finite or not positive definite); "numeric"
+    differentiates the objective, starts from the identity and serves as an
+    independent cross-check.  A first line search from the observed
+    information that fails still retries from steepest descent.  The search
+    converges at a gradient below 1e-6.  It also ends where a line search,
+    even from steepest descent, cannot resolve a decrease t |g'd| >
+    eps (1 + |f|), one ulp of the objective: converged if the gradient is
+    below 1e-3 (the likelihood is flat to machine precision), stalled
+    otherwise.  A score that overflows, is not finite or stays on a singular
+    weight one ulp past a kink ends the fit unconverged, and so do 500
+    iterations.
 
     Without ``init``, a free-lambda search that walks toward the
     sigma |lambda| -> inf boundary is run again from the optimum of the
@@ -472,10 +481,12 @@ def _maximize(ctx: LikelihoodContext, init: BcsParams | None, mode: str) -> FitR
     x = np.array([math.log(v) if lg else v for v, lg in zip(ctx.free_values(init), logged)])
 
     dim = x.size
-    h_inv = np.eye(dim)
-    identity_h = True
     f0 = objective(x)
     g0 = gradient(x)
+    h_inv = _start_inverse(ctx, build(x), logged, g0) if mode == "analytic" else None
+    identity_h = h_inv is None
+    if identity_h:
+        h_inv = np.eye(dim)
     converged = False
     message = ""
     iterations = 0
@@ -546,6 +557,31 @@ def _maximize(ctx: LikelihoodContext, init: BcsParams | None, mode: str) -> FitR
         mode=mode,
         message=message,
     )
+
+
+def _start_inverse(ctx: LikelihoodContext, params: BcsParams, logged, g0) -> np.ndarray | None:
+    """BFGS's first inverse Hessian: the inverse observed information.
+
+    The Hessian of -loglik is mapped to the optimizer's coordinates, where a
+    logged coordinate x = log theta adds its gradient g0 on the diagonal, and
+    each eigenvalue e is raised to at least 1e-8 max e.  None, for the
+    identity, where the Hessian raises, is not finite or is not positive
+    definite: a step along a direction of negative curvature, scaled as if
+    it were positive, walks far from the start.
+    """
+    scale = np.array([v if lg else 1.0 for v, lg in zip(ctx.free_values(params), logged)])
+    try:
+        h = hessian(ctx, params)[np.ix_(ctx.free_index, ctx.free_index)]
+    except (ValueError, OverflowError, ZeroDivisionError):
+        return None
+    curv = -h * np.outer(scale, scale) + np.diag(np.where(logged, g0, 0.0))
+    if not np.all(np.isfinite(curv)):
+        return None
+    eig, vec = np.linalg.eigh((curv + curv.T) / 2.0)
+    if not eig[0] > 0.0:
+        return None
+    h_inv = (vec / np.maximum(eig, 1e-8 * eig[-1])) @ vec.T
+    return h_inv if np.all(np.isfinite(h_inv)) else None
 
 
 def _standard_errors(ctx: LikelihoodContext, params: BcsParams, mode: str):

@@ -14,7 +14,7 @@ import pytest
 import bcsym
 from bcsym.cli import dumps_document, load_dataset, main
 from bcsym.distribution import BcsParams, cdf, sample, transform, truncation
-from bcsym.estimation import LikelihoodContext, _initial_sigma, fit
+from bcsym.estimation import LikelihoodContext, _initial_sigma, _standard_errors, fit
 from bcsym.families import DensityFamily, FamilyKind
 from bcsym.rng import RngStream
 
@@ -321,6 +321,19 @@ def test_outlier_sample_fits_and_compare_end_without_raising(tmp_path, capsys):
     assert code in (0, 4)
     assert "Traceback" not in err
     assert len(json.loads(out)["rows"]) == 9
+
+
+def test_standard_errors_where_mu_squared_underflows_are_nan_with_a_reason():
+    # where the normal fit of the outlier sample walks from the default start,
+    # whatever path the optimizer takes there: mu^2 underflows in the
+    # observed information
+    family = DensityFamily.normal()
+    ctx = LikelihoodContext(_outlier_sample(), family)
+    walk_end = BcsParams(1.7703784766641455e-242, 2.0765827085553484e305, 1.2359208406004654, family)
+    with np.errstate(all="ignore"):  # as in fit
+        errors, message = _standard_errors(ctx, walk_end, "analytic")
+    assert message
+    assert all(math.isnan(se) for se in errors.values())
 
 
 def test_compare_reports_overflowing_free_q_slash_as_unconverged(tmp_path, capsys):

@@ -604,6 +604,17 @@ def _compare_corpus_sample(j):
     return (1.0 + 0.3 * 0.5 * z[:1000]) ** (1.0 / 0.5)
 
 
+def _counting_loglik(monkeypatch):
+    calls = []
+
+    def counting(ctx, params):
+        calls.append(1)
+        return loglik(ctx, params)
+
+    monkeypatch.setattr(estimation, "loglik", counting)
+    return calls
+
+
 @pytest.mark.parametrize(
     "j, family, expected",
     [
@@ -616,17 +627,107 @@ def test_fit_stops_at_the_resolution_of_the_likelihood(j, family, expected, monk
     # these fits end within the rounding noise of the log-likelihood; a line
     # search that halved t down to its floor there, then retried, once cost
     # about 700 objective evaluations each
-    calls = []
-
-    def counting(ctx, params):
-        calls.append(1)
-        return loglik(ctx, params)
-
-    monkeypatch.setattr(estimation, "loglik", counting)
+    calls = _counting_loglik(monkeypatch)
     r = fit(LikelihoodContext(_compare_corpus_sample(j), family))
     assert r.converged
     assert len(calls) <= 100
     assert abs(r.loglik - expected) < 1e-10
+
+
+# the eight smooth families of the benchmark's compare, extras held, on
+# compare-corpus samples 0-7: the log-likelihood each default fit reached
+# before BFGS started from the inverse observed information, when these fits
+# took a median of 36-44 objective evaluations per family
+_CORPUS_LOGLIK = {
+    "normal": (
+        -482.7669732748129, -504.2622533032955, -465.3067521820527, -489.6796822442301,
+        -494.8102702414565, -545.107246070687, -560.0393148360125, -446.3995014232943,
+    ),
+    "pe:1.5": (
+        -440.84565426744723, -462.8846471601705, -434.4748596114503, -464.7458650940434,
+        -447.67650682290684, -493.81499569330435, -494.77652321180574, -420.1786267475498,
+    ),
+    "cauchy": (
+        -437.2021183802573, -478.4422258152715, -453.41393155170556, -496.9330254791739,
+        -444.4515201307205, -491.1378096484867, -482.78784345386987, -436.86160529602563,
+    ),
+    "t:4": (
+        -421.4625340849761, -443.20863898396124, -426.99316489344994, -455.8084657817497,
+        -428.2858991368541, -471.1226234621621, -460.5127079383677, -414.8820542373042,
+    ),
+    "logistic_i": (
+        -575.7919033425524, -596.4931169398267, -542.5142166631294, -559.6385380020345,
+        -588.8618943189416, -647.4939265937289, -671.0144767786302, -517.0954591546995,
+    ),
+    "logistic_ii": (
+        -430.79824659828273, -453.106706659379, -431.9767201766724, -459.3387254952223,
+        -438.20685106006476, -486.8429295943067, -478.0054393567764, -416.9884697040488,
+    ),
+    "cslash": (
+        -436.43817461127696, -473.4089581526342, -443.58811546850643, -485.7979108825021,
+        -443.2680640715977, -484.03978855988635, -479.2014116390746, -431.4882933695437,
+    ),
+    "slash:2": (
+        -425.38270690121453, -446.9294544258171, -429.64214869986927, -457.5827846450301,
+        -433.4405564935802, -470.34297139230694, -463.24484102879194, -418.04629663891797,
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def corpus_fits():
+    """Each family's (loglik, converged, objective evaluations) on samples 0-7."""
+    samples = [_compare_corpus_sample(j) for j in range(8)]
+    out = {}
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _counting_loglik(mp)
+        for spec in _CORPUS_LOGLIK:
+            name, _, extra = spec.partition(":")
+            family = DensityFamily.from_name(name, float(extra) if extra else None)
+            out[spec] = []
+            for y in samples:
+                calls.clear()
+                r = fit(LikelihoodContext(y, family))
+                out[spec].append((r.loglik, r.converged, len(calls)))
+    return out
+
+
+def test_fits_from_the_observed_information_reach_the_same_maxima(corpus_fits):
+    for spec, expected in _CORPUS_LOGLIK.items():
+        for (ll, converged, _), frozen in zip(corpus_fits[spec], expected):
+            assert converged
+            assert abs(ll - frozen) < 1e-10, (spec, ll, frozen)
+
+
+_SLASH_SHORTFALL = pytest.mark.xfail(strict=True, reason=(
+    "median 17: 4 of the 8 fits end where a line search cannot resolve a decrease,"
+    " which costs 4-10 evaluations beyond one per iteration"
+))
+
+
+@pytest.mark.parametrize(
+    "spec", [pytest.param(s, marks=_SLASH_SHORTFALL) if s == "cslash" else s for s in _CORPUS_LOGLIK]
+)
+def test_fit_from_the_observed_information_takes_a_third_of_the_evaluations(corpus_fits, spec):
+    # a median of 8-13.5 per family, down from 36-44; a single fit may still
+    # cost more than from the identity (Cauchy on sample 26: 58 against 40)
+    evals = [n for _, _, n in corpus_fits[spec]]
+    assert np.median(evals) <= 16, evals
+
+
+@pytest.mark.parametrize(
+    "j, family, expected, iterations",
+    [
+        (0, DensityFamily.normal(), -482.7669732748128, 13),
+        (1, DensityFamily.student_t(4.0), -443.2086389839611, 12),
+    ],
+)
+def test_numeric_mode_starts_from_the_identity(j, family, expected, iterations):
+    # numeric mode stays the independent cross-check: its fits keep their bits
+    r = fit(LikelihoodContext(_compare_corpus_sample(j), family), mode="numeric")
+    assert r.converged
+    assert r.loglik == expected
+    assert r.iterations == iterations
 
 
 def test_fit_score_vanishes_at_optimum():

@@ -73,8 +73,11 @@ def test_fit_moves_finds_no_move_between_a_checkout_and_itself():
     assert heads == [f"{name}: {n} fits, {n} bit-identical, 0 convergence flips"
                      for name, n in fits.items()]
     assert " op " not in out
+    decisions = [line for line in out.splitlines() if line.startswith("  LR decisions: ")]
+    assert len(decisions) == 1
+    assert re.fullmatch(r"  LR decisions: 0 of 3 changed accept/reject \((\d) -> \1 rejections\)", decisions[0])
     assert all(" max |dl| 0 (largest rise 0)" in line for line in out.splitlines()[1:]
-               if line.startswith("  "))
+               if line.startswith("  ") and line not in decisions)
 
 
 @pytest.mark.parametrize("verify", [[], ["--verify"]])
