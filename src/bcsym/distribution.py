@@ -55,6 +55,9 @@ __all__ = [
 # log-symmetric case in the score equations; fitting clamps to zero here.
 LAMBDA_SEAM = 1e-8
 
+# the real scalar types a parameter may take; bool is an int and is refused
+_REAL = (int, float, np.integer, np.floating)
+
 
 @dataclass(frozen=True)
 class BcsParams:
@@ -70,7 +73,7 @@ class BcsParams:
             raise TypeError("family must be a DensityFamily")
         for name in ("mu", "sigma", "lam"):
             val = getattr(self, name)
-            if not isinstance(val, (int, float)) or isinstance(val, bool):
+            if not isinstance(val, _REAL) or isinstance(val, bool):
                 raise TypeError(f"{name} must be a real number")
             object.__setattr__(self, name, float(val))
         if not (math.isfinite(self.mu) and self.mu > 0.0):
@@ -157,25 +160,26 @@ def log_pdf(params: BcsParams, y):
     ya = _as_positive_array(y)
     lf = np.log(ya) - math.log(params.mu)
     z = _z(params, lf)
-    info = truncation(params)
-    with np.errstate(over="ignore"):
+    # y = inf with lam > 1, or a z that overflowed as y -> 0 with lam < 0,
+    # gives inf - inf below; the density -> 0 there
+    with np.errstate(over="ignore", invalid="ignore"):
         u = z * z
-    ev = eval_generator(params.family, u)
-    out = (
-        (params.lam - 1.0) * lf
-        - math.log(params.mu)
-        - math.log(params.sigma)
-        + ev.log_r
-        - info.log_normalizer
-    )
-    # lf = -inf (y -> 0) with lam > 1 gives inf - inf above; density -> 0
+        out = (
+            (params.lam - 1.0) * lf
+            - math.log(params.mu)
+            - math.log(params.sigma)
+            + eval_generator(params.family, u).log_r
+            - truncation(params).log_normalizer
+        )
     out = np.where(np.isnan(out) & ~np.isnan(ya), -np.inf, out)
     return float(out) if scalar else out
 
 
 def pdf(params: BcsParams, y):
     scalar = np.ndim(y) == 0
-    out = np.exp(log_pdf(params, y))
+    # the true density overflows at y -> 0 for some heavy-tailed laws
+    with np.errstate(over="ignore"):
+        out = np.exp(log_pdf(params, y))
     return float(out) if scalar else out
 
 
@@ -243,12 +247,16 @@ def sample(params: BcsParams, n: int, stream: RngStream, start: int = 0):
 
 
 def moment(params: BcsParams, k: float) -> MomentResult:
-    """Raw moment E[Y^k], by quadrature on the symmetric scale.
+    """Raw moment E[Y^k], by quadrature over l = log(y / mu).
 
-    The moment exists precisely when k times the right tail index of the
-    distribution is below one; otherwise the result is (+inf, False).
+    l has density e^(lambda l) r(z(l)^2) / (sigma R(v)), so E[Y^k] is
+    mu^k / (sigma R(v)) times the integral of exp((k + lambda) l + log r(z^2))
+    over the real line.  The support edge of z lies at l = +-inf, so the
+    integrand is smooth for every lambda.  The moment exists precisely when
+    k times the right tail index is below one, which is where the integrand
+    decays at +inf; otherwise the result is (+inf, False).
     """
-    if not (isinstance(k, (int, float)) and not isinstance(k, bool)):
+    if not isinstance(k, _REAL) or isinstance(k, bool):
         raise TypeError("k must be a real number")
     k = float(k)
     if not (math.isfinite(k) and k > 0.0):
@@ -260,35 +268,18 @@ def moment(params: BcsParams, k: float) -> MomentResult:
     if not (xi == 0.0 or k * xi < 1.0):
         return MomentResult(math.inf, False)
 
-    fam = params.family
-    info = truncation(params)
-    sig_lam = params.sigma * params.lam
-
-    if params.lam == 0.0:
-        ks = k * params.sigma
-
-        def integrand(z):
-            ev = eval_generator(fam, z * z)
-            return np.exp(ks * z + ev.log_r)
-
-        lo, hi = -np.inf, np.inf
-    else:
-        kl = k / params.lam
-
-        def integrand(z):
-            ev = eval_generator(fam, z * z)
-            return np.exp(kl * np.log1p(sig_lam * z) + ev.log_r)
-
-        if params.lam > 0.0:
-            lo, hi = -info.edge, np.inf
-        else:
-            lo, hi = -np.inf, info.edge
+    def integrand(lf):
+        # integrate's maps of the two half-lines ignore floating-point
+        # events: far out z overflows to inf, where log r is -inf
+        u = _z(params, lf) ** 2
+        return np.exp((k + params.lam) * lf + eval_generator(params.family, u).log_r)
 
     spec = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-10, max_subdivisions=8000)
     # generators with |z|-type kinks (Laplace, power exponential below 2,
-    # the logistic pair) are non-smooth at z = 0; declare it
-    res = integrate(integrand, lo, hi, spec, breakpoints=(0.0,))
-    return MomentResult(params.mu**k * res.value / info.normalizer, True)
+    # the logistic pair) are non-smooth at z = 0, that is at l = 0
+    res = integrate(integrand, -np.inf, np.inf, spec, breakpoints=(0.0,))
+    value = res.value / (params.sigma * truncation(params).normalizer)
+    return MomentResult(params.mu**k * value, True)
 
 
 def centile_cv(params: BcsParams) -> float:

@@ -426,17 +426,10 @@ def fit(
     return result
 
 
-# fit rejects a non-finite objective, stops with a reason on a non-finite gradient, gives NaN SEs
-@np.errstate(all="ignore")
-def _maximize(ctx: LikelihoodContext, init: BcsParams | None, mode: str) -> FitResult:
-    ya = ctx.data
-    if ya.size < 5:
-        raise ValueError("need at least 5 observations to fit")
-    if ya.max() == ya.min():
-        raise ValueError("observations have zero spread")
-    if mode not in ("analytic", "numeric"):
-        raise ValueError("mode must be 'analytic' or 'numeric'")
-    free_names = ctx.free_names
+def _search_space(ctx: LikelihoodContext):
+    """The fitter's coordinates x = (log mu, log sigma, lambda, log extra) over
+    the free set: which are logged, the map x -> params, and the objective
+    -loglik(x), inf where x is not admissible."""
     # lambda is the only free coordinate the optimizer does not log
     logged = [i != 2 for i in ctx.free_index]
 
@@ -451,6 +444,21 @@ def _maximize(ctx: LikelihoodContext, init: BcsParams | None, mode: str) -> FitR
             return math.inf
         return -val if math.isfinite(val) else math.inf
 
+    return logged, build, objective
+
+
+# fit rejects a non-finite objective, stops with a reason on a non-finite gradient, gives NaN SEs
+@np.errstate(all="ignore")
+def _maximize(ctx: LikelihoodContext, init: BcsParams | None, mode: str) -> FitResult:
+    ya = ctx.data
+    if ya.size < 5:
+        raise ValueError("need at least 5 observations to fit")
+    if ya.max() == ya.min():
+        raise ValueError("observations have zero spread")
+    if mode not in ("analytic", "numeric"):
+        raise ValueError("mode must be 'analytic' or 'numeric'")
+    free_names = ctx.free_names
+    logged, build, objective = _search_space(ctx)
     kink = []  # the error of a score that stayed on a weight singularity
 
     def gradient(x) -> np.ndarray:
@@ -585,29 +593,34 @@ def _start_inverse(ctx: LikelihoodContext, params: BcsParams, logged, g0) -> np.
 
 
 def _standard_errors(ctx: LikelihoodContext, params: BcsParams, mode: str):
-    """Square roots of the inverse observed information over the free set."""
+    """Square roots of the inverse observed information over the free set.
+
+    Numeric mode differentiates the search objective twice in the fitter's
+    coordinates, where the steps are relative in mu, sigma and extra, and
+    maps the covariance C back by the delta method: theta sqrt(C_ii) on a
+    logged coordinate (the gradient term vanishes at a stationary point).
+    """
     free = ctx.free_names
     nan_errors = {name: math.nan for name in free}
+    scale = 1.0
     try:
         if mode == "analytic":
-            h_obs = hessian(ctx, params)[np.ix_(ctx.free_index, ctx.free_index)]
+            curv = -hessian(ctx, params)[np.ix_(ctx.free_index, ctx.free_index)]
         else:
-
-            def ll(theta):
-                return loglik(ctx, ctx.params_at(theta))
-
-            theta_hat = np.array(ctx.free_values(params))
-            h_obs = finite_diff_jacobian(
-                lambda t: finite_diff_gradient(ll, t, step=1e-5), theta_hat, step=1e-5
+            logged, _, objective = _search_space(ctx)
+            terms = list(zip(ctx.free_values(params), logged))
+            x_hat = np.array([math.log(v) if lg else v for v, lg in terms])
+            curv = finite_diff_jacobian(
+                lambda x: finite_diff_gradient(objective, x, step=1e-5), x_hat, step=1e-5
             )
-        h_obs = (h_obs + h_obs.T) / 2.0
-        cov = np.linalg.inv(-h_obs)
+            scale = np.array([v if lg else 1.0 for v, lg in terms])
+        cov = np.linalg.inv((curv + curv.T) / 2.0)
     except (np.linalg.LinAlgError, ValueError, OverflowError, ZeroDivisionError):
         return nan_errors, "observed information is singular"
     diag = np.diag(cov)
     if not np.all(np.isfinite(diag)) or np.any(diag <= 0.0):
         return nan_errors, "observed information is not positive definite"
-    return dict(zip(free, np.sqrt(diag))), ""
+    return dict(zip(free, scale * np.sqrt(diag))), ""
 
 
 # ---------------------------------------------------------------------------

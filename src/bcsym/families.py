@@ -342,8 +342,9 @@ def _gen_logistic_ii(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarray, 
 
 def _gen_canonical_slash(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x = 0.5 * u
+    # below the smallest normal u, x = u / 2 rounds and r is r(0) to the ulp
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        r = np.where(u == 0.0, 1.0 / (2.0 * _SQRT_2PI), -np.expm1(-x) / (_SQRT_2PI * u))
+        r = np.where(u < _TINY, 1.0 / (2.0 * _SQRT_2PI), -np.expm1(-x) / (_SQRT_2PI * u))
         log_r = np.log(r)
     # sqrt(2 pi) u overflows beyond u of about 7e307, where log r is finite
     under = (r == 0.0) & np.isfinite(u)
@@ -497,11 +498,13 @@ _S_MAX = float(np.finfo(float).max)
 
 
 def _tail_quantile_cauchy(family: DensityFamily, t: np.ndarray) -> np.ndarray:
-    return np.where(
-        t < 0.25,
-        1.0 / np.tan(math.pi * np.minimum(t, 0.25)),
-        np.tan(math.pi * (0.5 - np.maximum(t, 0.25))),
-    )
+    # the quantile overflows to inf below t of about 2e-309
+    with np.errstate(over="ignore"):
+        return np.where(
+            t < 0.25,
+            1.0 / np.tan(math.pi * np.minimum(t, 0.25)),
+            np.tan(math.pi * (0.5 - np.maximum(t, 0.25))),
+        )
 
 
 def _cold_start(family: DensityFamily, t: np.ndarray) -> np.ndarray:
@@ -683,14 +686,12 @@ _CSLASH_DW_COEF = np.array([
 def _w_power_exponential(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> np.ndarray:
     tau = family.extra
     ptau, _ = _pe_scale(tau)
-    with np.errstate(divide="ignore"):
-        return tau * u ** (0.5 * tau - 1.0) / (2.0 * ptau)
+    return tau * u ** (0.5 * tau - 1.0) / (2.0 * ptau)
 
 
 def _w_logistic_ii(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> np.ndarray:
     g = np.abs(z)
-    with np.errstate(invalid="ignore"):
-        return np.where(g == 0.0, 0.5, np.tanh(0.5 * g) / g)
+    return np.where(g == 0.0, 0.5, np.tanh(0.5 * g) / g)
 
 
 def _w_canonical_slash(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -701,8 +702,7 @@ def _w_canonical_slash(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> n
         out[small] = np.polynomial.polynomial.polyval(x[small], _CSLASH_W_COEF)
     big = ~small
     if big.any():
-        with np.errstate(over="ignore"):
-            out[big] = 2.0 / u[big] - 1.0 / np.expm1(x[big])
+        out[big] = 2.0 / u[big] - 1.0 / np.expm1(x[big])
     return out
 
 
@@ -728,8 +728,7 @@ def _w_slash(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> np.ndarray:
     den, num = _slash_ratios(a, x, 1)
     # far out the numerator underflows, alone or with the denominator; there
     # w = a / x = (q + 1) / z^2 (the discarded a / x divides by 0 at z = 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out[fin] = np.where(num < _TINY, a / x, num / den)
+    out[fin] = np.where(num < _TINY, a / x, num / den)
     out[np.isnan(u)] = np.nan
     return out
 
@@ -742,8 +741,7 @@ def _dw_power_exponential(family: DensityFamily, z: np.ndarray, u: np.ndarray) -
     # w'(z) = C sign(z) |z|^(tau-3), written this way so that the
     # z -> 0 and |z| -> inf ends resolve without 0 * inf forms
     coef = tau * (tau - 2.0) / (2.0 * ptau)
-    with np.errstate(divide="ignore", over="ignore"):
-        return coef * np.sign(z) * np.abs(z) ** (tau - 3.0)
+    return coef * np.sign(z) * np.abs(z) ** (tau - 3.0)
 
 
 def _limit_where_nan(dw: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -753,20 +751,17 @@ def _limit_where_nan(dw: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def _dw_cauchy(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> np.ndarray:
     # nested division avoids overflow of (1 + u)^2 for huge u
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _limit_where_nan(-4.0 * z / (1.0 + u) / (1.0 + u), z)
+    return _limit_where_nan(-4.0 * z / (1.0 + u) / (1.0 + u), z)
 
 
 def _dw_student_t(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> np.ndarray:
     tau = family.extra
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _limit_where_nan(-2.0 * z * (tau + 1.0) / (tau + u) / (tau + u), z)
+    return _limit_where_nan(-2.0 * z * (tau + 1.0) / (tau + u) / (tau + u), z)
 
 
 def _dw_logistic_i(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore", invalid="ignore"):
-        c2 = np.cosh(0.5 * u) ** 2
-        return np.where(np.isinf(c2), 0.0, 2.0 * z / c2)
+    c2 = np.cosh(0.5 * u) ** 2
+    return np.where(np.isinf(c2), 0.0, 2.0 * z / c2)
 
 
 def _dw_logistic_ii(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -780,10 +775,9 @@ def _dw_logistic_ii(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> np.n
     big = ~small
     if big.any():
         gb = g[big]
-        with np.errstate(over="ignore", invalid="ignore"):
-            c2 = np.cosh(0.5 * gb) ** 2
-            hyper = np.where(np.isinf(c2), 0.0, 0.5 * gb / c2)
-            out[big] = (hyper - np.tanh(0.5 * gb)) / (gb * gb)
+        c2 = np.cosh(0.5 * gb) ** 2
+        hyper = np.where(np.isinf(c2), 0.0, 0.5 * gb / c2)
+        out[big] = (hyper - np.tanh(0.5 * gb)) / (gb * gb)
     return np.sign(z) * out
 
 
@@ -797,10 +791,8 @@ def _dw_canonical_slash(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> 
     big = ~small
     if big.any():
         xb = x[big]
-        with np.errstate(over="ignore"):
-            dwdu[big] = -2.0 / u[big] ** 2 + 0.5 * np.exp(-xb) / np.expm1(-xb) ** 2
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _limit_where_nan(2.0 * z * dwdu, z)
+        dwdu[big] = -2.0 / u[big] ** 2 + 0.5 * np.exp(-xb) / np.expm1(-xb) ** 2
+    return _limit_where_nan(2.0 * z * dwdu, z)
 
 
 def _dw_slash(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -810,11 +802,10 @@ def _dw_slash(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> np.ndarray
     x = 0.5 * u[fin]
     r0, r1, r2 = _slash_ratios(a, x, 2)
     zf = z[fin]
-    # divide: the discarded -4 a / z^3 at z = 0
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        dw = zf * (r1 * r1 - r0 * r2) / (r0 * r0)
-        # far out r0^2 underflows to 0/0; there w' = -2 (q + 1) / z^3
-        out[fin] = np.where(np.isnan(dw), -4.0 * a / zf**3, dw)
+    # the discarded -4 a / z^3 divides by 0 at z = 0
+    dw = zf * (r1 * r1 - r0 * r2) / (r0 * r0)
+    # far out r0^2 underflows to 0/0; there w' = -2 (q + 1) / z^3
+    out[fin] = np.where(np.isnan(dw), -4.0 * a / zf**3, dw)
     out[np.isnan(u)] = np.nan
     return out
 
@@ -824,10 +815,13 @@ def _weight_args(spec: _FamilySpec, family: DensityFamily, za: np.ndarray):
     flat = np.atleast_1d(za).ravel()
     if spec.weight_singular(family) and (flat == 0.0).any():
         raise ValueError(f"weight function of {family.label()} is singular at z = 0")
-    with np.errstate(over="ignore"):
-        return flat, flat * flat
+    return flat, flat * flat
 
 
+# w and w' resolve their limits where they overflow, divide by an underflowed
+# z^2 or meet inf / inf at the ends of the z range; those events are ignored
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def weight_function(family: DensityFamily, z):
     """w(z) = -2 r'(z^2) / r(z^2); raises where the family is singular at 0."""
     za = np.asarray(z, dtype=float)
@@ -837,6 +831,7 @@ def weight_function(family: DensityFamily, z):
     return float(out) if za.shape == () else out
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def weight_derivative(family: DensityFamily, z):
     """dw/dz of the weight function, defined wherever the weight is smooth."""
     za = np.asarray(z, dtype=float)

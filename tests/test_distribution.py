@@ -9,7 +9,7 @@ that script guards the oracle itself.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bcsym.distribution import (
@@ -34,6 +34,7 @@ from bcsym import families
 from bcsym.families import DensityFamily
 from bcsym.quadrature import integrate
 from bcsym.rng import RngStream
+from bcsym.tails import tail_index
 
 CASES = {
     "normal_pos": BcsParams(2.0, 0.5, 1.5, DensityFamily.normal()),
@@ -144,6 +145,9 @@ MOMENT = {
     ("pe15_zero", 1): 10.99270393090594,
     ("pe15_zero", 2): 1363.2284347489249,
     ("logi_pos", 1): 1.059154199243611,
+    ("t4_neg", 0.5): 1.8752981354251652,
+    ("de_neg", 1.0): 3.5352962276830382,
+    ("cslash_one", 0.5): 1.2857978398778555,
 }
 
 NO_MOMENT = [
@@ -214,6 +218,77 @@ def test_moment_validation():
         moment(params, -1.0)
     with pytest.raises(TypeError):
         moment(params, "2")
+    with pytest.raises(TypeError):
+        moment(params, True)
+
+
+# Moments over a grid of families, lambda and sigma: every moment the tail
+# index admits comes back finite, without an exception or a warning, and
+# E[Y^k]^(1/k) rises with k (Lyapunov's inequality).
+GRID_FAMILIES = [
+    DensityFamily.normal(),
+    DensityFamily.double_exponential(),
+    DensityFamily.power_exponential(1.5),
+    DensityFamily.power_exponential(3.0),
+    DensityFamily.cauchy(),
+    DensityFamily.student_t(4.0),
+    DensityFamily.student_t(1.5),
+    DensityFamily.logistic_i(),
+    DensityFamily.logistic_ii(),
+    DensityFamily.canonical_slash(),
+    DensityFamily.slash(2.0),
+    DensityFamily.slash(0.5),
+]
+GRID_LAMBDAS = (-1.2, -0.6, -0.2, 0.0, 0.3, 0.9, 1.6)
+GRID_SIGMAS = (0.2, 0.6, 1.3)
+GRID_KS = (0.1, 0.5, 1.0, 2.0)
+
+
+def _existing_ks(params):
+    xi = tail_index(params)
+    return [k for k in GRID_KS if xi == 0.0 or k * xi < 1.0]
+
+
+@pytest.mark.parametrize("family", GRID_FAMILIES, ids=DensityFamily.label)
+def test_every_existing_moment_on_the_grid_is_finite(family):
+    for lam in GRID_LAMBDAS:
+        for sigma in GRID_SIGMAS:
+            params = BcsParams(1.7, sigma, lam, family)
+            norms = [moment(params, k).value ** (1.0 / k) for k in _existing_ks(params)]
+            assert all(np.isfinite(norms)), (lam, sigma, norms)
+            assert all(b > a * (1.0 - 1e-9) for a, b in zip(norms, norms[1:])), (lam, sigma, norms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(GRID_FAMILIES),
+    lam=st.sampled_from(GRID_LAMBDAS),
+    sigma=st.sampled_from(GRID_SIGMAS),
+    k=st.sampled_from(GRID_KS),
+    a=st.sampled_from((0.5, 2.0)),
+)
+def test_moment_of_a_power_is_a_moment_of_the_law(family, lam, sigma, k, a):
+    # Y^a follows power_transform_law(params, a), so E[(Y^a)^(k/a)] = E[Y^k]
+    params = BcsParams(1.7, sigma, lam, family)
+    assume(k in _existing_ks(params))
+    got = moment(power_transform_law(params, a), k / a)
+    assert got.exists
+    assert rel_err(got.value, moment(params, k).value) < 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(GRID_FAMILIES),
+    lam=st.sampled_from(GRID_LAMBDAS),
+    sigma=st.sampled_from(GRID_SIGMAS),
+    k=st.sampled_from(GRID_KS),
+    c=st.floats(min_value=1e-3, max_value=1e3),
+)
+def test_moment_of_a_rescaled_law_scales_by_c_to_the_k(family, lam, sigma, k, c):
+    params = BcsParams(1.7, sigma, lam, family)
+    assume(k in _existing_ks(params))
+    got = moment(rescale(params, c), k)
+    assert rel_err(got.value, c**k * moment(params, k).value) < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -514,3 +589,67 @@ def test_params_validation():
         BcsParams("1.0", 1.0, 0.5, fam)
     p = BcsParams(1, 1, 0, fam)  # ints are fine, stored as floats
     assert isinstance(p.mu, float) and isinstance(p.lam, float)
+
+
+def test_numpy_real_scalars_are_accepted():
+    fam = DensityFamily.normal()
+    params = BcsParams(np.int64(2), np.float32(0.5), np.float64(1.5), fam)
+    assert params == CASES["normal_pos"]
+    assert all(type(v) is float for v in (params.mu, params.sigma, params.lam))
+    assert moment(params, np.int64(1)).value == moment(params, 1).value
+    assert moment(params, np.float32(2.0)).value == moment(params, 2).value
+    for bad in (True, np.bool_(True), "2"):
+        with pytest.raises(TypeError):
+            BcsParams(bad, 0.5, 1.5, fam)
+        with pytest.raises(TypeError):
+            BcsParams(2.0, 0.5, bad, fam)
+
+
+# ---------------------------------------------------------------------------
+# Floating-point edges: the public functions resolve the limits at the ends
+# of their ranges without a RuntimeWarning (the suite makes one an error),
+# both one point at a time and as one array.
+
+EDGE_Z = [s * m for m in (5e-324, 1e-300, 1e-10, 1.0, 1e10, 1e300, np.inf) for s in (1.0, -1.0)]
+EDGE_U = [0.0, 5e-324, 1.5e-323, 1e-300, 1e-10, 1.0, 1e10, 1e300, np.inf]
+EDGE_P = [5e-324, 1e-300, 1e-100, 1e-10, 0.5, 1.0 - 1e-16]
+EDGE_Y = [5e-324, 1e-300, 1e-100, 1e-10, 1.0, 1e10, 1e100, 1e300, np.inf]
+
+
+def _each_and_all(f, points):
+    for x in points:
+        f(x)
+    f(np.array(points))
+
+
+@pytest.mark.parametrize("family", GRID_FAMILIES, ids=DensityFamily.label)
+def test_public_functions_at_floating_point_edges_do_not_warn(family):
+    # no z = 0: some weights are singular or kinked there, and raise
+    _each_and_all(lambda x: families.weight_function(family, x), EDGE_Z)
+    _each_and_all(lambda x: families.weight_derivative(family, x), EDGE_Z)
+    _each_and_all(lambda x: families.symmetric_survival(family, x), EDGE_Z)
+    _each_and_all(lambda x: families.symmetric_cdf(family, x), EDGE_Z)
+    _each_and_all(lambda x: families.eval_generator(family, x), EDGE_U)
+    _each_and_all(lambda x: families.symmetric_quantile(family, x), EDGE_P)
+    for lam in (-1.2, 0.0, 0.5, 1.6):
+        for sigma in (0.2, 1.3):
+            params = BcsParams(1.7, sigma, lam, family)
+            for f in (log_pdf, pdf, cdf, survival, transform):
+                _each_and_all(lambda y: f(params, y), EDGE_Y)
+            _each_and_all(lambda p: quantile(params, p), EDGE_P)
+            inside = [x for x in EDGE_Z if 1.0 + sigma * lam * x > 0.0]
+            _each_and_all(lambda x: inverse_transform(params, x), inside)
+
+
+def test_edge_values_are_the_limits():
+    # the values at the edges the sweep above runs are the limits
+    t4 = BcsParams(1.7, 0.2, 1.6, DensityFamily.student_t(4.0))
+    assert log_pdf(t4, np.inf) == -np.inf and pdf(t4, np.inf) == 0.0
+    log_cauchy = BcsParams(1.7, 0.2, 0.0, DensityFamily.cauchy())
+    assert pdf(log_cauchy, 5e-324) == np.inf
+    assert families.weight_derivative(DensityFamily.double_exponential(), 1e-300) == -np.inf
+    assert families.symmetric_quantile(DensityFamily.cauchy(), 5e-324) == -np.inf
+    cslash = DensityFamily.canonical_slash()
+    r0 = families.eval_generator(cslash, 0.0).r
+    for u in (5e-324, 1.5e-323):
+        assert families.eval_generator(cslash, u).r == r0

@@ -429,6 +429,21 @@ def test_fit_numeric_mode_agrees_with_analytic():
         assert abs(ra.std_errors[name] - rn.std_errors[name]) < 1e-4
 
 
+@pytest.mark.parametrize("family", [DensityFamily.student_t(4.0), DensityFamily.normal()], ids=DensityFamily.label)
+@pytest.mark.parametrize("factor", [1e-6, 1e-4, 1.0, 1e6])
+def test_numeric_standard_errors_hold_at_any_scale_of_the_data(family, factor):
+    # numeric mode differentiates in log mu and log sigma, so its steps are
+    # relative: an absolute step in mu crosses 0 at a factor of 1e-6 and is
+    # too coarse at 1e-4
+    y = sample(BcsParams(1.0, 0.3, 0.5, DensityFamily.student_t(4.0)), 200, RngStream(5, 0))
+    ctx = LikelihoodContext(y * factor, family)
+    ra = fit(ctx, mode="analytic")
+    rn = fit(ctx, mode="numeric")
+    assert rn.converged and rn.message == ""
+    for name in ra.std_errors:
+        assert abs(rn.std_errors[name] / ra.std_errors[name] - 1.0) < 1e-4
+
+
 def test_fit_numeric_mode_agrees_with_analytic_on_fixed_lambda_layouts():
     normal_truth = BcsParams(2.0, 0.5, 1.5, DensityFamily.normal())
     normal_y = sample(normal_truth, 200, RngStream(20260816, 12))
