@@ -33,11 +33,9 @@ from .distribution import (
     truncation,
 )
 from .estimation import (
-    DerivativeBundle,
     FitResult,
     FixedPointReport,
     LikelihoodContext,
-    derivative_bundle,
     fit,
     fixed_point_check,
     hessian,
@@ -89,7 +87,6 @@ __all__ = [
     "BcsParams",
     "CellResult",
     "DensityFamily",
-    "DerivativeBundle",
     "FamilyKind",
     "FitFailedError",
     "FitResult",
@@ -111,7 +108,6 @@ __all__ = [
     "cdf",
     "centile_cv",
     "classify",
-    "derivative_bundle",
     "empirical_tail_slope",
     "eval_generator",
     "fit",

@@ -155,11 +155,8 @@ def inverse_transform(params: BcsParams, z):
     return float(y) if scalar else y
 
 
-def log_pdf(params: BcsParams, y):
-    scalar = np.ndim(y) == 0
-    ya = _as_positive_array(y)
-    lf = np.log(ya) - math.log(params.mu)
-    z = _z(params, lf)
+def _log_density(params: BcsParams, lf, z, info: TruncationInfo):
+    """Log-density at lf = log(y/mu), given z = _z(params, lf) and the truncation."""
     # y = inf with lam > 1, or a z that overflowed as y -> 0 with lam < 0,
     # gives inf - inf below; the density -> 0 there
     with np.errstate(over="ignore", invalid="ignore"):
@@ -169,9 +166,15 @@ def log_pdf(params: BcsParams, y):
             - math.log(params.mu)
             - math.log(params.sigma)
             + eval_generator(params.family, u).log_r
-            - truncation(params).log_normalizer
+            - info.log_normalizer
         )
-    out = np.where(np.isnan(out) & ~np.isnan(ya), -np.inf, out)
+    return np.where(np.isnan(out) & ~np.isnan(lf), -np.inf, out)
+
+
+def log_pdf(params: BcsParams, y):
+    scalar = np.ndim(y) == 0
+    lf = np.log(_as_positive_array(y)) - math.log(params.mu)
+    out = _log_density(params, lf, _z(params, lf), truncation(params))
     return float(out) if scalar else out
 
 

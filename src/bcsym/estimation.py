@@ -9,12 +9,14 @@ the lambda-derivatives of z, handled through
     phi2(w) = e^w (w^2 - 2w + 2) - 2   (d2z/dlambda2 = phi2 / (sigma lambda^3))
 
 with w = lambda log(y/mu); both vanish to high order at w = 0 and switch
-to Taylor series there.  One kernel evaluates z, these derivatives and the
-truncation-edge terms per parameter point, at their exact limits when
-lambda = 0; the score, the Hessian, derivative_bundle and fixed_point_check
-all read it.  Inside 0 < |lambda| < LAMBDA_SEAM the general formulas lose
-precision and the derivative routines refuse to run; derivative_bundle
-instead clamps lambda to 0 there.
+to Taylor series there.  One object per parameter point evaluates u, z, the
+truncation R(v) and the log-likelihood once, and z's derivatives and the
+truncation-edge terms when first asked, at their exact limits when
+lambda = 0.  loglik, score, hessian and fixed_point_check all read it, and
+the context keeps the last point, so a score or Hessian at the point of the
+preceding loglik reuses its value level.  Inside 0 < |lambda| < LAMBDA_SEAM
+the general formulas lose precision: loglik still evaluates there, while
+score, hessian and fixed_point_check refuse to run.
 
 The extra parameter (tau or q) has no closed-form derivatives; where it is
 fitted, its score and information entries come from central finite
@@ -32,11 +34,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
-from .distribution import LAMBDA_SEAM, BcsParams, _z, log_pdf, truncation
+from .distribution import LAMBDA_SEAM, BcsParams, _log_density, _z, truncation
 from .families import (
     DensityFamily,
     eval_generator,
@@ -72,11 +75,12 @@ def _phi2(w):
 
 
 def _check_data(y) -> np.ndarray:
-    ya = np.asarray(y, dtype=float).ravel()
+    ya = np.array(y, dtype=float).ravel()  # a copy: the caller's array may change
     if ya.size == 0:
         raise ValueError("need at least one observation")
     if not np.all(np.isfinite(ya) & (ya > 0.0)):
         raise ValueError("observations must be positive and finite")
+    ya.flags.writeable = False
     return ya
 
 
@@ -93,15 +97,6 @@ def _clamp_lambda(lam: float) -> float:
     return 0.0 if abs(lam) < LAMBDA_SEAM else lam
 
 
-def _extra_step(extra: float) -> float:
-    return min(1e-5 * (1.0 + abs(extra)), 0.5 * extra)
-
-
-def _with_extra(params: BcsParams, extra: float) -> BcsParams:
-    fam = DensityFamily(params.family.kind, extra)
-    return BcsParams(params.mu, params.sigma, params.lam, fam)
-
-
 @dataclass(frozen=True, eq=False)
 class LikelihoodContext:
     """What is being fitted: the observations and the model specification.
@@ -113,12 +108,17 @@ class LikelihoodContext:
     extra), ``free_values`` reads them from a parameter point and
     ``params_at`` builds the point from them.  The fitter and its standard
     errors go through these three alone.
+
+    The context keeps a read-only copy of the data, and the last parameter
+    point evaluated on it: ``loglik``, ``score`` and ``hessian`` at an equal
+    ``BcsParams`` share its u, z and truncation.
     """
 
     data: np.ndarray
     family: DensityFamily
     fixed_lambda: float | None = None
     fit_extra: bool = False
+    _last: _Point | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "data", _check_data(self.data))
@@ -156,115 +156,131 @@ class LikelihoodContext:
         family = DensityFamily(self.family.kind, values[-1]) if self.fit_extra else self.family
         return BcsParams(values[0], values[1], lam, family)
 
+    def _point(self, params: BcsParams) -> _Point:
+        last = self._last
+        if last is None or last.params != params:
+            last = _Point(params, self.data)
+            object.__setattr__(self, "_last", last)
+        return last
 
-@dataclass(frozen=True, eq=False)
-class _Kernel:
-    """z, its lambda-derivatives and the truncation edge at one parameter point.
 
-    Every field holds its exact limit at lambda = 0, where there is no
-    truncation: E = 1, C = u^2/(2 sigma), z_ll = u^3/(3 sigma), v = inf and
-    xi = dxi = 0.
+class _Point:
+    """The log-likelihood of a sample at one parameter point, and its derivatives.
+
+    The constructor evaluates the value level: u = log(y / mu), z, the
+    truncation and the log-likelihood.  The score level (``score_pieces``,
+    ``score``) and the Hessian level (``hessian``) are computed on first use;
+    the score level refuses a lambda inside the seam.  Every piece holds its
+    exact limit at lambda = 0, where there is no truncation: E = 1,
+    C = u^2/(2 sigma), z_ll = u^3/(3 sigma), v = inf and xi = dxi = 0.
     """
 
-    u: np.ndarray  # log(y / mu)
-    z: np.ndarray
-    E: np.ndarray  # (y / mu)^lambda
-    C: np.ndarray  # dz/dlambda
-    z_ll: np.ndarray  # d2z/dlambda2
-    W: np.ndarray  # varpi(z) = -2 r'(z^2) / r(z^2)
-    v: float  # edge 1 / (sigma |lambda|)
-    xi: float  # r(v^2) / R(v)
-    dxi: float  # -dxi/dv = xi (v varpi(v) + xi)
+    def __init__(self, params: BcsParams, ya: np.ndarray):
+        self.params = params
+        self.ya = ya
+        self.u = np.log(ya) - math.log(params.mu)
+        self.z = _z(params, self.u)
+        self.info = truncation(params)  # info.edge is v = 1 / (sigma |lambda|)
+        self.loglik = float(np.sum(_log_density(params, self.u, self.z, self.info)))
 
+    @cached_property
+    def score_pieces(self):
+        """The pieces the score and the Hessian share: (E, C, W, xi, dxi).
 
-def _kernel(params: BcsParams, ya: np.ndarray) -> _Kernel:
-    _check_seam(params.lam)
-    mu, sigma, lam = params.mu, params.sigma, params.lam
-    u = np.log(ya) - math.log(mu)
-    z = _z(params, u)
-    if lam == 0.0:
-        E = np.ones_like(u)
-        C = u * u / (2.0 * sigma)
-        z_ll = u**3 / (3.0 * sigma)
-        v, xi, dxi = math.inf, 0.0, 0.0
-    else:
-        E = 1.0 + sigma * lam * z
-        C = _phi1(lam * u) / (sigma * lam * lam)
-        z_ll = _phi2(lam * u) / (sigma * lam**3)
-        v = 1.0 / (sigma * abs(lam))
-        info = truncation(params)
-        r_v = float(eval_generator(params.family, v * v).r)
-        xi = r_v / info.normalizer
-        vw = float(weight_function(params.family, v)) if r_v > 0.0 else 0.0
-        dxi = xi * (v * vw + xi)
-    W = np.atleast_1d(weight_function(params.family, z))
-    return _Kernel(u=u, z=z, E=E, C=C, z_ll=z_ll, W=W, v=v, xi=xi, dxi=dxi)
+        E = (y / mu)^lambda, C = dz/dlambda, W = varpi(z) = -2 r'(z^2) / r(z^2),
+        and at the edge xi = r(v^2) / R(v) and dxi = -dxi/dv = xi (v varpi(v) + xi).
+        """
+        p, u = self.params, self.u
+        _check_seam(p.lam)
+        sigma, lam, family = p.sigma, p.lam, p.family
+        if lam == 0.0:
+            E = np.ones_like(u)
+            C = u * u / (2.0 * sigma)
+            xi = dxi = 0.0
+        else:
+            E = 1.0 + sigma * lam * self.z
+            C = _phi1(lam * u) / (sigma * lam * lam)
+            v = self.info.edge
+            r_v = float(eval_generator(family, v * v).r)
+            xi = r_v / self.info.normalizer
+            vw = float(weight_function(family, v)) if r_v > 0.0 else 0.0
+            dxi = xi * (v * vw + xi)
+        W = np.atleast_1d(weight_function(family, self.z))
+        return E, C, W, xi, dxi
+
+    @cached_property
+    def score(self) -> np.ndarray:
+        """Gradient in (mu, sigma, lambda)."""
+        E, C, W, xi, _ = self.score_pieces
+        p = self.params
+        mu, sigma, lam = p.mu, p.sigma, p.lam
+        n, u, z, v = self.ya.size, self.u, self.z, self.info.edge
+        Wz = W * z
+        # at lambda = 0 this term keeps its order of operations: the LR full fit
+        # starts from the null fit there, and regrouping it as Wz * C moves that
+        # first gradient by ulps, enough to flip convergence of fits that run off
+        # to the sigma -> inf boundary
+        WzC = Wz * u * u / (2.0 * sigma) if lam == 0.0 else Wz * C
+        s_mu = -n * lam / mu + float(np.sum(Wz * E)) / (sigma * mu)
+        s_sigma = -n / sigma + float(np.sum(Wz * z)) / sigma
+        s_lam = float(np.sum(u - WzC))
+        if xi > 0.0:
+            # truncation term: -log R(v) per observation
+            s_sigma += n * xi * v / sigma
+            s_lam += n * xi * v / lam
+        return np.array([s_mu, s_sigma, s_lam])
+
+    @cached_property
+    def hessian(self) -> np.ndarray:
+        """Second-derivative matrix over (mu, sigma, lambda)."""
+        E, C, W, xi, dxi = self.score_pieces
+        p = self.params
+        mu, sigma, lam = p.mu, p.sigma, p.lam
+        n, u, z, v = self.ya.size, self.u, self.z, self.info.edge
+        z_ll = u**3 / (3.0 * sigma) if lam == 0.0 else _phi2(lam * u) / (sigma * lam**3)
+        G = W + z * np.atleast_1d(weight_derivative(p.family, z))  # -(d2/dz2) log r(z^2)
+        A = -E / (sigma * mu)
+        B = -z / sigma
+        z_mm = E * (1.0 + lam) / (sigma * mu * mu)
+        z_ms = E / (sigma * sigma * mu)
+        z_ml = -u * E / (sigma * mu)
+        z_ss = 2.0 * z / (sigma * sigma)
+        z_sl = -C / sigma
+        h_mm = n * lam / mu**2 + float(np.sum(-G * A * A - W * z * z_mm))
+        h_ms = float(np.sum(-G * A * B - W * z * z_ms))
+        h_ml = -n / mu + float(np.sum(-G * A * C - W * z * z_ml))
+        h_ss = n / sigma**2 + float(np.sum(-G * B * B - W * z * z_ss))
+        h_sl = float(np.sum(-G * B * C - W * z * z_sl))
+        h_ll = float(np.sum(-G * C * C - W * z * z_ll))
+        # truncation term: T = -log R(v) per observation
+        if xi > 0.0:
+            h_ss += n * (dxi * v * v - 2.0 * xi * v) / sigma**2
+            h_ll += n * (dxi * v * v - 2.0 * xi * v) / lam**2
+            h_sl += n * (dxi * v * v - xi * v) / (sigma * lam)
+        return np.array([[h_mm, h_ms, h_ml], [h_ms, h_ss, h_sl], [h_ml, h_sl, h_ll]])
+
+    @cached_property
+    def extra_pair(self):
+        """The step h and the points at extra + h and extra - h."""
+        kind, e = self.params.family.kind, self.params.family.extra
+        h = min(1e-5 * (1.0 + abs(e)), 0.5 * e)
+        pp, pm = (replace(self.params, family=DensityFamily(kind, x)) for x in (e + h, e - h))
+        return h, _Point(pp, self.ya), _Point(pm, self.ya)
 
 
 def loglik(ctx: LikelihoodContext, params: BcsParams) -> float:
     """Sample log-likelihood; -inf when any observation has zero density."""
-    return float(np.sum(log_pdf(params, ctx.data)))
-
-
-def _core_score(params: BcsParams, ya: np.ndarray) -> np.ndarray:
-    k = _kernel(params, ya)
-    mu, sigma, lam = params.mu, params.sigma, params.lam
-    n = ya.size
-    Wz = k.W * k.z
-    # at lambda = 0 this term keeps its order of operations: the LR full fit
-    # starts from the null fit there, and regrouping it as Wz * C moves that
-    # first gradient by ulps, enough to flip convergence of fits that run off
-    # to the sigma -> inf boundary
-    WzC = Wz * k.u * k.u / (2.0 * sigma) if lam == 0.0 else Wz * k.C
-    s_mu = -n * lam / mu + float(np.sum(Wz * k.E)) / (sigma * mu)
-    s_sigma = -n / sigma + float(np.sum(Wz * k.z)) / sigma
-    s_lam = float(np.sum(k.u - WzC))
-    if k.xi > 0.0:
-        # truncation term: -log R(v) per observation, v = 1/(sigma |lambda|)
-        s_sigma += n * k.xi * k.v / sigma
-        s_lam += n * k.xi * k.v / lam
-    return np.array([s_mu, s_sigma, s_lam])
-
-
-def _core_hessian(params: BcsParams, ya: np.ndarray) -> np.ndarray:
-    k = _kernel(params, ya)
-    mu, sigma, lam = params.mu, params.sigma, params.lam
-    n = ya.size
-    z, W, E, C, u = k.z, k.W, k.E, k.C, k.u
-    G = W + z * np.atleast_1d(weight_derivative(params.family, z))  # -(d2/dz2) log r(z^2)
-    A = -E / (sigma * mu)
-    B = -z / sigma
-    z_mm = E * (1.0 + lam) / (sigma * mu * mu)
-    z_ms = E / (sigma * sigma * mu)
-    z_ml = -u * E / (sigma * mu)
-    z_ss = 2.0 * z / (sigma * sigma)
-    z_sl = -C / sigma
-    h_mm = n * lam / mu**2 + float(np.sum(-G * A * A - W * z * z_mm))
-    h_ms = float(np.sum(-G * A * B - W * z * z_ms))
-    h_ml = -n / mu + float(np.sum(-G * A * C - W * z * z_ml))
-    h_ss = n / sigma**2 + float(np.sum(-G * B * B - W * z * z_ss))
-    h_sl = float(np.sum(-G * B * C - W * z * z_sl))
-    h_ll = float(np.sum(-G * C * C - W * z * k.z_ll))
-    # truncation term: T = -log R(v) per observation, v = 1/(sigma |lambda|)
-    xe, v, d2 = k.xi, k.v, k.dxi
-    if xe > 0.0:
-        h_ss += n * (d2 * v * v - 2.0 * xe * v) / sigma**2
-        h_ll += n * (d2 * v * v - 2.0 * xe * v) / lam**2
-        h_sl += n * (d2 * v * v - xe * v) / (sigma * lam)
-    return np.array([[h_mm, h_ms, h_ml], [h_ms, h_ss, h_sl], [h_ml, h_sl, h_ll]])
+    return ctx._point(params).loglik
 
 
 def score(ctx: LikelihoodContext, params: BcsParams) -> np.ndarray:
     """Gradient of the log-likelihood in (mu, sigma, lambda[, extra])."""
-    s = _core_score(params, ctx.data)
+    point = ctx._point(params)
+    s = point.score
     if not ctx.fit_extra:
-        return s
-    e = params.family.extra
-    h = _extra_step(e)
-    d = (loglik(ctx, _with_extra(params, e + h)) - loglik(ctx, _with_extra(params, e - h))) / (
-        2.0 * h
-    )
-    return np.append(s, d)
+        return s.copy()
+    h, pp, pm = point.extra_pair
+    return np.append(s, (pp.loglik - pm.loglik) / (2.0 * h))
 
 
 def hessian(ctx: LikelihoodContext, params: BcsParams) -> np.ndarray:
@@ -273,79 +289,18 @@ def hessian(ctx: LikelihoodContext, params: BcsParams) -> np.ndarray:
     3x3 over (mu, sigma, lambda); with ``fit_extra`` a fourth row/column for
     the extra parameter is appended from finite differences of the score.
     """
-    H = _core_hessian(params, ctx.data)
+    point = ctx._point(params)
+    H = point.hessian
     if not ctx.fit_extra:
-        return H
-    e = params.family.extra
-    h = _extra_step(e)
-    pp, pm = _with_extra(params, e + h), _with_extra(params, e - h)
-    row = (_core_score(pp, ctx.data) - _core_score(pm, ctx.data)) / (2.0 * h)
-    h_ee = (loglik(ctx, pp) - 2.0 * loglik(ctx, params) + loglik(ctx, pm)) / (h * h)
+        return H.copy()
+    h, pp, pm = point.extra_pair
+    row = (pp.score - pm.score) / (2.0 * h)
     out = np.empty((4, 4))
     out[:3, :3] = H
     out[3, :3] = row
     out[:3, 3] = row
-    out[3, 3] = h_ee
+    out[3, 3] = (pp.loglik - 2.0 * point.loglik + pm.loglik) / (h * h)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Single-observation transform derivatives.
-
-@dataclass(frozen=True)
-class DerivativeBundle:
-    """Derivatives of z = h(y; mu, sigma, lambda) plus the edge quantities.
-
-    The sigma-derivatives are simple rescalings (dz/dsigma = -z/sigma and so
-    on) and are not carried.  xi = r(v^2)/R(v) with v = 1/(sigma |lambda|);
-    it and its derivatives are zero at lambda = 0, where the truncation
-    vanishes.
-    """
-
-    z: float
-    dz_dmu: float
-    dz_dlambda: float
-    d2z_dmu2: float
-    d2z_dlambda2: float
-    d2z_dmudlambda: float
-    xi: float
-    dxi_dsigma: float
-    dxi_dlambda: float
-    varpi: float
-    dvarpi_dz: float
-
-
-def derivative_bundle(y: float, params: BcsParams) -> DerivativeBundle:
-    """Transform derivatives at one observation: a view of the kernel.
-
-    Inside |lambda| < LAMBDA_SEAM lambda is clamped to 0, where the kernel
-    holds the limit formulas (they agree to machine precision at the seam).
-    """
-    y = float(y)
-    if not (math.isfinite(y) and y > 0.0):
-        raise ValueError("y must be positive and finite")
-    params = replace(params, lam=_clamp_lambda(params.lam))
-    mu, sigma, lam = params.mu, params.sigma, params.lam
-    k = _kernel(params, np.array([y]))
-    u, z, E = float(k.u[0]), float(k.z[0]), float(k.E[0])
-    dxi_dsigma = dxi_dlambda = 0.0
-    if k.xi > 0.0:
-        dxi_dsigma = k.dxi * k.v / sigma  # dv/dsigma = -v/sigma
-        dxi_dlambda = k.dxi * k.v / lam  # dv/dlambda = -v/lambda
-    return DerivativeBundle(
-        z=z,
-        dz_dmu=-E / (sigma * mu),
-        dz_dlambda=float(k.C[0]),
-        d2z_dmu2=E * (1.0 + lam) / (sigma * mu * mu),
-        d2z_dlambda2=float(k.z_ll[0]),
-        d2z_dmudlambda=-u * E / (sigma * mu),
-        xi=k.xi,
-        dxi_dsigma=dxi_dsigma,
-        dxi_dlambda=dxi_dlambda,
-        varpi=float(k.W[0]),
-        dvarpi_dz=float(weight_derivative(params.family, z)),
-    )
-
 
 # ---------------------------------------------------------------------------
 # Fitting.
@@ -641,19 +596,18 @@ def fixed_point_check(ctx: LikelihoodContext, params: BcsParams) -> FixedPointRe
     geometric mean when lambda = 0) and sigma^2 a weighted mean square; the
     residuals are the relative gaps between the implied and given values.
     """
-    ya = ctx.data
-    k = _kernel(params, ya)
+    point = ctx._point(params)
+    E, _, W, xi, _ = point.score_pieces
     mu, sigma, lam = params.mu, params.sigma, params.lam
-    n = ya.size
-    W = k.W
+    n = ctx.n
     if lam == 0.0:
-        mu_implied = math.exp(float(np.sum(W * np.log(ya)) / np.sum(W)))
-        sigma_implied = math.sqrt(float(np.sum(W * k.u * k.u)) / n)
+        mu_implied = math.exp(float(np.sum(W * np.log(ctx.data)) / np.sum(W)))
+        sigma_implied = math.sqrt(float(np.sum(W * point.u * point.u)) / n)
     else:
-        delta = k.xi * k.v
-        g = sigma * k.z
+        delta = xi * point.info.edge
+        g = sigma * point.z
         sigma_implied = math.sqrt(float(np.sum(W * g * g)) / (n * (1.0 - delta)))
-        m = float(np.sum(W * k.E)) / (
+        m = float(np.sum(W * E)) / (
             float(np.sum(W)) + n * lam * lam * sigma * sigma * delta
         )
         mu_implied = mu * m ** (1.0 / lam)

@@ -6,20 +6,20 @@ differences of the score; the two routes share no derivative code.
 """
 
 import math
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcsym import estimation
-from bcsym.distribution import BcsParams, log_pdf, sample, transform
+from bcsym import estimation, gof
+from bcsym.distribution import BcsParams, log_pdf, sample
 from bcsym.estimation import (
     PARAM_NAMES,
-    DerivativeBundle,
     FitResult,
     LikelihoodContext,
-    derivative_bundle,
     fit,
     fixed_point_check,
     hessian,
@@ -28,7 +28,7 @@ from bcsym.estimation import (
     _phi1,
     _phi2,
 )
-from bcsym.families import DensityFamily, FamilyKind, weight_derivative, weight_function
+from bcsym.families import DensityFamily, FamilyKind
 from bcsym.numdiff import finite_diff_gradient, finite_diff_jacobian
 from bcsym.rng import RngStream
 
@@ -193,100 +193,6 @@ def test_extra_entries_match_full_numeric_hessian():
 
 
 # ---------------------------------------------------------------------------
-# The single-observation derivative bundle.
-
-def test_derivative_bundle_matches_transform_differences():
-    fam = DensityFamily.student_t(4.0)
-    for lam in (-0.7, 0.4, 1e-6):
-        for y in (0.9, 1.8, 3.5):
-            params = BcsParams(1.8, 0.6, lam, fam)
-            b = derivative_bundle(y, params)
-            assert isinstance(b, DerivativeBundle)
-            assert abs(b.z - transform(params, y)) < 1e-12 * (1.0 + abs(b.z))
-
-            def z_of(theta):
-                return transform(BcsParams(theta[0], 0.6, theta[1], fam), y)
-
-            theta0 = np.array([1.8, lam])
-            g = finite_diff_gradient(z_of, theta0)
-            assert abs(b.dz_dmu - g[0]) < 1e-6 * (1.0 + abs(g[0]))
-            assert abs(b.dz_dlambda - g[1]) < 1e-6 * (1.0 + abs(g[1]))
-            Hz = finite_diff_jacobian(
-                lambda t: finite_diff_gradient(z_of, t, step=1e-4), theta0, step=1e-4
-            )
-            assert abs(b.d2z_dmu2 - Hz[0, 0]) < 1e-5 * (1.0 + abs(Hz[0, 0]))
-            assert abs(b.d2z_dlambda2 - Hz[1, 1]) < 1e-5 * (1.0 + abs(Hz[1, 1]))
-            mixed = 0.5 * (Hz[0, 1] + Hz[1, 0])
-            assert abs(b.d2z_dmudlambda - mixed) < 1e-5 * (1.0 + abs(mixed))
-
-
-def test_derivative_bundle_zero_lambda_limits():
-    mu, sigma, y = 1.8, 0.6, 3.5
-    u = math.log(y / mu)
-    b = derivative_bundle(y, BcsParams(mu, sigma, 0.0, DensityFamily.normal()))
-    assert abs(b.z - u / sigma) < 1e-15
-    assert b.dz_dmu == -1.0 / (mu * sigma)
-    assert b.dz_dlambda == u * u / (2.0 * sigma)
-    assert b.d2z_dmu2 == 1.0 / (sigma * mu * mu)
-    assert b.d2z_dlambda2 == u**3 / (3.0 * sigma)
-    assert b.d2z_dmudlambda == -u / (mu * sigma)
-    assert b.xi == b.dxi_dsigma == b.dxi_dlambda == 0.0
-
-
-def test_derivative_bundle_seam_uses_limit_formulas():
-    # inside the seam the bundle does not refuse: it switches to the limits
-    fam = DensityFamily.student_t(4.0)
-    b_seam = derivative_bundle(3.5, BcsParams(1.8, 0.6, 1e-12, fam))
-    b_zero = derivative_bundle(3.5, BcsParams(1.8, 0.6, 0.0, fam))
-    assert b_seam == b_zero
-
-
-def test_derivative_bundle_edge_quantities():
-    fam = DensityFamily.student_t(4.0)
-    for lam in (-0.7, 0.5):
-        params = BcsParams(1.8, 0.6, lam, fam)
-        b = derivative_bundle(3.5, params)
-        assert b.xi > 0.0
-        assert b.varpi == float(weight_function(fam, b.z))
-        assert b.dvarpi_dz == float(weight_derivative(fam, b.z))
-
-        def xi_of(theta):
-            p = BcsParams(1.8, theta[0], theta[1], fam)
-            return derivative_bundle(3.5, p).xi
-
-        g = finite_diff_gradient(xi_of, np.array([0.6, lam]))
-        assert abs(b.dxi_dsigma - g[0]) < 1e-5 * (1.0 + abs(g[0]))
-        assert abs(b.dxi_dlambda - g[1]) < 1e-5 * (1.0 + abs(g[1]))
-
-
-@pytest.mark.parametrize("lam", LAMBDA_GRID)
-@pytest.mark.parametrize("name", sorted(FAMILIES))
-def test_derivative_bundle_sums_to_score(name, lam):
-    # the per-observation chain rule, summed, is the score: d log f / d mu =
-    # -lambda/mu - varpi z dz/dmu and d log f / d lambda = log(y/mu)
-    # - varpi z dz/dlambda + xi v / lambda, the last from -log R(v)
-    params = _params(name, lam)
-    s = score(_ctx(name), params)
-    bundles = [derivative_bundle(y, params) for y in DATA]
-    s_mu = sum(-lam / params.mu - b.varpi * b.z * b.dz_dmu for b in bundles)
-    s_lam = sum(
-        math.log(y / params.mu) - b.varpi * b.z * b.dz_dlambda for y, b in zip(DATA, bundles)
-    )
-    if lam != 0.0:
-        v = 1.0 / (params.sigma * abs(lam))
-        s_lam += DATA.size * bundles[0].xi * v / lam
-    assert abs(s_mu - s[0]) <= 1e-10 * abs(s[0])
-    assert abs(s_lam - s[2]) <= 1e-10 * abs(s[2])
-
-
-def test_derivative_bundle_rejects_bad_y():
-    params = _params("normal", 0.5)
-    for bad in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            derivative_bundle(bad, params)
-
-
-# ---------------------------------------------------------------------------
 # The phi helpers around their series seams.
 
 def test_phi_series_seam_continuity():
@@ -341,6 +247,58 @@ def test_context_validates_specification():
         "mu",
         "sigma",
     )
+
+
+def test_context_keeps_its_own_copy_of_the_data():
+    y = np.array([0.8, 1.1, 1.5, 2.0, 2.6, 3.9])
+    original = y.copy()
+    ctx = LikelihoodContext(y, FAMILIES["normal"])
+    y[0] = 40.0
+    params = BcsParams(1.8, 0.6, 0.0, FAMILIES["normal"])
+    assert loglik(ctx, params) == loglik(LikelihoodContext(original, FAMILIES["normal"]), params)
+    with pytest.raises(ValueError):
+        ctx.data[0] = 1.0
+
+
+def _outcome(call, ctx, params):
+    try:
+        return np.asarray(call(ctx, params))
+    except ValueError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize(
+    "name, fit_extra", [("t4", False), ("t4", True), ("slash2", True), ("de", False)]
+)
+def test_calls_through_the_last_point_equal_calls_on_a_fresh_context(name, fit_extra):
+    # the context keeps the last point; interleaved calls, a seam point, a
+    # point with mu on an observation (z = 0, singular for "de") and the
+    # fitter's one-ulp retry from it must not see a stale or altered point
+    ctx = _ctx(name, fit_extra=fit_extra)
+    a, b, zero = (_params(name, lam) for lam in (0.5, -0.7, 0.0))
+    seam = _params(name, 1e-12)
+    kink = BcsParams(float(DATA[12]), 0.6, 0.5, FAMILIES[name])
+    retry = BcsParams(float(np.nextafter(DATA[12], np.inf)), 0.6, 0.5, FAMILIES[name])
+    sequence = [
+        (loglik, a), (score, a), (hessian, a), (score, a), (loglik, b), (hessian, b),
+        (score, a), (loglik, b), (score, b), (loglik, seam), (score, seam), (hessian, seam),
+        (score, zero), (loglik, seam), (hessian, zero), (loglik, kink), (score, kink),
+        (score, retry), (hessian, retry), (loglik, kink), (hessian, kink), (loglik, a),
+    ]
+    for call, params in sequence:
+        got = _outcome(call, ctx, params)
+        fresh = _outcome(call, _ctx(name, fit_extra=fit_extra), params)
+        if isinstance(fresh, str):
+            assert got == fresh
+            continue
+        assert got.shape == fresh.shape and np.all(got == fresh), (call.__name__, params)
+        got.fill(np.nan)  # a caller that writes into a result changes nothing kept
+    assert math.isfinite(loglik(ctx, seam))
+    with pytest.raises(ValueError, match="seam"):
+        score(ctx, seam)
+    if name == "de":
+        with pytest.raises(ValueError, match="singular"):
+            score(ctx, kink)
 
 
 # ---------------------------------------------------------------------------
@@ -628,6 +586,34 @@ def _counting_loglik(monkeypatch):
 
     monkeypatch.setattr(estimation, "loglik", counting)
     return calls
+
+
+def _perfbench_tracer():
+    # the benchmark's tracer, read from its source without writing anything
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    module = types.ModuleType("perfbench_tracing")
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module.Tracer()
+
+
+def test_the_benchmark_tracer_counts_the_evaluations_of_a_fit(monkeypatch):
+    # perfbench counts objective, score and Hessian evaluations as the calls
+    # that fit makes to loglik, score and hessian by their module names
+    import bcsym.cli  # noqa: F401 -- the tracer wraps every layer
+
+    calls = _counting_loglik(monkeypatch)
+    family = DensityFamily.student_t(4.0)
+    y = sample(BcsParams(1.0, 0.5, 0.5, family), 50, RngStream(20260816, 50))
+    tracer = _perfbench_tracer()
+    tracer.install()
+    try:
+        gof.fit(LikelihoodContext(y, family))  # the tracer wraps fit where other layers import it
+    finally:
+        tracer.uninstall()
+    tracer.fold()
+    assert tracer.edges[("estimation.fit", "estimation.loglik")] == len(calls) > 0
+    assert tracer.edges[("estimation.fit", "estimation.score")] >= 1
+    assert tracer.edges[("estimation.fit", "estimation.hessian")] >= 1
 
 
 @pytest.mark.parametrize(
