@@ -34,10 +34,8 @@ from .distribution import (
 )
 from .estimation import (
     FitResult,
-    FixedPointReport,
     LikelihoodContext,
     fit,
-    fixed_point_check,
     hessian,
     loglik,
     score,
@@ -90,7 +88,6 @@ __all__ = [
     "FamilyKind",
     "FitFailedError",
     "FitResult",
-    "FixedPointReport",
     "GofReport",
     "LikelihoodContext",
     "LrTestResult",
@@ -111,7 +108,6 @@ __all__ = [
     "empirical_tail_slope",
     "eval_generator",
     "fit",
-    "fixed_point_check",
     "gof_report",
     "hessian",
     "inverse_transform",

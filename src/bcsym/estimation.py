@@ -12,11 +12,19 @@ with w = lambda log(y/mu); both vanish to high order at w = 0 and switch
 to Taylor series there.  One object per parameter point evaluates u, z, the
 truncation R(v) and the log-likelihood once, and z's derivatives and the
 truncation-edge terms when first asked, at their exact limits when
-lambda = 0.  loglik, score, hessian and fixed_point_check all read it, and
-the context keeps the last point, so a score or Hessian at the point of the
-preceding loglik reuses its value level.  Inside 0 < |lambda| < LAMBDA_SEAM
-the general formulas lose precision: loglik still evaluates there, while
-score, hessian and fixed_point_check refuse to run.
+lambda = 0.  loglik, score and hessian all read it, and the context keeps the
+last point, so a score or Hessian at the point of the preceding loglik reuses
+its value level.  Inside 0 < |lambda| < LAMBDA_SEAM the general formulas lose
+precision: loglik still evaluates there, while score and hessian refuse to
+run.
+
+Where log r(z^2) has a kink at z = 0 (double exponential, power exponential
+with tau <= 1), the log-likelihood has one in mu at every observation, and
+the ML mu is typically an observation: a weighted median (Kotz, Kozubowski
+and Podgorski 2001, ch. 2).  With mu on an observation, score and hessian
+raise; the observation adds nothing to the sigma, lambda and extra
+derivatives, and each one-sided mu derivative is the others' plus or minus
+kink_slope / (sigma mu).
 
 The extra parameter (tau or q) has no closed-form derivatives; where it is
 fitted, its score and information entries come from central finite
@@ -24,10 +32,13 @@ differences with step 1e-5 * (1 + extra).
 
 fit runs BFGS.  In analytic mode it starts from the inverse observed
 information at the start point where that is positive definite, and from the
-identity otherwise; in numeric mode from the identity.  It stops at the gradient tolerance; where a line
-search cannot resolve a decrease of the log-likelihood (converged if the
-gradient is below 1e-3); on a score that is not finite or undefined; or at
-the iteration limit.
+identity otherwise; in numeric mode from the identity.  It stops at the
+gradient tolerance; where a line search cannot resolve a decrease of the
+log-likelihood (converged if the gradient is below 1e-3); on a score that is
+not finite or undefined; or at the iteration limit.  A gradient search only
+crawls toward a kink in mu, so in analytic mode fit snaps mu onto the
+observation, holds it while Newton steps fit the other parameters, and
+converges where the one-sided mu derivatives bracket 0.
 """
 
 from __future__ import annotations
@@ -43,6 +54,7 @@ from .distribution import LAMBDA_SEAM, BcsParams, _log_density, _z, truncation
 from .families import (
     DensityFamily,
     eval_generator,
+    kink_slope,
     symmetric_quantile,
     weight_derivative,
     weight_function,
@@ -179,9 +191,31 @@ class _Point:
         self.params = params
         self.ya = ya
         self.u = np.log(ya) - math.log(params.mu)
+        # np.log and math.log can round one ulp apart: an observation at mu has u = 0
+        self.u[ya == params.mu] = 0.0
         self.z = _z(params, self.u)
         self.info = truncation(params)  # info.edge is v = 1 / (sigma |lambda|)
         self.loglik = float(np.sum(_log_density(params, self.u, self.z, self.info)))
+
+    @cached_property
+    def kinked(self) -> int:
+        """How many observations sit at mu (z = 0) in a family whose log r(z^2)
+        has a kink at 0: the log-likelihood has a kink in mu there."""
+        if kink_slope(self.params.family) == 0.0:
+            return 0
+        return int(np.count_nonzero(self.u == 0.0))
+
+    def _off_kink(self, fn) -> np.ndarray:
+        """fn(family, z) per observation, 0 at the kinked ones: their z = 0 for
+        every sigma and lambda, so they add nothing to the sigma, lambda and
+        extra derivatives, and the mu derivative is left without them."""
+        family, z = self.params.family, self.z
+        if not self.kinked:
+            return np.atleast_1d(fn(family, z))
+        out = np.zeros_like(z)
+        off = self.u != 0.0
+        out[off] = fn(family, z[off])
+        return out
 
     @cached_property
     def score_pieces(self):
@@ -205,12 +239,16 @@ class _Point:
             xi = r_v / self.info.normalizer
             vw = float(weight_function(family, v)) if r_v > 0.0 else 0.0
             dxi = xi * (v * vw + xi)
-        W = np.atleast_1d(weight_function(family, self.z))
+        W = self._off_kink(weight_function)
         return E, C, W, xi, dxi
 
     @cached_property
     def score(self) -> np.ndarray:
-        """Gradient in (mu, sigma, lambda)."""
+        """Gradient in (mu, sigma, lambda).
+
+        With observations on a kink, the mu entry is the one-sided mu
+        derivative nearest 0: 0 where the two bracket 0.
+        """
         E, C, W, xi, _ = self.score_pieces
         p = self.params
         mu, sigma, lam = p.mu, p.sigma, p.lam
@@ -222,6 +260,11 @@ class _Point:
         # to the sigma -> inf boundary
         WzC = Wz * u * u / (2.0 * sigma) if lam == 0.0 else Wz * C
         s_mu = -n * lam / mu + float(np.sum(Wz * E)) / (sigma * mu)
+        if self.kinked:
+            # each observation at mu adds -+ kink_slope / (sigma mu) to the
+            # derivative from above and from below
+            jump = self.kinked * kink_slope(p.family) / (sigma * mu)
+            s_mu = float(np.clip(0.0, s_mu - jump, s_mu + jump))
         s_sigma = -n / sigma + float(np.sum(Wz * z)) / sigma
         s_lam = float(np.sum(u - WzC))
         if xi > 0.0:
@@ -238,7 +281,7 @@ class _Point:
         mu, sigma, lam = p.mu, p.sigma, p.lam
         n, u, z, v = self.ya.size, self.u, self.z, self.info.edge
         z_ll = u**3 / (3.0 * sigma) if lam == 0.0 else _phi2(lam * u) / (sigma * lam**3)
-        G = W + z * np.atleast_1d(weight_derivative(p.family, z))  # -(d2/dz2) log r(z^2)
+        G = W + z * self._off_kink(weight_derivative)  # -(d2/dz2) log r(z^2)
         A = -E / (sigma * mu)
         B = -z / sigma
         z_mm = E * (1.0 + lam) / (sigma * mu * mu)
@@ -273,14 +316,39 @@ def loglik(ctx: LikelihoodContext, params: BcsParams) -> float:
     return ctx._point(params).loglik
 
 
+class _OnKink(ValueError):
+    """score or hessian where mu is an observation on a kink of the log-likelihood.
+
+    ``value`` is what the fitter takes there: the score with its mu entry the
+    one-sided derivative nearest 0, or the Hessian without the observations
+    at mu, whose sigma, lambda and extra block is exact.
+    """
+
+    def __init__(self, point: _Point, value: np.ndarray):
+        super().__init__(
+            f"weight function of {point.params.family.label()} is singular at z = 0: "
+            "mu is an observation, where the log-likelihood has a kink in mu"
+        )
+        self.value = value
+
+
 def score(ctx: LikelihoodContext, params: BcsParams) -> np.ndarray:
-    """Gradient of the log-likelihood in (mu, sigma, lambda[, extra])."""
+    """Gradient of the log-likelihood in (mu, sigma, lambda[, extra]).
+
+    Raises ValueError where mu is an observation and the family's log r(z^2)
+    has a kink at z = 0 (double exponential, power exponential with
+    tau <= 1): the mu derivative takes two one-sided values there.
+    """
     point = ctx._point(params)
     s = point.score
-    if not ctx.fit_extra:
-        return s.copy()
-    h, pp, pm = point.extra_pair
-    return np.append(s, (pp.loglik - pm.loglik) / (2.0 * h))
+    if ctx.fit_extra:
+        h, pp, pm = point.extra_pair
+        s = np.append(s, (pp.loglik - pm.loglik) / (2.0 * h))
+    else:
+        s = s.copy()
+    if point.kinked:
+        raise _OnKink(point, s)
+    return s
 
 
 def hessian(ctx: LikelihoodContext, params: BcsParams) -> np.ndarray:
@@ -288,19 +356,19 @@ def hessian(ctx: LikelihoodContext, params: BcsParams) -> np.ndarray:
 
     3x3 over (mu, sigma, lambda); with ``fit_extra`` a fourth row/column for
     the extra parameter is appended from finite differences of the score.
+    Raises ValueError where ``score`` does.
     """
     point = ctx._point(params)
-    H = point.hessian
-    if not ctx.fit_extra:
-        return H.copy()
-    h, pp, pm = point.extra_pair
-    row = (pp.score - pm.score) / (2.0 * h)
-    out = np.empty((4, 4))
-    out[:3, :3] = H
-    out[3, :3] = row
-    out[:3, 3] = row
-    out[3, 3] = (pp.loglik - 2.0 * point.loglik + pm.loglik) / (h * h)
-    return out
+    H = point.hessian.copy()
+    if ctx.fit_extra:
+        h, pp, pm = point.extra_pair
+        row = (pp.score - pm.score) / (2.0 * h)
+        H = np.pad(H, (0, 1))
+        H[3, :3] = H[:3, 3] = row
+        H[3, 3] = (pp.loglik - 2.0 * point.loglik + pm.loglik) / (h * h)
+    if point.kinked:
+        raise _OnKink(point, H)
+    return H
 
 # ---------------------------------------------------------------------------
 # Fitting.
@@ -365,6 +433,21 @@ def fit(
     weight one ulp past a kink ends the fit unconverged, and so do 500
     iterations.
 
+    Where the log-likelihood has a kink in mu at each observation (see
+    ``families.kink_slope``), the gradient jumps there, so BFGS cannot meet
+    the gradient test at the optimum: it crawls toward the observation, each
+    line search halving 10-50 times, until it stalls.  In analytic mode, once
+    a line search is cut to 1/16 of its step with mu within 1e-5 (relative)
+    of an observation, mu is set to it bitwise if the likelihood is no lower
+    there; where the kink is a cusp (power exponential, tau < 1), every
+    observation is a local maximum in mu, so only a stalled search snaps.
+    With mu held, damped Newton steps on the analytic Hessian fit the other
+    parameters.  The one-sided mu derivatives certify the stop: where they
+    bracket 0 and the other components are below 1e-6, the fit converges
+    with mu an observation and a message that names the kink (the score and
+    Hessian raise there, so the standard errors are NaN); where one side
+    rises, BFGS resumes toward it.
+
     Without ``init``, a free-lambda search that walks toward the
     sigma |lambda| -> inf boundary is run again from the optimum of the
     lambda = 0 submodel, and the higher of the two maxima is returned.  At
@@ -384,22 +467,35 @@ def fit(
 def _search_space(ctx: LikelihoodContext):
     """The fitter's coordinates x = (log mu, log sigma, lambda, log extra) over
     the free set: which are logged, the map x -> params, and the objective
-    -loglik(x), inf where x is not admissible."""
+    -loglik(x), inf where x is not admissible.  Given ``mu``, the map and the
+    objective take it in place of exp(x[0])."""
     # lambda is the only free coordinate the optimizer does not log
     logged = [i != 2 for i in ctx.free_index]
 
-    def build(x) -> BcsParams:
-        return ctx.params_at([math.exp(v) if lg else v for v, lg in zip(x.tolist(), logged)])
+    def build(x, mu=None) -> BcsParams:
+        values = [math.exp(v) if lg else v for v, lg in zip(x.tolist(), logged)]
+        if mu is not None:  # held bitwise, which exp(log mu) need not give back
+            values[0] = mu
+        return ctx.params_at(values)
 
-    def objective(x) -> float:
+    def objective(x, mu=None) -> float:
         # a step whose exp() under- or overflows is simply not admissible
         try:
-            val = loglik(ctx, build(x))
+            val = loglik(ctx, build(x, mu))
         except (ValueError, OverflowError):
             return math.inf
         return -val if math.isfinite(val) else math.inf
 
     return logged, build, objective
+
+
+# a line search cut to this step or below, in a family whose log-likelihood has
+# a kink in mu at each observation, that leaves mu within _SNAP_DIST (in log mu)
+# of an observation has run into that kink: mu snaps onto it.  On the compare
+# corpus (n = 1000, observations about 1e-3 apart near the median) a reach of
+# 1e-4 snapped one fit onto a kink 0.037 lower, and 1e-6 snaps later
+_SNAP_T = 1.0 / 16.0
+_SNAP_DIST = 1e-5
 
 
 # fit rejects a non-finite objective, stops with a reason on a non-finite gradient, gives NaN SEs
@@ -416,24 +512,31 @@ def _maximize(ctx: LikelihoodContext, init: BcsParams | None, mode: str) -> FitR
     logged, build, objective = _search_space(ctx)
     kink = []  # the error of a score that stayed on a weight singularity
 
-    def gradient(x) -> np.ndarray:
+    def gradient(x, mu=None) -> np.ndarray:
         if mode == "numeric":
             return finite_diff_gradient(objective, x)
-        params = build(x)
+        params = build(x, mu)
         try:
             s = score(ctx, params)
+        except _OnKink as err:
+            s = err.value if mu is not None else None  # held: the one-sided slope nearest 0
         except ValueError:
+            s = None
+        except OverflowError:
+            return np.full(x.size, math.nan)
+        if s is None:
             # an iterate can land mu bitwise on a data point, putting one z on
             # the weight kink; one ulp sideways yields a valid one-sided slope,
-            # unless log of the moved mu rounds to the same double
+            # unless log of the moved mu rounds to the same double: on a kink
+            # of the log-likelihood, the one-sided slope nearest 0 is taken
             params = replace(params, mu=np.nextafter(params.mu, np.inf))
             try:
                 s = score(ctx, params)
+            except _OnKink as err:
+                s = err.value
             except ValueError as err:
                 kink.append(f"score is undefined at the iterate: {err}")
                 return np.full(x.size, math.nan)
-        except OverflowError:
-            return np.full(x.size, math.nan)
         terms = zip(ctx.free_index, ctx.free_values(params), logged)
         return np.array([-s[i] * v if lg else -s[i] for i, v, lg in terms])
 
@@ -446,10 +549,30 @@ def _maximize(ctx: LikelihoodContext, init: BcsParams | None, mode: str) -> FitR
     dim = x.size
     f0 = objective(x)
     g0 = gradient(x)
-    h_inv = _start_inverse(ctx, build(x), logged, g0) if mode == "analytic" else None
+    h_inv = _inverse_information(ctx, build(x), logged, g0) if mode == "analytic" else None
     identity_h = h_inv is None
     if identity_h:
         h_inv = np.eye(dim)
+    held = None  # mu while held bitwise on an observation, on a kink in mu
+
+    def snap(x1, f1, stalled: bool):
+        """(x, objective, mu) with mu moved onto the observation nearest
+        exp(x1[0]), if that lies within _SNAP_DIST, is on a kink and is no
+        lower; else None.  Where the kink's slope is infinite every
+        observation is a local maximum in mu, so a cut step says nothing:
+        there mu snaps only once the search has stalled."""
+        slope = kink_slope(build(x1).family) if mode == "analytic" else 0.0
+        if slope == 0.0 or (math.isinf(slope) and not stalled):
+            return None
+        mu1 = math.exp(x1[0])
+        y_k = float(ya[np.argmin(np.abs(ya - mu1))])
+        if abs(math.log(y_k / mu1)) > _SNAP_DIST:
+            return None
+        x_k = x1.copy()
+        x_k[0] = math.log(y_k)
+        f_k = objective(x_k, y_k)
+        return (x_k, f_k, y_k) if f_k <= f1 else None
+
     converged = False
     message = ""
     iterations = 0
@@ -461,47 +584,67 @@ def _maximize(ctx: LikelihoodContext, init: BcsParams | None, mode: str) -> FitR
         if g_max < _GTOL:
             converged = True
             break
-        d = -h_inv @ g0
-        if d @ g0 >= 0.0:
-            h_inv = np.eye(dim)
-            identity_h = True
-            d = -g0
+        newton = held is not None and abs(g0[0]) < _GTOL
+        if newton:
+            # the one-sided mu derivatives bracket 0: damped Newton over the
+            # other coordinates, mu held
+            d = np.zeros(dim)
+            inv = _inverse_information(ctx, build(x, held), logged, g0, rest=True)
+            d[1:] = -(inv @ g0[1:]) if inv is not None else -g0[1:]
+        else:
+            # off a kink, or uphill on one side of it
+            d = -h_inv @ g0
+            if d @ g0 >= 0.0:
+                h_inv = np.eye(dim)
+                identity_h = True
+                d = -g0
+        hold = held if newton else None
         slope = d @ g0
         resolution = sys.float_info.epsilon * (1.0 + abs(f0))  # one ulp of f
         t = 1.0
         # after the unit step, stop at the step floor or an unresolvable t |g'd|
         while t == 1.0 or (t > 1e-14 and t * abs(slope) > resolution):
-            f1 = objective(x + t * d)
+            f1 = objective(x + t * d, hold)
             if math.isfinite(f1) and f1 <= f0 + 1e-4 * t * slope:
                 break
             t *= 0.5
         else:
-            if not identity_h:
+            if not newton and not identity_h:
                 # the curvature model may be stale; retry from steepest descent
                 h_inv = np.eye(dim)
                 identity_h = True
                 continue
+            snapped = snap(x, f0, stalled=True) if held is None else None
+            if snapped:
+                x, f0, held = snapped
+                g0 = gradient(x, held)
+                continue
             if g_max < _PLATEAU_GTOL:
                 converged = True
-                message = "stopped where the likelihood is flat to machine precision"
+                if held is None:  # on a kink, the standard errors' message names it
+                    message = "stopped where the likelihood is flat to machine precision"
             else:
                 message = "line search stalled before the gradient tolerance"
             break
-        x1 = x + t * d
-        g1 = gradient(x1)
-        s_step = x1 - x
-        y_step = g1 - g0
-        sy = s_step @ y_step
-        if sy > 1e-10 * np.linalg.norm(s_step) * np.linalg.norm(y_step):
-            rho = 1.0 / sy
-            outer = np.eye(dim) - rho * np.outer(s_step, y_step)
-            h_inv = outer @ h_inv @ outer.T + rho * np.outer(s_step, s_step)
-            identity_h = False
+        x1, held = x + t * d, hold
+        if held is None and t <= _SNAP_T:
+            # a kink in mu may have cut the step
+            x1, f1, held = snap(x1, f1, stalled=False) or (x1, f1, None)
+        g1 = gradient(x1, held)
+        if held is None:
+            s_step = x1 - x
+            y_step = g1 - g0
+            sy = s_step @ y_step
+            if sy > 1e-10 * np.linalg.norm(s_step) * np.linalg.norm(y_step):
+                rho = 1.0 / sy
+                outer = np.eye(dim) - rho * np.outer(s_step, y_step)
+                h_inv = outer @ h_inv @ outer.T + rho * np.outer(s_step, s_step)
+                identity_h = False
         x, f0, g0 = x1, f1, g1
     else:
         message = "iteration limit reached"
 
-    params_hat = build(x)
+    params_hat = build(x, held)
     estimates = dict(zip(free_names, ctx.free_values(params_hat)))
     std_errors, se_message = _standard_errors(ctx, params_hat, mode)
     if se_message and not message:
@@ -522,8 +665,11 @@ def _maximize(ctx: LikelihoodContext, init: BcsParams | None, mode: str) -> FitR
     )
 
 
-def _start_inverse(ctx: LikelihoodContext, params: BcsParams, logged, g0) -> np.ndarray | None:
-    """BFGS's first inverse Hessian: the inverse observed information.
+def _inverse_information(
+    ctx: LikelihoodContext, params: BcsParams, logged, g0, rest: bool = False
+) -> np.ndarray | None:
+    """The inverse observed information at ``params`` in the optimizer's
+    coordinates, over the free parameters, or all but mu with ``rest``.
 
     The Hessian of -loglik is mapped to the optimizer's coordinates, where a
     logged coordinate x = log theta adds its gradient g0 on the diagonal, and
@@ -532,12 +678,17 @@ def _start_inverse(ctx: LikelihoodContext, params: BcsParams, logged, g0) -> np.
     definite: a step along a direction of negative curvature, scaled as if
     it were positive, walks far from the start.
     """
-    scale = np.array([v if lg else 1.0 for v, lg in zip(ctx.free_values(params), logged)])
+    skip = 1 if rest else 0
+    index = ctx.free_index[skip:]
+    scale = np.array([v if lg else 1.0 for v, lg in zip(ctx.free_values(params), logged)])[skip:]
     try:
-        h = hessian(ctx, params)[np.ix_(ctx.free_index, ctx.free_index)]
+        h = hessian(ctx, params)
+    except _OnKink as err:
+        h = err.value
     except (ValueError, OverflowError, ZeroDivisionError):
         return None
-    curv = -h * np.outer(scale, scale) + np.diag(np.where(logged, g0, 0.0))
+    h = h[np.ix_(index, index)]
+    curv = -h * np.outer(scale, scale) + np.diag(np.where(logged, g0, 0.0)[skip:])
     if not np.all(np.isfinite(curv)):
         return None
     eig, vec = np.linalg.eigh((curv + curv.T) / 2.0)
@@ -570,50 +721,14 @@ def _standard_errors(ctx: LikelihoodContext, params: BcsParams, mode: str):
             )
             scale = np.array([v if lg else 1.0 for v, lg in terms])
         cov = np.linalg.inv((curv + curv.T) / 2.0)
+    except _OnKink:
+        return nan_errors, (
+            "maximum on a kink: mu is an observation, where the log-likelihood "
+            "has no mu derivative, so there are no standard errors"
+        )
     except (np.linalg.LinAlgError, ValueError, OverflowError, ZeroDivisionError):
         return nan_errors, "observed information is singular"
     diag = np.diag(cov)
     if not np.all(np.isfinite(diag)) or np.any(diag <= 0.0):
         return nan_errors, "observed information is not positive definite"
     return dict(zip(free, scale * np.sqrt(diag))), ""
-
-
-# ---------------------------------------------------------------------------
-# Fixed-point form of the stationarity equations.
-
-@dataclass(frozen=True)
-class FixedPointReport:
-    mu_implied: float
-    sigma_implied: float
-    residual_mu: float
-    residual_sigma: float
-
-
-def fixed_point_check(ctx: LikelihoodContext, params: BcsParams) -> FixedPointReport:
-    """Evaluate the ML stationarity equations in their fixed-point form.
-
-    At the maximum, mu equals a weighted power mean of the data (a weighted
-    geometric mean when lambda = 0) and sigma^2 a weighted mean square; the
-    residuals are the relative gaps between the implied and given values.
-    """
-    point = ctx._point(params)
-    E, _, W, xi, _ = point.score_pieces
-    mu, sigma, lam = params.mu, params.sigma, params.lam
-    n = ctx.n
-    if lam == 0.0:
-        mu_implied = math.exp(float(np.sum(W * np.log(ctx.data)) / np.sum(W)))
-        sigma_implied = math.sqrt(float(np.sum(W * point.u * point.u)) / n)
-    else:
-        delta = xi * point.info.edge
-        g = sigma * point.z
-        sigma_implied = math.sqrt(float(np.sum(W * g * g)) / (n * (1.0 - delta)))
-        m = float(np.sum(W * E)) / (
-            float(np.sum(W)) + n * lam * lam * sigma * sigma * delta
-        )
-        mu_implied = mu * m ** (1.0 / lam)
-    return FixedPointReport(
-        mu_implied=mu_implied,
-        sigma_implied=sigma_implied,
-        residual_mu=abs(mu_implied / mu - 1.0),
-        residual_sigma=abs(sigma_implied / sigma - 1.0),
-    )

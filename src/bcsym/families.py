@@ -845,6 +845,20 @@ def weight_derivative(family: DensityFamily, z):
     return float(out) if za.shape == () else out
 
 
+def kink_slope(family: DensityFamily) -> float:
+    """-d/d|z| log r(z^2) as z -> 0+: positive (inf for a cusp) where log r(z^2)
+    has a kink at z = 0, so that the log-likelihood has one in mu at every
+    observation; 0 where it is smooth."""
+    return _SPECS[family.kind].kink_slope(family)
+
+
+def _pe_kink_slope(tau: float) -> float:
+    # -d/d|z| of -|z|^tau / (2 p^tau) at 0+
+    if tau > 1.0:
+        return 0.0
+    return math.inf if tau < 1.0 else 0.5 / _pe_scale(1.0)[0]
+
+
 def generator_decay(family: DensityFamily) -> tuple:
     """Decay of the generator as |z| -> inf: ``("power", g)`` when
     r(z^2) ~ z^-g, ``("exp", c, e)`` when log r(z^2) ~ -c |z|^e."""
@@ -877,6 +891,7 @@ class _FamilySpec(NamedTuple):
     tail_quantile: Callable = _tail_quantile_newton  # (family, t) -> s, P(S > s) = t
     weight_singular: Callable = lambda family: False  # w singular at z = 0
     weight_kink: Callable = lambda family: False  # w finite but not differentiable at 0
+    kink_slope: Callable = lambda family: 0.0  # kink_slope(family)
 
 
 _SPECS = {
@@ -896,6 +911,7 @@ _SPECS = {
         weight=lambda family, z, u: _SQRT2 / np.abs(z),
         weight_derivative=lambda family, z, u: -_SQRT2 * np.sign(z) / u,
         weight_singular=lambda family: True,
+        kink_slope=lambda family: _SQRT2,
         decay=lambda family: ("exp", _SQRT2, 1.0),
     ),
     FamilyKind.POWER_EXPONENTIAL: _FamilySpec(
@@ -908,6 +924,7 @@ _SPECS = {
         weight_derivative=_dw_power_exponential,
         weight_singular=lambda family: family.extra < 2.0,
         weight_kink=lambda family: 2.0 < family.extra <= 3.0,
+        kink_slope=lambda family: _pe_kink_slope(family.extra),
         decay=lambda family: (
             "exp", 0.5 / _pe_scale(family.extra)[0], family.extra
         ),

@@ -6,10 +6,13 @@ weighted Cramer-von Mises integrals with weights 1/(F(1-F)), 1/(1-F) and
 three.  Quantile residuals are the normal quantiles of the fitted cdf and
 behave approximately as a standard normal sample under a correct model.
 
-Fitted cdf values are validated to lie strictly inside (0, 1) (exact 0 or 1
-means the model placed an observation outside its support) and then clamped
-to [PROB_FLOOR, 1 - PROB_FLOOR] before logs and reciprocals; reports carry a
-flag when the clamp fires.
+Probability transforms are clamped to [PROB_FLOOR, 1 - PROB_FLOOR] before
+logs and reciprocals, and reports carry a flag when the clamp fires.  A BCS
+law has support (0, inf), so in ``gof_report`` its cdf rounds to an exact 0
+or 1 only at observations far in a tail, and those are clamped too.
+``anderson_darling_suite`` takes any cdf callable, and it and
+``quantile_residuals`` reject an exact 0 or 1 as an observation outside the
+model's support.
 """
 
 from __future__ import annotations
@@ -88,9 +91,14 @@ def lr_test_lambda_zero(
     )
 
 
-def _check_open_unit(u: np.ndarray) -> np.ndarray:
+def _check_finite(u: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(u)):
         raise ValueError("fitted cdf produced non-finite values")
+    return u
+
+
+def _check_open_unit(u: np.ndarray) -> np.ndarray:
+    _check_finite(u)
     if np.any(u <= 0.0) or np.any(u >= 1.0):
         raise ValueError("fitted cdf must lie strictly inside (0, 1) on the data")
     return u
@@ -167,8 +175,8 @@ def gof_report(data, fit_result: FitResult) -> GofReport:
     ya = np.asarray(data, dtype=float).ravel()
     if ya.size < 2:
         raise ValueError("need at least two observations")
-    u = _check_open_unit(np.asarray(cdf(fit_result.params, ya), dtype=float))
-    u, clamped = _clamp_probs(u)
+    # a BCS law has support (0, inf): a cdf of exactly 0 or 1 is rounding far in a tail
+    u, clamped = _clamp_probs(_check_finite(np.asarray(cdf(fit_result.params, ya), dtype=float)))
     ad, adr, ad2r = _ad_statistics(np.sort(u))
     return GofReport(
         aic=fit_result.aic,

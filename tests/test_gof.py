@@ -277,3 +277,9 @@ def test_gof_report_flags_clamping():
     assert all(math.isfinite(v) for v in (report.ad, report.adr, report.ad2r))
     tame = gof_report(np.array([0.5, 1.0, 2.0]), _stub_fit_result(params))
     assert not tame.clamped
+    # about 40 standard deviations out the cdf rounds to exactly 0 or 1; the
+    # law's support is (0, inf), so that is rounding, not a point outside it
+    far = gof_report(np.array([math.exp(-40.0), 1.0, math.exp(40.0)]), _stub_fit_result(params))
+    assert far.clamped
+    assert all(math.isfinite(v) for v in (far.ad, far.adr, far.ad2r))
+    assert np.all(np.isfinite(far.quantile_residuals))
