@@ -38,7 +38,8 @@ log-likelihood (converged if the gradient is below 1e-3); on a score that is
 not finite or undefined; or at the iteration limit.  A gradient search only
 crawls toward a kink in mu, so in analytic mode fit snaps mu onto the
 observation, holds it while Newton steps fit the other parameters, and
-converges where the one-sided mu derivatives bracket 0.
+converges where the one-sided mu derivatives bracket 0 (on a cusp, where no
+neighbouring observation is higher).
 """
 
 from __future__ import annotations
@@ -429,9 +430,12 @@ def fit(
     even from steepest descent, cannot resolve a decrease t |g'd| >
     eps (1 + |f|), one ulp of the objective: converged if the gradient is
     below 1e-3 (the likelihood is flat to machine precision), stalled
-    otherwise.  A score that overflows, is not finite or stays on a singular
-    weight one ulp past a kink ends the fit unconverged, and so do 500
-    iterations.
+    otherwise.  In analytic mode, once the gradient is below 1e-3, a unit
+    BFGS step that fails is retried from the observed information at the
+    iterate, and where that step too cannot resolve a decrease the search
+    ends without the steepest-descent retry.  A score that overflows, is not
+    finite or stays on a singular weight one ulp past a kink ends the fit
+    unconverged, and so do 500 iterations.
 
     Where the log-likelihood has a kink in mu at each observation (see
     ``families.kink_slope``), the gradient jumps there, so BFGS cannot meet
@@ -440,13 +444,16 @@ def fit(
     a line search is cut to 1/16 of its step with mu within 1e-5 (relative)
     of an observation, mu is set to it bitwise if the likelihood is no lower
     there; where the kink is a cusp (power exponential, tau < 1), every
-    observation is a local maximum in mu, so only a stalled search snaps.
-    With mu held, damped Newton steps on the analytic Hessian fit the other
-    parameters.  The one-sided mu derivatives certify the stop: where they
-    bracket 0 and the other components are below 1e-6, the fit converges
-    with mu an observation and a message that names the kink (the score and
-    Hessian raise there, so the standard errors are NaN); where one side
-    rises, BFGS resumes toward it.
+    observation is a local maximum in mu, so only a stalled search, or one
+    whose iterate lands on the observation bitwise, snaps.  With mu held,
+    damped Newton steps on the analytic Hessian fit the other parameters.
+    The one-sided mu derivatives certify the stop: where they bracket 0 and
+    the other components are below 1e-6, the fit converges with mu an
+    observation and a message that names the kink (the score and Hessian
+    raise there, so the standard errors are NaN); where one side rises,
+    BFGS resumes toward it.  On a cusp they bracket 0 at every observation,
+    so there mu moves on to a neighbouring observation while one is higher
+    at the other parameters, and the Newton steps resume from it.
 
     Without ``init``, a free-lambda search that walks toward the
     sigma |lambda| -> inf boundary is run again from the optimum of the
@@ -560,18 +567,39 @@ def _maximize(ctx: LikelihoodContext, init: BcsParams | None, mode: str) -> FitR
         exp(x1[0]), if that lies within _SNAP_DIST, is on a kink and is no
         lower; else None.  Where the kink's slope is infinite every
         observation is a local maximum in mu, so a cut step says nothing:
-        there mu snaps only once the search has stalled."""
+        there mu snaps only once the search has stalled, or once an iterate
+        lands on the observation bitwise (one ulp off it, the one-sided slope
+        is huge, and BFGS steps off and halves back onto it for good)."""
         slope = kink_slope(build(x1).family) if mode == "analytic" else 0.0
-        if slope == 0.0 or (math.isinf(slope) and not stalled):
+        if slope == 0.0:
             return None
         mu1 = math.exp(x1[0])
         y_k = float(ya[np.argmin(np.abs(ya - mu1))])
         if abs(math.log(y_k / mu1)) > _SNAP_DIST:
             return None
+        if math.isinf(slope) and not stalled and y_k != mu1:
+            return None
         x_k = x1.copy()
         x_k[0] = math.log(y_k)
         f_k = objective(x_k, y_k)
         return (x_k, f_k, y_k) if f_k <= f1 else None
+
+    def neighbour(x1, f1):
+        """(x, objective, mu) with the held mu moved to the next observation
+        below or above it, whichever is higher, if either is higher than f1;
+        else None.  On a cusp every observation is a local maximum in mu, so
+        the one-sided mu derivatives bracket 0 at each: the fit compares the
+        neighbours instead before it stops."""
+        ys = np.unique(ya)
+        k = int(np.searchsorted(ys, held))
+        best = None
+        for y_j in (float(ys[j]) for j in (k - 1, k + 1) if 0 <= j < ys.size):
+            x_j = x1.copy()
+            x_j[0] = math.log(y_j)
+            f_j = objective(x_j, y_j)
+            if f_j < (best[1] if best else f1):
+                best = (x_j, f_j, y_j)
+        return best
 
     converged = False
     message = ""
@@ -582,6 +610,12 @@ def _maximize(ctx: LikelihoodContext, init: BcsParams | None, mode: str) -> FitR
             message = kink[-1] if kink else "score is not finite at the iterate"
             break
         if g_max < _GTOL:
+            cusp = held is not None and math.isinf(kink_slope(build(x, held).family))
+            moved = neighbour(x, f0) if cusp else None
+            if moved:
+                x, f0, held = moved
+                g0 = gradient(x, held)
+                continue
             converged = True
             break
         newton = held is not None and abs(g0[0]) < _GTOL
@@ -602,14 +636,28 @@ def _maximize(ctx: LikelihoodContext, init: BcsParams | None, mode: str) -> FitR
         slope = d @ g0
         resolution = sys.float_info.epsilon * (1.0 + abs(f0))  # one ulp of f
         t = 1.0
+        # near a flat optimum a stale BFGS model overshoots, and halving its
+        # step, then steepest descent's, runs down to the resolution of f:
+        # there the unit step is retried from the observed information
+        # instead, and where that cannot resolve a decrease, neither can
+        # steepest descent
+        refresh = mode == "analytic" and not (newton or identity_h) and g_max < _PLATEAU_GTOL
+        refreshed = False
         # after the unit step, stop at the step floor or an unresolvable t |g'd|
         while t == 1.0 or (t > 1e-14 and t * abs(slope) > resolution):
             f1 = objective(x + t * d, hold)
             if math.isfinite(f1) and f1 <= f0 + 1e-4 * t * slope:
                 break
+            inv = _inverse_information(ctx, build(x), logged, g0) if refresh else None
+            refresh = False
+            if inv is not None:
+                h_inv, refreshed = inv, True
+                d = -h_inv @ g0
+                slope = d @ g0
+                continue
             t *= 0.5
         else:
-            if not newton and not identity_h:
+            if not (newton or identity_h or refreshed):
                 # the curvature model may be stale; retry from steepest descent
                 h_inv = np.eye(dim)
                 identity_h = True
@@ -627,8 +675,8 @@ def _maximize(ctx: LikelihoodContext, init: BcsParams | None, mode: str) -> FitR
                 message = "line search stalled before the gradient tolerance"
             break
         x1, held = x + t * d, hold
-        if held is None and t <= _SNAP_T:
-            # a kink in mu may have cut the step
+        if held is None and (t <= _SNAP_T or math.exp(x1[0]) in ya):
+            # a kink in mu may have cut the step, or the step landed on one
             x1, f1, held = snap(x1, f1, stalled=False) or (x1, f1, None)
         g1 = gradient(x1, held)
         if held is None:

@@ -22,11 +22,11 @@ Design notes
   cdf uses a cached cumulative Gauss-Kronrod table on [0, 9] plus direct
   panel sums for the far tail, which is accurate to ~1e-15.
 * Quantiles use exact inversions where available.  Otherwise a vectorized
-  Newton iteration in y = log s solves log P(S > e^y) = log t, and bisects
+  Halley iteration in y = log s solves log P(S > e^y) = log t, and bisects
   in y where a step leaves its bracket of finite doubles.  It starts from a
   table of the family's exact inverse at 320 fixed nodes in t, built on
   first use and cached, by cubic Hermite interpolation with the known
-  slopes, so a draw costs about 2.5 tail evaluations (the numerical
+  slopes, so a draw costs about 2 tail evaluations (the numerical
   inversion of Hoermann and Leydold 2003, ACM TOMACS 13:347).  A t on a node
   returns the stored value.  The table is built by the same iteration
   started cold, from the generator's decay fact or from the centre between
@@ -235,6 +235,16 @@ _LOGISTIC_EDGE_MAX = 9.0
 _logistic_cache: dict | None = None
 
 
+def _kronrod_sum(f: np.ndarray) -> np.ndarray:
+    """The Kronrod rule over the last axis of f, with the same bits at any size.
+
+    f @ KRONROD_WEIGHTS hands the sum to BLAS, whose order can depend on the
+    number of rows (one row takes another kernel); an elementwise product
+    summed over the last axis is reduced row by row in one order.
+    """
+    return (f * KRONROD_WEIGHTS).sum(axis=-1)
+
+
 def _logistic_i_unnorm(t: np.ndarray) -> np.ndarray:
     # t * t overflows beyond t of about 1.3e154, where w is 0
     with np.errstate(over="ignore"):
@@ -249,7 +259,7 @@ def _logistic_i_cache() -> dict:
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * (edges[1] - edges[0])
         nodes = mid[:, None] + half * KRONROD_NODES[None, :]
-        panels = (_logistic_i_unnorm(nodes) @ KRONROD_WEIGHTS) * half
+        panels = _kronrod_sum(_logistic_i_unnorm(nodes)) * half
         cum = np.concatenate([[0.0], np.cumsum(panels)])
         # the tail mass beyond 9 is below 1e-36, negligible at double precision
         _logistic_cache = {"edges": edges, "cum": cum, "c": 0.5 / cum[-1]}
@@ -269,7 +279,7 @@ def _logistic_i_mass0(x: np.ndarray) -> np.ndarray:
     mid = 0.5 * (a + x)
     half = 0.5 * (x - a)
     nodes = mid[..., None] + half[..., None] * KRONROD_NODES
-    seg = (_logistic_i_unnorm(nodes) @ KRONROD_WEIGHTS) * half
+    seg = _kronrod_sum(_logistic_i_unnorm(nodes)) * half
     return cache["cum"][idx] + seg
 
 
@@ -279,7 +289,7 @@ def _logistic_i_tail0(x: np.ndarray) -> np.ndarray:
     half = 0.25
     mid = x[..., None] + offsets + half
     nodes = mid[..., None] + half * KRONROD_NODES
-    seg = (_logistic_i_unnorm(nodes) @ KRONROD_WEIGHTS) * half
+    seg = _kronrod_sum(_logistic_i_unnorm(nodes)) * half
     return seg.sum(axis=-1)
 
 
@@ -496,6 +506,12 @@ def symmetric_survival(family: DensityFamily, s):
 _S_MIN = float(np.nextafter(0.0, 1.0))
 _S_MAX = float(np.finfo(float).max)
 
+# the quantile solver stops an element once its correction to log s is
+# within this: the computed tails are relatively accurate to a few eps (tens
+# of eps far out in the power tails), so a smaller correction moves s by
+# their rounding, a few ulps
+_TAIL_RESOLUTION = 16.0 * _EPS
+
 
 def _tail_quantile_cauchy(family: DensityFamily, t: np.ndarray) -> np.ndarray:
     # the quantile overflows to inf below t of about 2e-309
@@ -520,13 +536,18 @@ def _cold_start(family: DensityFamily, t: np.ndarray) -> np.ndarray:
         return np.clip(np.exp(np.where(t > 0.25, centre, y)), _S_MIN, _S_MAX)
 
 
-def _newton_in_log_s(family: DensityFamily, t: np.ndarray, s: np.ndarray, active: np.ndarray) -> np.ndarray:
+def _halley_in_log_s(family: DensityFamily, t: np.ndarray, s: np.ndarray, active: np.ndarray) -> np.ndarray:
     """Solve P(S > s) = t for the active elements, from the start s.
 
-    Newton in y = log s on log P(S > e^y) = log t, whose slope is
-    -s r(s^2) / P(S > s).  A step that leaves the bracket bisects it in y.
-    The inactive elements keep s, except that t >= 0.5 gives 0; a t beyond
-    every double gives inf.
+    Halley's method in y = log s on F(y) = log P(S > e^y) - log t.  With
+    m = s r(s^2) / P(S > s), F' = -m and F'' = -m k, k = 1 - s^2 w(s) + m,
+    so a step is y <- y + F / (m + F k / 2); where that denominator is not
+    finite and positive, the Newton step y <- y + F / m.  An element stops,
+    keeping its corrected point, once the correction is within
+    ``_TAIL_RESOLUTION`` or |F| <= 4 eps, and stops where it is once no
+    double is left in its bracket.  A step that leaves the bracket bisects
+    it in y.  The inactive elements keep s, except that t >= 0.5 gives 0; a
+    t beyond every double gives inf.
     """
     upper_tail = _SPECS[family.kind].upper_tail
     decay = generator_decay(family)
@@ -538,24 +559,34 @@ def _newton_in_log_s(family: DensityFamily, t: np.ndarray, s: np.ndarray, active
         if not active.any():
             break
         sa = s[active]
-        with np.errstate(divide="ignore"):
-            log_tail = np.log(upper_tail(family, sa))
-        f = log_tail - log_t[active]
+        tail = upper_tail(family, sa)
+        with np.errstate(divide="ignore", over="ignore"):
+            log_tail = np.log(tail)
+            # log(P / t) keeps the tail's relative accuracy, where
+            # log P - log t carries the rounding of two logs of size |log t|
+            # (16 eps at t = 1e-10); the quotient overflows at subnormal t
+            ratio = tail / t[active]
+            f = np.where(np.isinf(ratio), log_tail - log_t[active], np.log(ratio))
         lo_a = np.where(f > 0.0, sa, lo[active])
         hi_a = np.where(f < 0.0, sa, hi[active])
         with np.errstate(over="ignore"):
             u = sa * sa
         with np.errstate(invalid="ignore", over="ignore"):
             slope = np.exp(np.log(sa) + eval_generator(family, u).log_r - log_tail)
+            # d log slope / dy; not finite where u over- or underflows
+            k = 1.0 - u * weight_function(family, sa) + slope
         # where s^2 overflows, a power tail's slope is its limit g - 1; where
         # s^2 underflows, r is read at 0, which misleads at tiny tau: bisect
         if decay[0] == "power":
             slope[np.isinf(u)] = decay[1] - 1.0
         slope[u == 0.0] = np.nan
         with np.errstate(invalid="ignore", over="ignore"):
-            proposal = np.clip(sa * np.exp(f / slope), _S_MIN, _S_MAX)
-        # solved to relative precision in t, or a Newton step below an ulp
-        done = (np.abs(f) <= 4.0 * _EPS) | (hi_a - lo_a <= _EPS * sa)
+            halley = slope + 0.5 * f * k
+            step = f / np.where(np.isfinite(halley) & (halley > 0.0), halley, slope)
+            proposal = np.clip(sa * np.exp(step), _S_MIN, _S_MAX)
+        # solved to the tail's resolution, or a step below an ulp
+        done = (np.abs(f) <= 4.0 * _EPS) | (np.abs(step) <= _TAIL_RESOLUTION)
+        done |= hi_a - lo_a <= _EPS * sa
         done |= (proposal == sa) & np.isfinite(slope)
         a, b = np.maximum(lo_a, _S_MIN), np.minimum(hi_a, _S_MAX)
         inside = (lo_a < proposal) & (proposal < hi_a)
@@ -564,7 +595,7 @@ def _newton_in_log_s(family: DensityFamily, t: np.ndarray, s: np.ndarray, active
         done |= (proposal <= lo_a) | (proposal >= hi_a)
         lo[active] = lo_a
         hi[active] = hi_a
-        # a last Newton step inside the bracket is kept; it needs no evaluation
+        # a last step inside the bracket is kept; it needs no evaluation
         s[active] = np.where(done & ~inside, sa, proposal)
         still = active.copy()
         still[active] = ~done
@@ -581,10 +612,10 @@ def _newton_in_log_s(family: DensityFamily, t: np.ndarray, s: np.ndarray, active
 # gives 26, so h = log(2^58) / 255 = 0.158 bounds the start's error in
 # log s by 4e-5.  (Measured on pe(0.8, 1.5, 3), t(1.5, 4), logistic I,
 # canonical slash and slash(1, 2, 4.5): at most 2.7e-5, median at most
-# 2e-10.)  Newton squares that error each step, so the worst start
-# needs two steps and the median one: about 2.5 tail evaluations a draw.
-# One step at worst would need an error of 1e-8: 8 times the nodes, and 8
-# times the 3-12 ms a table takes to build.  On the t grid, h = 1/256 and
+# 2e-10.)  A Halley step cubes that error, so one step brings all but the
+# worst starts (about 1 draw in 100) within the tail's resolution, and the
+# second evaluation only confirms it: about 2 tail evaluations a draw, where
+# Newton, which squares the error, took about 2.5.  On the t grid, h = 1/256 and
 # |s^(4)| <= 2.5e4 (pe(0.8), whose r has a cusp at 0) bound it by 2e-8.
 _TABLE_T = np.concatenate([
     np.exp(np.linspace(math.log(2.0**-60), math.log(0.25), 256)[:-1]),
@@ -596,7 +627,7 @@ _TABLE_LOG_T = np.log(_TABLE_T)
 class _InverseTable(NamedTuple):
     """One family's exact tail quantiles at ``_TABLE_T``, with their slopes."""
 
-    s: np.ndarray  # P(S > s) = t, as the cold-started Newton solves it
+    s: np.ndarray  # P(S > s) = t, as the cold-started iteration solves it
     log_s: np.ndarray
     dlog_s: np.ndarray  # d log s / d log t = -t / (s r(s^2)), used for t <= 1/4
     ds: np.ndarray  # ds/dt = -1 / r(s^2), used for t >= 1/4
@@ -606,7 +637,7 @@ class _InverseTable(NamedTuple):
 def _inverse_table(kind: FamilyKind, extra: float | None) -> _InverseTable:
     family = DensityFamily(kind, extra)
     t = _TABLE_T
-    s = _newton_in_log_s(family, t, _cold_start(family, t), t < 0.5)
+    s = _halley_in_log_s(family, t, _cold_start(family, t), t < 0.5)
     with np.errstate(over="ignore"):
         log_r = eval_generator(family, s * s).log_r
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -624,10 +655,10 @@ def _hermite(theta, h, f0, f1, m0, m1):
     return f0 + theta * (h * m0 + theta * (3.0 * d - h * (2.0 * m0 + m1) + theta * (h * (m0 + m1) - 2.0 * d)))
 
 
-def _tail_quantile_newton(family: DensityFamily, t: np.ndarray) -> np.ndarray:
+def _tail_quantile_halley(family: DensityFamily, t: np.ndarray) -> np.ndarray:
     """Solve P(S > s) = t for s > 0, elementwise; t must lie in (0, 0.5].
 
-    Newton in log s (``_newton_in_log_s``), started from the family's cached
+    Halley in log s (``_halley_in_log_s``), started from the family's cached
     inverse table: at a node, its stored value, returned as it is; between
     two nodes, the cubic Hermite through them, in log s over log t below
     1/4 and in s over t above.  A t outside the table, or a start that is
@@ -650,7 +681,7 @@ def _tail_quantile_newton(family: DensityFamily, t: np.ndarray) -> np.ndarray:
     cold = ~((t >= _TABLE_T[0]) & (start > 0.0) & (start <= _S_MAX))
     if cold.any():
         start[cold] = _cold_start(family, t[cold])
-    return _newton_in_log_s(family, t, start, (t < 0.5) & ~hit)
+    return _halley_in_log_s(family, t, start, (t < 0.5) & ~hit)
 
 
 def symmetric_quantile(family: DensityFamily, p):
@@ -875,7 +906,7 @@ class _FamilySpec(NamedTuple):
     at call time, never as stored values, so that a name patched here (as
     perfbench's tracer does) sees every call.  Every family inverts the
     upper tail by ``tail_quantile``: the normal, double exponential, Cauchy
-    and logistic II in closed form, the others by the default, Newton in
+    and logistic II in closed form, the others by the default, Halley in
     log s started from the family's cached inverse table, which is itself
     solved from ``decay``.
     """
@@ -888,7 +919,7 @@ class _FamilySpec(NamedTuple):
     extra_name: str | None = None
     default_extra: float | None = None  # the extra from_name gives when none is passed
     alias: str | None = None  # short name from_name also accepts
-    tail_quantile: Callable = _tail_quantile_newton  # (family, t) -> s, P(S > s) = t
+    tail_quantile: Callable = _tail_quantile_halley  # (family, t) -> s, P(S > s) = t
     weight_singular: Callable = lambda family: False  # w singular at z = 0
     weight_kink: Callable = lambda family: False  # w finite but not differentiable at 0
     kink_slope: Callable = lambda family: 0.0  # kink_slope(family)

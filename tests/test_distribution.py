@@ -480,7 +480,7 @@ def test_sample_matches_cdf(label):
 
 
 # Sampling inverts the tail from a cached inverse table, so a draw costs
-# about 2.5 tail evaluations (4.5 to 6 from a cold start).  A work count, not
+# about 2 tail evaluations (4.5 to 6 from a cold start).  A work count, not
 # a time: the elements each family's upper tail sees while 500 draws are made.
 WORK_FAMILIES = [
     DensityFamily.power_exponential(1.5),
@@ -506,6 +506,23 @@ def test_sampling_costs_at_most_three_tail_evaluations_a_draw(family, monkeypatc
     for seed in (7303, 7304):
         sample(params, 500, RngStream(seed, 0))
     assert sum(seen) / 1000 <= 3.0
+
+
+@pytest.mark.parametrize("family", WORK_FAMILIES, ids=DensityFamily.label)
+def test_quantiles_settle_in_two_tail_evaluations_a_draw(family, monkeypatch):
+    # from the table's start one Halley step lands within the tail's
+    # resolution, so the second evaluation settles almost every draw
+    families.symmetric_quantile(family, 0.3)  # builds the family's table
+    spec = families._SPECS[family.kind]
+    rounds = []
+
+    def counting(fam, s):
+        rounds.append(s.size)
+        return spec.upper_tail(fam, s)
+
+    monkeypatch.setitem(families._SPECS, family.kind, spec._replace(upper_tail=counting))
+    families.symmetric_quantile(family, RngStream(7305, 0).uniforms(500))
+    assert len(rounds) <= 3 and sum(rounds) <= 2.1 * 500, rounds
 
 
 # ---------------------------------------------------------------------------

@@ -726,18 +726,13 @@ def test_fits_from_the_observed_information_reach_the_same_maxima(corpus_fits):
             assert abs(ll - frozen) < 1e-10, (spec, ll, frozen)
 
 
-_SLASH_SHORTFALL = pytest.mark.xfail(strict=True, reason=(
-    "median 17: 4 of the 8 fits end where a line search cannot resolve a decrease,"
-    " which costs 4-10 evaluations beyond one per iteration"
-))
-
-
-@pytest.mark.parametrize(
-    "spec", [pytest.param(s, marks=_SLASH_SHORTFALL) if s == "cslash" else s for s in _CORPUS_LOGLIK]
-)
+@pytest.mark.parametrize("spec", list(_CORPUS_LOGLIK))
 def test_fit_from_the_observed_information_takes_a_third_of_the_evaluations(corpus_fits, spec):
-    # a median of 8-13.5 per family, down from 36-44; a single fit may still
-    # cost more than from the identity (Cauchy on sample 26: 58 against 40)
+    # a median of 8-14 per family, down from 36-44; a single fit may still
+    # cost more than from the identity (Cauchy on sample 26: 58 against 40).
+    # Canonical slash needs the Newton retry of a fit that ends at the
+    # resolution of f: half its fits end there, and halving a stale BFGS
+    # step, then steepest descent's, cost each 4-11 more evaluations
     evals = [n for _, _, n in corpus_fits[spec]]
     assert np.median(evals) <= 16, evals
 
@@ -779,8 +774,9 @@ def test_double_exponential_fit_ends_on_an_observation_where_score_raises(j):
 
 
 # the kink survey: the log-likelihood each default fit reached when BFGS
-# crawled toward the kink; 32 of the 60 double-exponential fits and all 60
-# power-exponential(0.8) fits ended "line search stalled"
+# crawled toward the kink (the crawling fitter, rerun on these draws); 32 of
+# the 60 double-exponential fits and 58 of the 60 power-exponential(0.8) fits
+# ended "line search stalled", two more at the iteration limit
 _KINK_SURVEY_LOGLIK = {
     ("double_exponential", 0.5, 50): (
         1.0873438133352138, -1.0842326270051197, -1.2117353464555551, -13.94186320987012,
@@ -807,30 +803,59 @@ _KINK_SURVEY_LOGLIK = {
         -19.036994032634443, -35.51876958956539, -15.665549038798442,
     ),
     ("pe:0.8", 0.5, 50): (
-        5.386278604302391, 3.3916437480269157, 3.5174963505591146, -12.59915434604141,
-        3.1377072802930814, -12.919478558445299, 5.474972745106916, 7.036912117017958,
-        -14.598046040568446, 0.8032923050105186, -1.2716403463826396, 8.663723266874246,
-        9.364446096117177, -10.479022598563805, -9.920995290309497,
+        5.38627860430234, 3.391643748026916, 3.517496350558812, -12.59915434604141,
+        3.1377072802930845, -12.919478558445304, 5.47497274510691, 7.036912117017943,
+        -14.598046040568459, 0.8032923050105292, -1.2716403463826156, 8.663723266880222,
+        9.36444609611718, -10.479022598563791, -9.920995290309493,
     ),
     ("pe:0.8", 0.5, 200): (
-        -2.8705933922631033, -22.08009185191487, -35.329806220613555, -13.550189339174299,
-        -16.011634167034074, -22.945170576025856, -8.533088210983074, 13.88076057346873,
-        -28.99380445563922, -42.760001310691166, -24.46713941924404, -0.43488068671652513,
-        -2.932243475280806, -15.504158018679, 1.7547547948951525,
+        -2.8705933922630837, -22.08009185191489, -35.32980622061356, -13.550189339174326,
+        -16.01163416703381, -22.94517057602586, -8.533088210983056, 13.880760573468717,
+        -28.993804455639243, -42.760001310691145, -24.467139419244035, -0.43488068671653757,
+        -2.9322434752808317, -15.504158018678986, 1.7547547948959812,
     ),
     ("pe:0.8", 0.0, 50): (
-        5.534805479760682, 4.374101770410906, 2.127479103522984, -15.605848772131223,
-        3.116749124421025, -15.332872947808083, 5.251304228818163, 6.039332844306074,
-        -17.261511489315836, 0.38434598776389484, -3.9537510038858654, 7.217489126270475,
-        8.602616001619571, -12.44922623811071, -10.385078558235884,
+        5.534805479760678, 4.374101770410917, 2.1274791035229157, -15.605848772131228,
+        3.1167491244210264, -15.33287294780807, 5.251304228818168, 6.03933284462247,
+        -17.261511489315705, 0.38434598776389084, -3.953751003885862, 7.217489126270513,
+        8.60261600162442, -12.44922623811071, -10.385078558235985,
     ),
     ("pe:0.8", 0.0, 200): (
-        -3.807809253006063, -22.38012181038271, -40.17759478529671, -14.219680533411776,
-        -21.20791590000418, -27.889848059207708, -10.770261058448622, 13.476559041702487,
-        -32.975970824753745, -50.76928648639803, -29.301432131298835, -5.239256457507397,
-        -3.289342941548555, -20.736351446234472, -0.5208719500657955,
+        -3.807809253006104, -22.380121810382633, -40.177594785296776, -14.219680533411793,
+        -21.20791590000416, -27.889848059207708, -10.770261058448598, 13.476559041702487,
+        -32.97597082475376, -50.76928648639806, -29.301432131298856, -5.2392564575073965,
+        -3.28934294154855, -20.736351446234472, -0.5208719500658185,
     ),
 }
+
+
+# power exponential(0.8) draws at (1, 0.3, lam), n = 50, whose default fits
+# ran to the iteration limit while an iterate that landed bitwise on an
+# observation, on the cusp, drew a huge one-sided slope one ulp off, stepped
+# off and was halved back onto it: the first eight with the draws of Newton's
+# tail-quantile steps, the rest with those of Halley's steps
+_PE_CUSP_LANDINGS = (
+    [(0.5, s) for s in (20, 35, 43, 47, 48)] + [(0.0, s) for s in (15, 48, 54)]
+    + [(0.5, s) for s in (25, 27, 29, 34, 46, 52)] + [(0.0, s) for s in (22, 24)]
+)
+
+
+@pytest.mark.parametrize("lam, s", _PE_CUSP_LANDINGS)
+def test_cusp_fits_converge_where_no_neighbouring_observation_is_higher(lam, s, monkeypatch):
+    family = DensityFamily.power_exponential(0.8)
+    y = sample(BcsParams(1.0, 0.3, lam, family), 50, RngStream(s, 0))
+    ctx = LikelihoodContext(y, family)
+    calls = _counting_loglik(monkeypatch)
+    r = fit(ctx)
+    assert len(calls) < 300, len(calls)
+    monkeypatch.undo()
+    _assert_kink_maximum(ctx, r)
+    # on a cusp every observation is a local maximum in mu
+    ys = np.unique(y)
+    k = int(np.searchsorted(ys, r.params.mu))
+    for j in (k - 1, k + 1):
+        if 0 <= j < ys.size:
+            assert loglik(ctx, replace(r.params, mu=float(ys[j]))) <= r.loglik, (j, k)
 
 
 @pytest.mark.parametrize("spec, lam, n", list(_KINK_SURVEY_LOGLIK))

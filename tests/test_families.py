@@ -265,7 +265,7 @@ CENTRE_TAIL_POINTS = {
     ("student_t_4", 0.49): 0.32489704107570718,
 }
 
-# (name, p) -> quantile, for the families solved by Newton iteration
+# (name, p) -> quantile, for the families solved by iteration
 QUANTILE_POINTS = {
     ("power_exponential_1.5", 0.001): -3.5384788334602908,
     ("power_exponential_1.5", 0.3): -0.46331338528063264,
@@ -562,9 +562,13 @@ def test_quantile_center_and_antisymmetry(name):
     b=st.floats(min_value=1e-9, max_value=1.0 - 1e-9),
 )
 def test_quantile_monotone(name, a, b):
+    # the computed tails are not monotone at the ulp scale, so the quantiles
+    # of two nearby p can cross by a few ulps: up to 13 on a dense scan of
+    # the families (Student t(1.5) near p = 1/4, slash(2) near p = 1e-9)
     lo, hi = min(a, b), max(a, b)
     fam = FAMS[name]
-    assert symmetric_quantile(fam, hi) >= symmetric_quantile(fam, lo) - 1e-12
+    q_lo, q_hi = symmetric_quantile(fam, lo), symmetric_quantile(fam, hi)
+    assert q_hi >= q_lo - 16.0 * np.spacing(max(abs(q_lo), abs(q_hi))), (q_lo, q_hi)
 
 
 @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.7, np.nan])
@@ -889,9 +893,12 @@ def test_family_is_hashable_and_frozen():
 # array and inside an array longer than the special functions' _SMALL_N.
 
 SIZE_POINTS = [v for x in (0.0, 5e-324, 0.3, 2.7e-4, 40.0, 1e200, np.inf) for v in (x, -x)] + [np.nan]
+# and a seeded grid over [0, 6), where the logistic I tail sums Kronrod
+# panels in an order that must not depend on the number of points
+SIZE_GRID = (np.random.default_rng(3).random(400) * 6.0).tolist()
 
 
-# a quantile's Newton start comes from a per-family table at every size;
+# a quantile's iteration starts from a per-family table at every size;
 # _TABLE_T[128] is a node of its log-t grid, 0.25 + 3/256 one of its t grid
 SIZE_PROBABILITIES = [
     2.0**-54, 1e-300, 1e-4, 0.2, 0.25, 0.75, 0.4999, 0.5001, 1.0 - 2.0**-53,
@@ -919,11 +926,12 @@ def test_quantiles_give_the_same_bits_at_any_size(name):
 def test_tails_give_the_same_bits_at_any_size(name, fn):
     fam = FAMS[name]
     filler = np.resize([0.7, -1.2, 3.5], _SMALL_N + 1)
-    long = np.concatenate([filler, SIZE_POINTS])
+    points = SIZE_POINTS + SIZE_GRID
+    long = np.concatenate([filler, points])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         long_out = fn(fam, long)[filler.size:]
-        for s, in_long in zip(SIZE_POINTS, long_out):
+        for s, in_long in zip(points, long_out):
             scalar = fn(fam, s)
             assert isinstance(scalar, float)
             in_short = fn(fam, np.array([0.7, s, -1.2]))[1]
