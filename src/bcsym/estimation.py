@@ -122,19 +122,24 @@ class LikelihoodContext:
     ``params_at`` builds the point from them.  The fitter and its standard
     errors go through these three alone.
 
-    The context keeps a read-only copy of the data, and the last parameter
-    point evaluated on it: ``loglik``, ``score`` and ``hessian`` at an equal
-    ``BcsParams`` share its u, z and truncation.
+    The context keeps a read-only copy of the data and of its logs, and the
+    last parameter point evaluated on it: ``loglik``, ``score`` and
+    ``hessian`` at an equal ``BcsParams`` share its u, z and truncation.
     """
 
     data: np.ndarray
     family: DensityFamily
     fixed_lambda: float | None = None
     fit_extra: bool = False
+    log_data: np.ndarray = field(init=False, repr=False)  # log y, read-only
     _last: _Point | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "data", _check_data(self.data))
+        ya = _check_data(self.data)
+        log_y = np.log(ya)
+        log_y.flags.writeable = False
+        object.__setattr__(self, "data", ya)
+        object.__setattr__(self, "log_data", log_y)
         if self.fixed_lambda is not None:
             fl = float(self.fixed_lambda)
             if not math.isfinite(fl):
@@ -172,7 +177,7 @@ class LikelihoodContext:
     def _point(self, params: BcsParams) -> _Point:
         last = self._last
         if last is None or last.params != params:
-            last = _Point(params, self.data)
+            last = _Point(params, self.data, self.log_data)
             object.__setattr__(self, "_last", last)
         return last
 
@@ -188,10 +193,11 @@ class _Point:
     C = u^2/(2 sigma), z_ll = u^3/(3 sigma), v = inf and xi = dxi = 0.
     """
 
-    def __init__(self, params: BcsParams, ya: np.ndarray):
+    def __init__(self, params: BcsParams, ya: np.ndarray, log_y: np.ndarray):
         self.params = params
         self.ya = ya
-        self.u = np.log(ya) - math.log(params.mu)
+        self.log_y = log_y
+        self.u = log_y - math.log(params.mu)
         # np.log and math.log can round one ulp apart: an observation at mu has u = 0
         self.u[ya == params.mu] = 0.0
         self.z = _z(params, self.u)
@@ -309,7 +315,7 @@ class _Point:
         kind, e = self.params.family.kind, self.params.family.extra
         h = min(1e-5 * (1.0 + abs(e)), 0.5 * e)
         pp, pm = (replace(self.params, family=DensityFamily(kind, x)) for x in (e + h, e - h))
-        return h, _Point(pp, self.ya), _Point(pm, self.ya)
+        return h, _Point(pp, self.ya, self.log_y), _Point(pm, self.ya, self.log_y)
 
 
 def loglik(ctx: LikelihoodContext, params: BcsParams) -> float:

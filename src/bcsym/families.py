@@ -24,9 +24,9 @@ Design notes
 * Quantiles use exact inversions where available.  Otherwise a vectorized
   Halley iteration in y = log s solves log P(S > e^y) = log t, and bisects
   in y where a step leaves its bracket of finite doubles.  It starts from a
-  table of the family's exact inverse at 320 fixed nodes in t, built on
+  table of the family's exact inverse at 368 fixed nodes in t, built on
   first use and cached, by cubic Hermite interpolation with the known
-  slopes, so a draw costs about 2 tail evaluations (the numerical
+  slopes, so a draw costs about 1 tail evaluation (the numerical
   inversion of Hoermann and Leydold 2003, ACM TOMACS 13:347).  A t on a node
   returns the stored value.  The table is built by the same iteration
   started cold, from the generator's decay fact or from the centre between
@@ -326,10 +326,22 @@ def _gen_cauchy(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarray, np.nd
     return r, log_r
 
 
+# from this tau on, the Student t log-density is written in log1p(u / tau):
+# 0.5 tau log tau - 0.5 (tau + 1) log(tau + u) cancels two terms of size
+# tau log tau / 2, an error of 2e-12 relative at tau = 1e4 and of order 1
+# at 1e16, where -0.5 log tau - log B(1/2, tau/2) - 0.5 (tau + 1)
+# log1p(u / tau) keeps about 1e-15; below it, every tau keeps its bits
+_T_LOG1P_TAU = 1e4
+
+
 def _gen_student_t(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     tau = family.extra
-    log_norm = 0.5 * tau * math.log(tau) - log_beta(0.5, 0.5 * tau)
-    log_r = log_norm - 0.5 * (tau + 1.0) * np.log(tau + u)
+    if tau >= _T_LOG1P_TAU:
+        log_norm = -0.5 * math.log(tau) - log_beta(0.5, 0.5 * tau)
+        log_r = log_norm - 0.5 * (tau + 1.0) * np.log1p(u / tau)
+    else:
+        log_norm = 0.5 * tau * math.log(tau) - log_beta(0.5, 0.5 * tau)
+        log_r = log_norm - 0.5 * (tau + 1.0) * np.log(tau + u)
     r = np.exp(log_r)
     return r, log_r
 
@@ -506,11 +518,25 @@ def symmetric_survival(family: DensityFamily, s):
 _S_MIN = float(np.nextafter(0.0, 1.0))
 _S_MAX = float(np.finfo(float).max)
 
-# the quantile solver stops an element once its correction to log s is
-# within this: the computed tails are relatively accurate to a few eps (tens
-# of eps far out in the power tails), so a smaller correction moves s by
-# their rounding, a few ulps
+# the quantile solver stops an element once any step in log s is within
+# this: the computed tails are relatively accurate to a few eps (tens of eps
+# far out in the power tails), so a smaller correction moves s by their
+# rounding, a few ulps
 _TAIL_RESOLUTION = 16.0 * _EPS
+
+# and once a Halley step is within this.  Halley's method leaves an error of
+# C |e|^3 from an error e, with C = c2^2 - c3, c_j = F^(j) / (j! F'); in y,
+# F' = -m and F'' = -m k (below), so C = k^2 / 12 - k' / 6, k' = dk/dy.  The
+# step is e to within C e^3, so |step| <= 1e-6 leaves at most C 1e-18, below
+# eps / 2, the rounding of the corrected point in log s, for any C up to
+# 111.  Over t in [2^-54, 1/2), C is at most 0.48 for t(1.5, 4, 30, 1e6),
+# logistic I, canonical slash and slash(1, 2, 4.5), and 0.70 for pe(3); a
+# one-step measurement from starts 1e-3 off agrees.  In an exp(-c |z|^e)
+# tail k tends to e and C to e^2 / 12, which passes 111 for the power
+# exponential past tau = 36; its table starts err by far less than 1e-6
+# there, and a threshold of (6 eps / tau^2)^(1/3) moved neither the mean
+# nor the max error of pe(100) or pe(300) quantiles against mpmath.
+_SETTLED_STEP = 1e-6
 
 
 def _tail_quantile_cauchy(family: DensityFamily, t: np.ndarray) -> np.ndarray:
@@ -543,9 +569,12 @@ def _halley_in_log_s(family: DensityFamily, t: np.ndarray, s: np.ndarray, active
     m = s r(s^2) / P(S > s), F' = -m and F'' = -m k, k = 1 - s^2 w(s) + m,
     so a step is y <- y + F / (m + F k / 2); where that denominator is not
     finite and positive, the Newton step y <- y + F / m.  An element stops,
-    keeping its corrected point, once the correction is within
-    ``_TAIL_RESOLUTION`` or |F| <= 4 eps, and stops where it is once no
-    double is left in its bracket.  A step that leaves the bracket bisects
+    keeping its corrected point without evaluating the tail there, once a
+    Halley step is within ``_SETTLED_STEP`` (its cubic remainder is then
+    below the rounding of that point), any step is within
+    ``_TAIL_RESOLUTION``, or |F| <= 4 eps; it stops where it is once no
+    double is left in its bracket.  From the table's start one evaluation
+    settles almost every element.  A step that leaves the bracket bisects
     it in y.  The inactive elements keep s, except that t >= 0.5 gives 0; a
     t beyond every double gives inf.
     """
@@ -582,10 +611,13 @@ def _halley_in_log_s(family: DensityFamily, t: np.ndarray, s: np.ndarray, active
         slope[u == 0.0] = np.nan
         with np.errstate(invalid="ignore", over="ignore"):
             halley = slope + 0.5 * f * k
-            step = f / np.where(np.isfinite(halley) & (halley > 0.0), halley, slope)
+            is_halley = np.isfinite(halley) & (halley > 0.0)
+            step = f / np.where(is_halley, halley, slope)
             proposal = np.clip(sa * np.exp(step), _S_MIN, _S_MAX)
-        # solved to the tail's resolution, or a step below an ulp
+        # solved to the tail's resolution, a Halley step whose cubic remainder
+        # is below rounding, or a step below an ulp
         done = (np.abs(f) <= 4.0 * _EPS) | (np.abs(step) <= _TAIL_RESOLUTION)
+        done |= is_halley & (np.abs(step) <= _SETTLED_STEP)
         done |= hi_a - lo_a <= _EPS * sa
         done |= (proposal == sa) & np.isfinite(slope)
         a, b = np.maximum(lo_a, _S_MIN), np.minimum(hi_a, _S_MAX)
@@ -604,22 +636,29 @@ def _halley_in_log_s(family: DensityFamily, t: np.ndarray, s: np.ndarray, active
     return np.where(lo == _S_MAX, np.inf, s)
 
 
-# Nodes of the cached inverse tables: 256 in log t over [2^-60, 1/4], where
-# y = log s is smooth in x = log t, and 64 more in t over (1/4, 1/2], where
-# s falls to s(1/2) = 0.  A draw's t = min(p, 1 - p) lies in [2^-54, 1/2].
-# The cubic Hermite start errs by at most h^4 max|y^(4)| / 384 on a step h.
-# |y^(4)| is largest at t = 1/4, where the centre's log(1/2 - t) alone
-# gives 26, so h = log(2^58) / 255 = 0.158 bounds the start's error in
-# log s by 4e-5.  (Measured on pe(0.8, 1.5, 3), t(1.5, 4), logistic I,
-# canonical slash and slash(1, 2, 4.5): at most 2.7e-5, median at most
-# 2e-10.)  A Halley step cubes that error, so one step brings all but the
-# worst starts (about 1 draw in 100) within the tail's resolution, and the
-# second evaluation only confirms it: about 2 tail evaluations a draw, where
-# Newton, which squares the error, took about 2.5.  On the t grid, h = 1/256 and
-# |s^(4)| <= 2.5e4 (pe(0.8), whose r has a cusp at 0) bound it by 2e-8.
+# Nodes of the cached inverse tables: 255 in log t over [2^-60, 1/16), where
+# y = log s is smooth in x = log t, and 113 more in steps of 1/256 in t over
+# [1/16, 1/2], where s falls to s(1/2) = 0; t = 1/4 is a node.  A draw's
+# t = min(p, 1 - p) lies in [2^-54, 1/2].  The cubic Hermite start errs by at
+# most h^4 max|f^(4)| / 384 on a step h of a function f.
+# - Log part, h = log(2^56) / 255 = 0.152, so 1.4e-6 max|y^(4)|.  The
+#   centre's log(1/2 - t) gives |y^(4)| = q (1 + q)(1 + 6 q + 6 q^2),
+#   q = t / (1/2 - t): 26 at t = 1/4, where the split was, but 0.32 at
+#   t = 1/16, so the start errs in log s by about 5e-7.
+# - Linear part, h = 1/256: h^4 / 384 = 6e-13 bounds the error in s by
+#   6e-13 max|s^(4)|, small in log s wherever r is smooth at 0.
+# Measured over t in [2^-54, 1/2) for pe(3), t(1.5, 4), logistic I,
+# canonical slash and slash(1, 2, 4.5): at most 8.5e-7 in log s (canonical
+# slash and slash(1) near t = 0.064; 3.4e-7 to 5e-7 for the others), within
+# ``_SETTLED_STEP``, so one Halley step settles a draw in one tail
+# evaluation.  The exceptions are the power exponentials with tau < 2,
+# whose r has a cusp at 0: s(t) is not smooth at t = 1/2, and the start
+# errs by up to 7.4e-6 for pe(1.5) (t > 0.4969, 0.6% of draws) and 5.5e-4
+# for pe(0.8) (t > 0.493, 1.3%).  Those elements take a second round.
+_TABLE_SPLIT = 1.0 / 16.0
 _TABLE_T = np.concatenate([
-    np.exp(np.linspace(math.log(2.0**-60), math.log(0.25), 256)[:-1]),
-    0.25 + np.arange(65) / 256.0,
+    np.exp(np.linspace(math.log(2.0**-60), math.log(_TABLE_SPLIT), 256)[:-1]),
+    _TABLE_SPLIT + np.arange(113) / 256.0,
 ])
 _TABLE_LOG_T = np.log(_TABLE_T)
 
@@ -629,8 +668,8 @@ class _InverseTable(NamedTuple):
 
     s: np.ndarray  # P(S > s) = t, as the cold-started iteration solves it
     log_s: np.ndarray
-    dlog_s: np.ndarray  # d log s / d log t = -t / (s r(s^2)), used for t <= 1/4
-    ds: np.ndarray  # ds/dt = -1 / r(s^2), used for t >= 1/4
+    dlog_s: np.ndarray  # d log s / d log t = -t / (s r(s^2)), used below _TABLE_SPLIT
+    ds: np.ndarray  # ds/dt = -1 / r(s^2), used above it
 
 
 @functools.lru_cache(maxsize=64)
@@ -655,16 +694,14 @@ def _hermite(theta, h, f0, f1, m0, m1):
     return f0 + theta * (h * m0 + theta * (3.0 * d - h * (2.0 * m0 + m1) + theta * (h * (m0 + m1) - 2.0 * d)))
 
 
-def _tail_quantile_halley(family: DensityFamily, t: np.ndarray) -> np.ndarray:
-    """Solve P(S > s) = t for s > 0, elementwise; t must lie in (0, 0.5].
+def _table_start(family: DensityFamily, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The start of the tail quantile at t in (0, 0.5], and where t is a node.
 
-    Halley in log s (``_halley_in_log_s``), started from the family's cached
-    inverse table: at a node, its stored value, returned as it is; between
-    two nodes, the cubic Hermite through them, in log s over log t below
-    1/4 and in s over t above.  A t outside the table, or a start that is
-    not a positive double, starts cold (``_cold_start``).  The start is a
-    function of (family, t) alone, so a quantile has the same bits at any
-    input size.
+    From the family's cached inverse table: at a node, its stored value;
+    between two nodes, the cubic Hermite through them, in log s over log t
+    below ``_TABLE_SPLIT`` and in s over t above.  A t outside the table, or
+    a start that is not a positive double, starts cold (``_cold_start``).
+    The start is a function of (family, t) alone.
     """
     table = _inverse_table(family.kind, family.extra)
     k = np.clip(np.searchsorted(_TABLE_T, t, side="right") - 1, 0, _TABLE_T.size - 2)
@@ -677,10 +714,22 @@ def _tail_quantile_halley(family: DensityFamily, t: np.ndarray) -> np.ndarray:
         ))
         in_t = _hermite((t - t0) / (t1 - t0), t1 - t0, table.s[k], table.s[k + 1], table.ds[k], table.ds[k + 1])
     hit = t == t0
-    start = np.where(hit, table.s[k], np.where(t1 <= 0.25, in_log, in_t))
+    start = np.where(hit, table.s[k], np.where(t1 <= _TABLE_SPLIT, in_log, in_t))
     cold = ~((t >= _TABLE_T[0]) & (start > 0.0) & (start <= _S_MAX))
     if cold.any():
         start[cold] = _cold_start(family, t[cold])
+    return start, hit
+
+
+def _tail_quantile_halley(family: DensityFamily, t: np.ndarray) -> np.ndarray:
+    """Solve P(S > s) = t for s > 0, elementwise; t must lie in (0, 0.5].
+
+    Halley in log s (``_halley_in_log_s``) from the table's start
+    (``_table_start``); a t on a node returns the stored value as it is.
+    The start is a function of (family, t) alone, so a quantile has the same
+    bits at any input size.
+    """
+    start, hit = _table_start(family, t)
     return _halley_in_log_s(family, t, start, (t < 0.5) & ~hit)
 
 

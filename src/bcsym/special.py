@@ -36,6 +36,7 @@ _SQRT_PI = math.sqrt(math.pi)
 _INV_SQRT_PI = 1.0 / _SQRT_PI
 _EPS = 2.220446049250313e-16
 _TINY = 1e-300
+_LOG_TINY = math.log(_TINY)
 _MAX_ITER = 600
 # Inputs of at most a limit of elements take the Python-float path, longer
 # ones the array path; each limit is a measured crossover of the two (2-CPU
@@ -553,6 +554,15 @@ def _kummer(a: float, x):
     return np.exp(-x) * total
 
 
+# Above a + 1 the ratio is Gamma(a) (1 - Q(a, x)) x^-a, with x^-a from one
+# rounded power: the exp of lgamma(a) + log1p(-Q) - a log x carries the
+# rounding of an argument of size a log x, 8 eps on average and up to 32 at
+# a = 2.75 against mpmath, 50 and 170 at a = 15, where the power form keeps
+# 1 to 2.  The exp form stays where x^-a leaves the normal range or
+# math.gamma(a) overflows (a above 171.6).
+_GAMMA_A_MAX = 171.0
+
+
 def _lower_gamma_ratio_float(a: float, x: float) -> float:
     if x < 0.0:
         raise ValueError("argument must be nonnegative")
@@ -562,6 +572,9 @@ def _lower_gamma_ratio_float(a: float, x: float) -> float:
         return float(np.exp(-x)) * _gser_sum_float(a, x)
     if x < math.inf:
         q = _gcf_Q_float(a, x)
+        p = float(np.power(x, -a))
+        if p >= _TINY and a < _GAMMA_A_MAX:
+            return math.gamma(a) * (1.0 - q) * p
         return float(np.exp(math.lgamma(a) + float(np.log1p(-q)) - a * float(np.log(x))))
     return 0.0 if x == math.inf else math.nan
 
@@ -578,7 +591,11 @@ def _lower_gamma_ratio_far(a: float, xa: np.ndarray) -> np.ndarray:
     if hi.any():
         xhi = xa[hi]
         q = _gcf_Q(a, xhi)
-        out[hi] = np.exp(math.lgamma(a) + np.log1p(-q) - a * np.log(xhi))
+        ratio = np.exp(math.lgamma(a) + np.log1p(-q) - a * np.log(xhi))
+        if a < _GAMMA_A_MAX:
+            p = np.power(xhi, -a)
+            ratio = np.where(p >= _TINY, math.gamma(a) * (1.0 - q) * p, ratio)
+        out[hi] = ratio
     return out
 
 
@@ -683,6 +700,11 @@ def _betacf(a: float, b: float, x: np.ndarray) -> np.ndarray:
     return out
 
 
+# The prefactor x^a (1 - x)^b / B(a, b) takes x^a from one rounded power: as
+# one exp of a log x + b log1p(-x) - log B(a, b) it carried the rounding of
+# an argument of size a |log x|, which read the Student t(1.5) tail 23-33 eps
+# high near s = 3e10.  The one exp stays where x^a or the rest passes
+# _TINY or 1 / _TINY, as it does for large a and b.
 def _inc_beta_float(a: float, b: float, x: float) -> float:
     if not 0.0 < x < 1.0:
         if x == 0.0:
@@ -692,7 +714,12 @@ def _inc_beta_float(a: float, b: float, x: float) -> float:
         if math.isnan(x):
             return math.nan
         raise ValueError("argument must lie in [0, 1]")
-    bt = float(np.exp(-log_beta(a, b) + a * float(np.log(x)) + b * float(np.log1p(-x))))
+    lead = float(np.power(x, a))
+    log_rest = b * float(np.log1p(-x)) - log_beta(a, b)
+    if lead >= _TINY and log_rest <= -_LOG_TINY:
+        bt = lead * float(np.exp(log_rest))
+    else:
+        bt = float(np.exp(a * float(np.log(x)) + log_rest))
     if x < (a + 1.0) / (a + b + 2.0):
         return bt * _betacf_float(a, b, x) / a
     return 1.0 - bt * _betacf_float(b, a, 1.0 - x) / b
@@ -707,7 +734,12 @@ def _inc_beta_array(a: float, b: float, xa: np.ndarray) -> np.ndarray:
     interior = (xa > 0.0) & (xa < 1.0)
     if interior.any():
         xi = xa[interior]
-        bt = np.exp(-log_beta(a, b) + a * np.log(xi) + b * np.log1p(-xi))
+        lead = np.power(xi, a)
+        log_rest = b * np.log1p(-xi) - log_beta(a, b)
+        split = (lead >= _TINY) & (log_rest <= -_LOG_TINY)
+        bt = lead * np.exp(np.minimum(log_rest, -_LOG_TINY))
+        if not split.all():
+            bt[~split] = np.exp(a * np.log(xi[~split]) + log_rest[~split])
         res = np.empty_like(xi)
         direct = xi < (a + 1.0) / (a + b + 2.0)
         if direct.any():

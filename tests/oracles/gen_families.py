@@ -274,6 +274,21 @@ def main():
             dv = mp.diff(w, zv)
             print(f'    ("{name}", "{z}"): ({fmt(wv)}, {fmt(dv)}),')
     print("}")
+    print()
+
+    # the Student t log-density toward its normal limit, from the closed
+    # form at 80 digits: tau log tau / 2 - (tau + 1) log(tau + u) / 2
+    # cancels about 21 of them at tau = 1e20
+    print("# (tau, u) -> log r of the Student t")
+    print("LARGE_TAU_LOG_R = {")
+    with mp.workdps(80):
+        for tau in ("1e4", "1e8", "1e12", "1e16", "1e20"):
+            tv = mp.mpf(tau)
+            for u in ("0", "0.3", "13.0"):
+                uv = mp.mpf(u)
+                val = tv / 2 * mp.log(tv) - mp.log(mp.beta(mp.mpf(1) / 2, tv / 2)) - (tv + 1) / 2 * mp.log(tv + uv)
+                print(f'    ({tau}, {u}): {fmt(val)},')
+    print("}")
 
 
 if __name__ == "__main__":

@@ -21,12 +21,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcsym.families import (
+    _SETTLED_STEP,
+    _TABLE_SPLIT,
     _TABLE_T,
     LOGISTIC_I_NORMALIZER,
     DensityFamily,
     FamilyKind,
     GeneratorEval,
     _slash_ratios,
+    _table_start,
     eval_generator,
     generator_decay,
     logistic_i_normalizer,
@@ -321,6 +324,25 @@ WEIGHT_POINTS = {
     ("slash_4.5", 2.3): (0.60351507963787627, -0.12703425257621142),
 }
 
+# (tau, u) -> log r of the Student t toward its normal limit
+LARGE_TAU_LOG_R = {
+    (1e4, 0): -0.91896353320463108,
+    (1e4, 0.3): -1.0689762830246346,
+    (1e4, 13.0): -7.4153917691706917,
+    (1e8, 0): -0.91893853570467274,
+    (1e8, 0.3): -1.0689385369796727,
+    (1e8, 13.0): -7.4189381782047051,
+    (1e12, 0): -0.91893853320492274,
+    (1e12, 0.3): -1.0689385332050502,
+    (1e12, 13.0): -7.4189385331691727,
+    (1e16, 0): -0.91893853320467277,
+    (1e16, 0.3): -1.0689385332046728,
+    (1e16, 13.0): -7.4189385332046692,
+    (1e20, 0): -0.91893853320467274,
+    (1e20, 0.3): -1.0689385332046727,
+    (1e20, 13.0): -7.4189385332046727,
+}
+
 
 def rel_err(got, expected):
     return abs(got - expected) / abs(expected)
@@ -344,6 +366,16 @@ def test_generator_against_mpmath(name):
             assert weight_function(fam, z) == 0.0
         else:
             assert rel_err(weight_function(fam, z), -2.0 * dr_exp / r_exp) < 1e-12
+
+
+@pytest.mark.parametrize("tau", sorted({tau for tau, _ in LARGE_TAU_LOG_R}))
+def test_student_t_log_density_at_large_tau(tau):
+    # 0.5 tau log tau - 0.5 (tau + 1) log(tau + u) cancels: it read log r
+    # 2e-12 off, relative, at tau = 1e4 and wrong in every digit at 1e20
+    for (t, u), expected in LARGE_TAU_LOG_R.items():
+        if t == tau:
+            got = float(eval_generator(DensityFamily.student_t(tau), u).log_r)
+            assert rel_err(got, expected) < 4e-15, (u, got, expected)
 
 
 @pytest.mark.parametrize("name", sorted(FAMS))
@@ -919,6 +951,26 @@ def test_quantiles_give_the_same_bits_at_any_size(name):
             in_short = symmetric_quantile(fam, np.array([0.3, p, 0.9]))[1]
             for other in (in_short, in_long):
                 assert np.float64(scalar).view(np.int64) == np.float64(other).view(np.int64), (p, scalar, other)
+
+
+# a dense grid of t over [2^-54, 1/2), on the table's log part (below
+# _TABLE_SPLIT) and its linear part
+START_GRID = np.concatenate([
+    np.exp(np.linspace(math.log(2.0**-54), math.log(_TABLE_SPLIT), 20001)[:-1]),
+    np.linspace(_TABLE_SPLIT, 0.5, 20001)[:-1],
+])
+
+
+@pytest.mark.parametrize("name", ["student_t_1.5", "student_t_4", "logistic_i", "canonical_slash", "slash_2", "power_exponential_3"])
+def test_table_start_is_settled_by_one_halley_step(name):
+    # the start errs in log s by at most 8.5e-7 (cslash) where the stop
+    # takes 1e-6, so one evaluation settles a draw; before the split moved
+    # from 1/4 to 1/16 it erred by up to 2.8e-5 and every draw took two
+    fam = FAMS[name]
+    start, _ = _table_start(fam, START_GRID)
+    s = -symmetric_quantile(fam, START_GRID)
+    err = np.abs(np.log(start) - np.log(s))
+    assert err.max() <= _SETTLED_STEP, START_GRID[np.argmax(err)]
 
 
 @pytest.mark.parametrize("fn", [symmetric_survival, symmetric_cdf])

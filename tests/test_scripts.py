@@ -87,3 +87,16 @@ def test_tail_gallery_runs(verify, capsys):
     # a header, then nine families at three lambdas
     assert len(lines) == 28
     assert ("probe 1/xi" in lines[0]) == bool(verify)
+
+
+def test_quantile_accuracy_runs(capsys):
+    argv = ["--checkout", str(SCRIPTS.parent), "--families", "t:4,slash:2", "--tail", "6", "--centre", "2"]
+    assert _main("quantile_accuracy.py")(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # per family a head line, then the two t bands and all tail draws
+    assert [line.split(":")[0] for line in lines[::4]] == ["student_t(tau=4)", "slash(q=2)"]
+    rows = [line for line in lines if line.startswith("  ")]
+    assert len(rows) == 6 and all(" n " in row for row in rows)
+    # every quantile lies within tens of ulps of the mpmath root
+    maxima = [float(re.search(r"max +(\S+)", row).group(1)) for row in rows if "max" in row]
+    assert maxima and max(maxima) < 100.0

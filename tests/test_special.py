@@ -349,6 +349,19 @@ def test_lower_gamma_ratio_grid_across_the_horner_bound():
         assert np.array_equal(long[: xs.size], scalars)
 
 
+@pytest.mark.parametrize("a", [1.5, 2.75, 15.0])
+def test_lower_gamma_ratio_far_from_zero_against_mpmath(a):
+    # above a + 1 the ratio is Gamma(a) (1 - Q) x^-a; as one exp of
+    # lgamma(a) + log1p(-Q) - a log x it erred by up to 24, 34 and 172 eps
+    x = np.exp(np.random.default_rng(5).uniform(math.log(a + 1.0), math.log(1e12), 60))
+    with mpmath.workdps(40):
+        expected = np.array([float(mpmath.gammainc(a, 0, v) / mpmath.mpf(v) ** a) for v in x.tolist()])
+    long = lower_gamma_ratio(a, np.resize(x, _SMALL_N + x.size))[: x.size]
+    scalars = np.array([lower_gamma_ratio(a, v) for v in x.tolist()])
+    for got in (long, scalars):
+        assert np.max(np.abs(got / expected - 1.0)) <= 8.0 * np.finfo(float).eps
+
+
 # Near x = 5e307 and beyond, the continued fraction's 1/(x+1-a) is
 # subnormal and its iteration cannot converge; Q's prefactor
 # exp(-x + a log x - lgamma a) has long since underflowed, so Q is 0.
@@ -387,6 +400,20 @@ def test_chi2_survival_points():
 def test_reg_inc_beta_points():
     for (a, b, x), expected in REG_INC_BETA.items():
         assert rel_err(reg_inc_beta(a, b, x), expected) < 1e-13
+
+
+@pytest.mark.parametrize("a, b", [(0.75, 0.5), (2.0, 0.5)])
+def test_reg_inc_beta_near_zero_against_mpmath(a, b):
+    # the far tails of the Student t(1.5) and t(4); with the prefactor as one
+    # exp of a log x + b log1p(-x) - log B(a, b) they erred by up to 33 and
+    # 29 eps
+    x = np.exp(np.random.default_rng(6).uniform(math.log(1e-30), math.log(0.05), 60))
+    with mpmath.workdps(40):
+        expected = np.array([float(mpmath.betainc(a, b, 0, v, regularized=True)) for v in x.tolist()])
+    long = reg_inc_beta(a, b, np.resize(x, _SMALL_N + x.size))[: x.size]
+    scalars = np.array([reg_inc_beta(a, b, v) for v in x.tolist()])
+    for got in (long, scalars):
+        assert np.max(np.abs(got / expected - 1.0)) <= 8.0 * np.finfo(float).eps
 
 
 def test_reg_inc_beta_exact_rational():
