@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -520,7 +521,10 @@ def cmd_simulate(args) -> int:
 # Parser assembly.
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every
+    ``main`` call in the process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="bcsym",
         description="Box-Cox symmetric distributions: fitting, comparison, sampling, "
@@ -603,7 +607,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except CliError as err:

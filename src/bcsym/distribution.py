@@ -73,6 +73,8 @@ class BcsParams:
             raise TypeError("family must be a DensityFamily")
         for name in ("mu", "sigma", "lam"):
             val = getattr(self, name)
+            if type(val) is float:  # the fitter's case: nothing to check or convert
+                continue
             if not isinstance(val, _REAL) or isinstance(val, bool):
                 raise TypeError(f"{name} must be a real number")
             object.__setattr__(self, name, float(val))
@@ -168,7 +170,10 @@ def _log_density(params: BcsParams, lf, z, info: TruncationInfo):
             + eval_generator(params.family, u).log_r
             - info.log_normalizer
         )
-    return np.where(np.isnan(out) & ~np.isnan(lf), -np.inf, out)
+    nan = np.isnan(out)
+    if nan.any():
+        out = np.where(nan & ~np.isnan(lf), -np.inf, out)
+    return out
 
 
 def log_pdf(params: BcsParams, y):

@@ -44,6 +44,7 @@ neighbouring observation is higher).
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field, replace
@@ -67,23 +68,27 @@ PARAM_NAMES = ("mu", "sigma", "lambda")
 
 def _phi1(w):
     w = np.asarray(w, dtype=float)
-    small = np.abs(w) < 1e-3
-    ws = np.where(small, w, 0.0)
-    series = ws * ws * (0.5 + ws * (1.0 / 3.0 + ws * (0.125 + ws * (1.0 / 30.0 + ws / 144.0))))
     with np.errstate(over="ignore", invalid="ignore"):
         direct = 1.0 + np.exp(w) * (w - 1.0)
+    small = np.abs(w) < 1e-3
+    if not small.any():
+        return direct
+    ws = np.where(small, w, 0.0)
+    series = ws * ws * (0.5 + ws * (1.0 / 3.0 + ws * (0.125 + ws * (1.0 / 30.0 + ws / 144.0))))
     return np.where(small, series, direct)
 
 
 def _phi2(w):
     w = np.asarray(w, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        direct = np.exp(w) * (w * w - 2.0 * w + 2.0) - 2.0
     small = np.abs(w) < 1e-2
+    if not small.any():
+        return direct
     ws = np.where(small, w, 0.0)
     series = ws**3 * (
         1.0 / 3.0 + ws * (0.25 + ws * (0.1 + ws * (1.0 / 36.0 + ws / 168.0)))
     )
-    with np.errstate(over="ignore", invalid="ignore"):
-        direct = np.exp(w) * (w * w - 2.0 * w + 2.0) - 2.0
     return np.where(small, series, direct)
 
 
@@ -202,7 +207,7 @@ class _Point:
         self.u[ya == params.mu] = 0.0
         self.z = _z(params, self.u)
         self.info = truncation(params)  # info.edge is v = 1 / (sigma |lambda|)
-        self.loglik = float(np.sum(_log_density(params, self.u, self.z, self.info)))
+        self.loglik = float(_log_density(params, self.u, self.z, self.info).sum())
 
     @cached_property
     def kinked(self) -> int:
@@ -266,14 +271,14 @@ class _Point:
         # first gradient by ulps, enough to flip convergence of fits that run off
         # to the sigma -> inf boundary
         WzC = Wz * u * u / (2.0 * sigma) if lam == 0.0 else Wz * C
-        s_mu = -n * lam / mu + float(np.sum(Wz * E)) / (sigma * mu)
+        s_mu = -n * lam / mu + float((Wz * E).sum()) / (sigma * mu)
         if self.kinked:
             # each observation at mu adds -+ kink_slope / (sigma mu) to the
             # derivative from above and from below
             jump = self.kinked * kink_slope(p.family) / (sigma * mu)
             s_mu = float(np.clip(0.0, s_mu - jump, s_mu + jump))
-        s_sigma = -n / sigma + float(np.sum(Wz * z)) / sigma
-        s_lam = float(np.sum(u - WzC))
+        s_sigma = -n / sigma + float((Wz * z).sum()) / sigma
+        s_lam = float((u - WzC).sum())
         if xi > 0.0:
             # truncation term: -log R(v) per observation
             s_sigma += n * xi * v / sigma
@@ -296,12 +301,12 @@ class _Point:
         z_ml = -u * E / (sigma * mu)
         z_ss = 2.0 * z / (sigma * sigma)
         z_sl = -C / sigma
-        h_mm = n * lam / mu**2 + float(np.sum(-G * A * A - W * z * z_mm))
-        h_ms = float(np.sum(-G * A * B - W * z * z_ms))
-        h_ml = -n / mu + float(np.sum(-G * A * C - W * z * z_ml))
-        h_ss = n / sigma**2 + float(np.sum(-G * B * B - W * z * z_ss))
-        h_sl = float(np.sum(-G * B * C - W * z * z_sl))
-        h_ll = float(np.sum(-G * C * C - W * z * z_ll))
+        h_mm = n * lam / mu**2 + float((-G * A * A - W * z * z_mm).sum())
+        h_ms = float((-G * A * B - W * z * z_ms).sum())
+        h_ml = -n / mu + float((-G * A * C - W * z * z_ml).sum())
+        h_ss = n / sigma**2 + float((-G * B * B - W * z * z_ss).sum())
+        h_sl = float((-G * B * C - W * z * z_sl).sum())
+        h_ll = float((-G * C * C - W * z * z_ll).sum())
         # truncation term: T = -log R(v) per observation
         if xi > 0.0:
             h_ss += n * (dxi * v * v - 2.0 * xi * v) / sigma**2
@@ -402,11 +407,23 @@ _PLATEAU_GTOL = 1e-3
 _MAX_ITER = 500
 
 
+@functools.lru_cache(maxsize=64)
+def _upper_quartile(kind, extra) -> float:
+    """s_0.75 of the standard symmetric law: its inverse table's t = 1/4 node.
+
+    Cached per family here, at the caller: through ``symmetric_quantile``'s
+    full entry, fetching the stored node costs about 100 us a fit.
+    """
+    return symmetric_quantile(DensityFamily(kind, extra), 0.75)
+
+
 def _initial_sigma(y: np.ndarray, family: DensityFamily) -> float:
+    """The sigma whose log-symmetric law has the sample's centile CV,
+    0.75 (q75 - q25) / q50 = 1.5 sinh(sigma s_0.75), at least 1e-3; s_0.75
+    is the family's inverse-table node at t = 1/4, cached per family."""
     q25, q50, q75 = np.quantile(y, [0.25, 0.5, 0.75])
     cv = 0.75 * (q75 - q25) / q50
-    s75 = symmetric_quantile(family, 0.75)
-    return max(math.asinh(cv / 1.5) / s75, 1e-3)
+    return max(math.asinh(cv / 1.5) / _upper_quartile(family.kind, family.extra), 1e-3)
 
 
 # a fit from the default start that ends with sigma |lambda| beyond this has
@@ -560,12 +577,13 @@ def _maximize(ctx: LikelihoodContext, init: BcsParams | None, mode: str) -> FitR
     x = np.array([math.log(v) if lg else v for v, lg in zip(ctx.free_values(init), logged)])
 
     dim = x.size
+    eye = np.eye(dim)  # h_inv is rebound, never written, so it may be eye itself
     f0 = objective(x)
     g0 = gradient(x)
     h_inv = _inverse_information(ctx, build(x), logged, g0) if mode == "analytic" else None
     identity_h = h_inv is None
     if identity_h:
-        h_inv = np.eye(dim)
+        h_inv = eye
     held = None  # mu while held bitwise on an observation, on a kink in mu
 
     def snap(x1, f1, stalled: bool):
@@ -611,7 +629,7 @@ def _maximize(ctx: LikelihoodContext, init: BcsParams | None, mode: str) -> FitR
     message = ""
     iterations = 0
     for iterations in range(1, _MAX_ITER + 1):
-        g_max = np.max(np.abs(g0))  # NaN if any component is NaN
+        g_max = np.abs(g0).max()  # NaN if any component is NaN
         if not math.isfinite(g_max):
             message = kink[-1] if kink else "score is not finite at the iterate"
             break
@@ -635,7 +653,7 @@ def _maximize(ctx: LikelihoodContext, init: BcsParams | None, mode: str) -> FitR
             # off a kink, or uphill on one side of it
             d = -h_inv @ g0
             if d @ g0 >= 0.0:
-                h_inv = np.eye(dim)
+                h_inv = eye
                 identity_h = True
                 d = -g0
         hold = held if newton else None
@@ -651,7 +669,8 @@ def _maximize(ctx: LikelihoodContext, init: BcsParams | None, mode: str) -> FitR
         refreshed = False
         # after the unit step, stop at the step floor or an unresolvable t |g'd|
         while t == 1.0 or (t > 1e-14 and t * abs(slope) > resolution):
-            f1 = objective(x + t * d, hold)
+            x1 = x + t * d
+            f1 = objective(x1, hold)
             if math.isfinite(f1) and f1 <= f0 + 1e-4 * t * slope:
                 break
             inv = _inverse_information(ctx, build(x), logged, g0) if refresh else None
@@ -665,7 +684,7 @@ def _maximize(ctx: LikelihoodContext, init: BcsParams | None, mode: str) -> FitR
         else:
             if not (newton or identity_h or refreshed):
                 # the curvature model may be stale; retry from steepest descent
-                h_inv = np.eye(dim)
+                h_inv = eye
                 identity_h = True
                 continue
             snapped = snap(x, f0, stalled=True) if held is None else None
@@ -680,7 +699,7 @@ def _maximize(ctx: LikelihoodContext, init: BcsParams | None, mode: str) -> FitR
             else:
                 message = "line search stalled before the gradient tolerance"
             break
-        x1, held = x + t * d, hold
+        held = hold
         if held is None and (t <= _SNAP_T or math.exp(x1[0]) in ya):
             # a kink in mu may have cut the step, or the step landed on one
             x1, f1, held = snap(x1, f1, stalled=False) or (x1, f1, None)
@@ -689,10 +708,11 @@ def _maximize(ctx: LikelihoodContext, init: BcsParams | None, mode: str) -> FitR
             s_step = x1 - x
             y_step = g1 - g0
             sy = s_step @ y_step
-            if sy > 1e-10 * np.linalg.norm(s_step) * np.linalg.norm(y_step):
+            # norms as np.linalg.norm forms them, outer products as np.outer does
+            if sy > 1e-10 * math.sqrt(s_step.dot(s_step)) * math.sqrt(y_step.dot(y_step)):
                 rho = 1.0 / sy
-                outer = np.eye(dim) - rho * np.outer(s_step, y_step)
-                h_inv = outer @ h_inv @ outer.T + rho * np.outer(s_step, s_step)
+                outer = eye - rho * (s_step[:, None] * y_step)
+                h_inv = outer @ h_inv @ outer.T + rho * (s_step[:, None] * s_step)
                 identity_h = False
         x, f0, g0 = x1, f1, g1
     else:
@@ -713,7 +733,7 @@ def _maximize(ctx: LikelihoodContext, init: BcsParams | None, mode: str) -> FitR
         std_errors=std_errors,
         converged=converged,
         iterations=iterations,
-        gradient_norm=float(np.max(np.abs(g0))),
+        gradient_norm=float(np.abs(g0).max()),
         mode=mode,
         message=message,
     )

@@ -199,14 +199,19 @@ class GeneratorEval:
 # ---------------------------------------------------------------------------
 # Family-specific constants.
 
+def _pe_log_p(tau: float) -> float:
+    """log p(tau), p(tau)^2 = 2^(-2/tau) Gamma(1/tau) / Gamma(3/tau); p(2) = 1."""
+    return -math.log(2.0) / tau + 0.5 * (math.lgamma(1.0 / tau) - math.lgamma(3.0 / tau))
+
+
 def _pe_scale(tau: float) -> tuple[float, float]:
     """p^tau and log p for the scale p(tau) of the power exponential law.
 
-    p(tau)^2 = 2^(-2/tau) Gamma(1/tau) / Gamma(3/tau); p(2) = 1.  Below
-    tau of about 9e-3, p underflows while p^tau stays near 1e-3, so both
-    are then taken from log p.
+    Below tau of about 9e-3, p underflows while p^tau stays near 1e-3, so
+    both are then taken from log p.  Above tau of about 1290, p^tau (p near
+    sqrt 3) overflows and raises OverflowError.
     """
-    log_p = -math.log(2.0) / tau + 0.5 * (math.lgamma(1.0 / tau) - math.lgamma(3.0 / tau))
+    log_p = _pe_log_p(tau)
     p = math.exp(log_p)
     if p < _TINY:
         return math.exp(tau * log_p), log_p
@@ -402,11 +407,14 @@ def _gen_slash(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarray, np.nda
 def eval_generator(family: DensityFamily, u) -> GeneratorEval:
     """Evaluate r and log r of the family's generator at u >= 0."""
     ua = np.asarray(u, dtype=float)
-    flat = np.atleast_1d(ua).ravel()
+    # the generators run on a 1-D array, which they only read
+    flat = ua if ua.ndim == 1 else ua.reshape(-1)
     if (flat < 0.0).any():
         raise ValueError("generator argument must be nonnegative")
     r, log_r = _SPECS[family.kind].generator(family, flat)
-    return GeneratorEval(r=r.reshape(ua.shape), log_r=log_r.reshape(ua.shape))
+    if ua.ndim != 1:
+        r, log_r = r.reshape(ua.shape), log_r.reshape(ua.shape)
+    return GeneratorEval(r=r, log_r=log_r)
 
 
 # ---------------------------------------------------------------------------
@@ -417,11 +425,33 @@ def _tail_double_exponential(family: DensityFamily, s: np.ndarray) -> np.ndarray
 
 
 def _tail_power_exponential(family: DensityFamily, s: np.ndarray) -> np.ndarray:
+    """Q(a, x) / 2 with a = 1 / tau and x = (s / p)^tau / 2.
+
+    x is formed as s^tau / (2 p^tau).  At large tau that quotient loses x
+    where s^tau, p^tau or x itself leaves the normal range (x = 0 read
+    P(S > 0.5) as 1/2 at tau = 1000, where it is 0.356), and there x comes
+    from log x = tau (log s - log p) - log 2 instead.  Below the smallest
+    normal x, Q(a, x) = 1 - x^a / Gamma(1 + a) to within a relative a x.
+    """
     tau = family.extra
-    ptau, _ = _pe_scale(tau)
-    with np.errstate(over="ignore"):
-        arg = s**tau / (2.0 * ptau)
-    return 0.5 * reg_upper_gamma(1.0 / tau, arg)
+    a = 1.0 / tau
+    try:
+        ptau = _pe_scale(tau)[0]
+    except OverflowError:
+        ptau = math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        st = s**tau
+        arg = st / (2.0 * ptau)
+    lost = np.flatnonzero((st < _TINY) | (st == math.inf) | (arg < _TINY))
+    if lost.size:
+        with np.errstate(divide="ignore", over="ignore"):
+            log_x = tau * (np.log(s[lost]) - _pe_log_p(tau)) - math.log(2.0)
+            arg[lost] = np.exp(log_x)
+    out = 0.5 * reg_upper_gamma(a, arg)
+    if lost.size:
+        tiny = log_x < math.log(_TINY)
+        out[lost[tiny]] = 0.5 - 0.5 * np.exp(a * log_x[tiny] - math.lgamma(1.0 + a))
+    return out
 
 
 def _tail_cauchy(family: DensityFamily, s: np.ndarray) -> np.ndarray:
@@ -436,9 +466,8 @@ def _tail_cauchy(family: DensityFamily, s: np.ndarray) -> np.ndarray:
 def _tail_student_t(family: DensityFamily, s: np.ndarray) -> np.ndarray:
     tau = family.extra
     a = 0.5 * tau
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         u = s * s
-    with np.errstate(invalid="ignore"):
         y = u / (tau + u)
     # P(S > s) = I_x(a, 1/2) / 2 = 1/2 - I_y(1/2, a) / 2, x = tau / (tau + s^2)
     # and y = 1 - x.  Where y < 3 / (tau + 5), reg_inc_beta(a, 1/2, x) takes
@@ -456,9 +485,12 @@ def _tail_student_t(family: DensityFamily, s: np.ndarray) -> np.ndarray:
     #   bits, t4's quartile among them, which starts every t4 fit.
     near = (y < 1.5 / (a + 2.5)) & (u <= tau / 16.0)
     out = np.empty_like(s)
-    out[near] = 0.5 - 0.5 * reg_inc_beta(0.5, a, y[near])
+    # a scalar tail, such as the truncation mass R(v), fills one branch only
+    if near.any():
+        out[near] = 0.5 - 0.5 * reg_inc_beta(0.5, a, y[near])
     rest = ~near
-    out[rest] = 0.5 * reg_inc_beta(a, 0.5, tau / (tau + u[rest]))
+    if rest.any():
+        out[rest] = 0.5 * reg_inc_beta(a, 0.5, tau / (tau + u[rest]))
     far = np.isinf(u) & np.isfinite(s)
     if far.any():
         # x = tau / s^2 < 1e-308, where I_x(a, 1/2) is x^a / (a B(a, 1/2))
@@ -891,8 +923,8 @@ def _dw_slash(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> np.ndarray
 
 
 def _weight_args(spec: _FamilySpec, family: DensityFamily, za: np.ndarray):
-    """z and z^2 as flat arrays; raises where the weight is singular at z = 0."""
-    flat = np.atleast_1d(za).ravel()
+    """z and z^2 as 1-D arrays; raises where the weight is singular at z = 0."""
+    flat = za if za.ndim == 1 else za.reshape(-1)
     if spec.weight_singular(family) and (flat == 0.0).any():
         raise ValueError(f"weight function of {family.label()} is singular at z = 0")
     return flat, flat * flat
@@ -907,8 +939,10 @@ def weight_function(family: DensityFamily, z):
     za = np.asarray(z, dtype=float)
     spec = _SPECS[family.kind]
     flat, u = _weight_args(spec, family, za)
-    out = spec.weight(family, flat, u).reshape(za.shape)
-    return float(out) if za.shape == () else out
+    out = spec.weight(family, flat, u)
+    if za.ndim != 1:
+        out = out.reshape(za.shape)
+    return float(out) if za.ndim == 0 else out
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
@@ -921,8 +955,10 @@ def weight_derivative(family: DensityFamily, z):
         raise ValueError(
             f"weight function of {family.label()} is not differentiable at z = 0"
         )
-    out = spec.weight_derivative(family, flat, u).reshape(za.shape)
-    return float(out) if za.shape == () else out
+    out = spec.weight_derivative(family, flat, u)
+    if za.ndim != 1:
+        out = out.reshape(za.shape)
+    return float(out) if za.ndim == 0 else out
 
 
 def kink_slope(family: DensityFamily) -> float:

@@ -9,7 +9,6 @@ and excluded; a single failure never aborts a study.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -96,6 +95,10 @@ class SimulationResult:
 def _map_tasks(runner, tasks, workers: int):
     if workers <= 1:
         return [runner(t) for t in tasks]
+    # imported here, not with the module: the pool pulls in multiprocessing,
+    # 10-25 ms that every import of the package would pay
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, len(tasks) // (8 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(runner, tasks, chunksize=chunk))

@@ -65,7 +65,12 @@ _SMALL_N_FIXED = 24
 # whose recurrences loop over the elements that have not yet converged.  Both
 # paths do the same operations in the same order, with the same _TINY clamps
 # and stopping tests, so they give bit-identical results and follow one set
-# of edge rules at any size.  The float path takes exp, floor, log and log1p
+# of edge rules at any size.  What depends on the shape parameters alone, such
+# as reg_inc_beta's log B(a, b), the entry point forms once and hands to
+# either path, not once per element.  In a float loop a builtin call is a
+# large share of each step, so the beta continued fraction, the float loop the
+# fits run most, tests its guards in chained comparisons (-_TINY < d < _TINY)
+# rather than through abs().  The float path takes exp, floor, log and log1p
 # from numpy ufuncs called on floats, which give the bits of the array loops;
 # the math module's differ from them in the last place on some inputs (about
 # 5% of exp arguments where numpy has AVX-512 loops).  The float path sets no
@@ -626,12 +631,15 @@ def chi2_survival(x):
 
 
 def _betacf_float(a: float, b: float, x: float) -> float:
+    # chained comparisons in place of abs() (see the float-path notes above)
+    # keep each test's outcome: a NaN fails -_TINY < d < _TINY as it fails
+    # abs(d) < _TINY, and ends the loop as not abs(delta - 1) >= _EPS does
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
     c = 1.0
     d = 1.0 - qab * x / qap
-    if abs(d) < _TINY:
+    if -_TINY < d < _TINY:
         d = _TINY
     d = 1.0 / d
     h = d
@@ -639,24 +647,25 @@ def _betacf_float(a: float, b: float, x: float) -> float:
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d
-        if abs(d) < _TINY:
+        if -_TINY < d < _TINY:
             d = _TINY
         c = 1.0 + aa / c
-        if abs(c) < _TINY:
+        if -_TINY < c < _TINY:
             c = _TINY
         d = 1.0 / d
         h = h * d * c
         aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
         d = 1.0 + aa * d
-        if abs(d) < _TINY:
+        if -_TINY < d < _TINY:
             d = _TINY
         c = 1.0 + aa / c
-        if abs(c) < _TINY:
+        if -_TINY < c < _TINY:
             c = _TINY
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if not abs(delta - 1.0) >= _EPS:
+        e = delta - 1.0
+        if not (e >= _EPS or e <= -_EPS):
             return h
     raise RuntimeError("incomplete beta continued fraction did not converge")
 
@@ -704,8 +713,9 @@ def _betacf(a: float, b: float, x: np.ndarray) -> np.ndarray:
 # one exp of a log x + b log1p(-x) - log B(a, b) it carried the rounding of
 # an argument of size a |log x|, which read the Student t(1.5) tail 23-33 eps
 # high near s = 3e10.  The one exp stays where x^a or the rest passes
-# _TINY or 1 / _TINY, as it does for large a and b.
-def _inc_beta_float(a: float, b: float, x: float) -> float:
+# _TINY or 1 / _TINY, as it does for large a and b.  Both paths take
+# log_b = log B(a, b) from reg_inc_beta, which forms it once per call.
+def _inc_beta_float(a: float, b: float, log_b: float, x: float) -> float:
     if not 0.0 < x < 1.0:
         if x == 0.0:
             return 0.0
@@ -715,7 +725,7 @@ def _inc_beta_float(a: float, b: float, x: float) -> float:
             return math.nan
         raise ValueError("argument must lie in [0, 1]")
     lead = float(np.power(x, a))
-    log_rest = b * float(np.log1p(-x)) - log_beta(a, b)
+    log_rest = b * float(np.log1p(-x)) - log_b
     if lead >= _TINY and log_rest <= -_LOG_TINY:
         bt = lead * float(np.exp(log_rest))
     else:
@@ -725,7 +735,7 @@ def _inc_beta_float(a: float, b: float, x: float) -> float:
     return 1.0 - bt * _betacf_float(b, a, 1.0 - x) / b
 
 
-def _inc_beta_array(a: float, b: float, xa: np.ndarray) -> np.ndarray:
+def _inc_beta_array(a: float, b: float, log_b: float, xa: np.ndarray) -> np.ndarray:
     if ((xa < 0.0) | (xa > 1.0)).any():
         raise ValueError("argument must lie in [0, 1]")
     out = np.full_like(xa, np.nan)
@@ -735,7 +745,7 @@ def _inc_beta_array(a: float, b: float, xa: np.ndarray) -> np.ndarray:
     if interior.any():
         xi = xa[interior]
         lead = np.power(xi, a)
-        log_rest = b * np.log1p(-xi) - log_beta(a, b)
+        log_rest = b * np.log1p(-xi) - log_b
         split = (lead >= _TINY) & (log_rest <= -_LOG_TINY)
         bt = lead * np.exp(np.minimum(log_rest, -_LOG_TINY))
         if not split.all():
@@ -754,4 +764,6 @@ def reg_inc_beta(a: float, b: float, x):
     """Regularized incomplete beta I_x(a, b) for a, b > 0 and x in [0, 1]."""
     if not (a > 0.0 and b > 0.0):
         raise ValueError("shape parameters must be positive")
-    return _by_size(np.asarray(x, dtype=float), _SMALL_N_BETA, _inc_beta_float, _inc_beta_array, a, b)
+    # once per call, not three lgammas per element of the float path
+    log_b = log_beta(a, b)
+    return _by_size(np.asarray(x, dtype=float), _SMALL_N_BETA, _inc_beta_float, _inc_beta_array, a, b, log_b)

@@ -276,6 +276,24 @@ def main():
     print("}")
     print()
 
+    # the power exponential tail at large tau, where x = (s / p)^tau / 2 leaves
+    # the double range though the tail does not, from mpmath's gammainc at
+    # 60 digits at the double nearest each s (there a relative error e in s
+    # moves the tail by about tau x e); the s run from the bulk to past p,
+    # where the tail falls fast
+    print("# (tau, s) -> survival of the power exponential")
+    print("LARGE_TAU_PE_TAIL = {")
+    with mp.workdps(60):
+        for tau, points in (
+            ("200", ("0.04", "0.5", "1.0", "1.7", "1.75")),
+            ("1000", ("0.5", "0.8226", "1.7", "1.732", "1.74")),
+            ("2000", ("0.5", "1.0", "1.72", "1.732", "1.736")),
+        ):
+            for s in points:
+                print(f"    ({tau}, {s}): {fmt(pe_tail(tau, float(s)))},")
+    print("}")
+    print()
+
     # the Student t log-density toward its normal limit, from the closed
     # form at 80 digits: tau log tau / 2 - (tau + 1) log(tau + u) / 2
     # cancels about 21 of them at tau = 1e20

@@ -407,6 +407,30 @@ def test_sample_is_deterministic(tmp_path, capsys):
     assert len(lines) == 12
 
 
+def test_in_process_main_calls_match_fresh_runs(capsys):
+    # main builds its parser once per process: calls with other subcommands
+    # and flags before them leave no trace in what a call prints
+    runs = [
+        ["sample", "--family", "t", "--tau", "4", "--mu", "2", "--sigma", "0.5",
+         "--lambda", "0.5", "--n", "5", "--seed", "7"],
+        ["tail", "--family", "normal", "--mu", "1", "--sigma", "1", "--lambda", "1"],
+        ["sample", "--family", "normal", "--mu", "1", "--sigma", "0.2", "--lambda", "0",
+         "--n", "3"],
+        ["tail", "--family", "t", "--mu", "1", "--sigma", "0.5", "--lambda", "0.5"],
+    ]
+    in_process = [_run(capsys, argv) for argv in runs]
+    fresh = [
+        subprocess.run(
+            [sys.executable, "-c", "import sys; from bcsym.cli import main; sys.exit(main(sys.argv[1:]))",
+             *argv],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(Path(bcsym.__file__).resolve().parents[1])},
+        )
+        for argv in runs
+    ]
+    assert in_process == [(p.returncode, p.stdout, p.stderr) for p in fresh]
+
+
 def test_sample_negative_lambda_draws_stay_inside_support(tmp_path, capsys):
     code, out, err = _run(
         capsys,

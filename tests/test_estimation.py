@@ -212,6 +212,17 @@ def test_phi_leading_order():
     assert float(_phi2(0.0)) == 0.0
 
 
+@pytest.mark.parametrize("f, seam", [(_phi1, 1e-3), (_phi2, 1e-2)])
+def test_phi_gives_the_same_bits_with_or_without_a_series_element(f, seam):
+    # an array with no |w| below the seam skips the series: its elements get
+    # the bits they get next to one that takes it
+    w = np.array([-800.0, -3.0, -seam, seam, 2.5e-2, 0.7, 1.5, 40.0, 710.0, np.inf, np.nan])
+    with np.errstate(over="ignore"):
+        alone = f(w)
+        beside = f(np.append(w, 0.5 * seam))[:-1]
+    assert alone.view(np.int64).tolist() == beside.view(np.int64).tolist()
+
+
 # ---------------------------------------------------------------------------
 # Seam and data validation.
 

@@ -343,6 +343,25 @@ LARGE_TAU_LOG_R = {
     (1e20, 13.0): -7.4189385332046727,
 }
 
+# (tau, s) -> survival of the power exponential
+LARGE_TAU_PE_TAIL = {
+    (200, 0.04): 0.48845228918212392,
+    (200, 0.5): 0.35565361477654902,
+    (200, 1.0): 0.21130722955309804,
+    (200, 1.7): 0.0092554242320952197,
+    (200, 1.75): 5.3278994197544088e-6,
+    (1000, 0.5): 0.35566207725597185,
+    (1000, 0.8226): 0.26253524950152489,
+    (1000, 1.7): 0.0092510626724396376,
+    (1000, 1.732): 0.00025339872527119366,
+    (1000, 1.74): 1.3257423180272595e-29,
+    (2000, 0.5): 0.35566234375455396,
+    (2000, 1.0): 0.21132468750910792,
+    (2000, 1.72): 0.0034784626359924148,
+    (2000, 1.732): 0.00013118106804274526,
+    (2000, 1.736): 2.7242956657770459e-29,
+}
+
 
 def rel_err(got, expected):
     return abs(got - expected) / abs(expected)
@@ -376,6 +395,22 @@ def test_student_t_log_density_at_large_tau(tau):
         if t == tau:
             got = float(eval_generator(DensityFamily.student_t(tau), u).log_r)
             assert rel_err(got, expected) < 4e-15, (u, got, expected)
+
+
+@pytest.mark.parametrize("tau", sorted({tau for tau, _ in LARGE_TAU_PE_TAIL}))
+def test_power_exponential_tail_at_large_tau(tau):
+    # s^tau / (2 p^tau) underflowed to 0 (P(S > 0.5) read 1/2 at tau = 1000)
+    # and p^tau overflowed (OverflowError at tau = 2000).  lgamma's rounding
+    # in log p, amplified tau-fold in p^tau and x-fold in Q(1/tau, x), leaves
+    # up to 6e-11 at the points past p, where x is about 60
+    fam = DensityFamily.power_exponential(tau)
+    points = {s: expected for (t, s), expected in LARGE_TAU_PE_TAIL.items() if t == tau}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = symmetric_survival(fam, np.array(list(points)))
+    for s, g, expected in zip(points, got, points.values()):
+        assert rel_err(g, expected) < 2e-10, (s, g, expected)
+        assert g == symmetric_survival(fam, s)
 
 
 @pytest.mark.parametrize("name", sorted(FAMS))
@@ -991,3 +1026,44 @@ def test_tails_give_the_same_bits_at_any_size(name, fn):
                 assert math.isnan(scalar) == math.isnan(other), (s, scalar, other)
                 if not math.isnan(scalar):
                     assert np.float64(scalar).view(np.int64) == np.float64(other).view(np.int64), (s, scalar, other)
+
+
+def _same_bits(a, b) -> bool:
+    """Equal doubles, sign of zero included, or both NaN."""
+    a, b = np.float64(a), np.float64(b)
+    return (math.isnan(a) and math.isnan(b)) or a.view(np.int64) == b.view(np.int64)
+
+
+# z for the generators (at u = z^2) and the weights, 0 left out: a singular
+# weight raises there
+FAST_PATH_Z = [v for x in (5e-324, 2.7e-4, 0.3, 1.3, 40.0, 1e200, np.inf) for v in (x, -x)] + [np.nan]
+
+
+@pytest.mark.parametrize("name", FAMS)
+def test_generator_and_weights_give_the_same_bits_at_any_shape(name):
+    # eval_generator and the weights skip the flattening of 1-D input: a
+    # scalar, a short and a long 1-D array and a 2-D array give each element
+    # the same bits
+    fam = FAMS[name]
+    z = np.array(FAST_PATH_Z)
+    filler = np.resize([0.7, -1.2, 3.5], _SMALL_N + 1)
+
+    def square(v):
+        with np.errstate(over="ignore"):
+            return np.square(v)
+
+    fns = {
+        "r": lambda v: eval_generator(fam, square(v)).r,
+        "log_r": lambda v: eval_generator(fam, square(v)).log_r,
+        "w": lambda v: weight_function(fam, v),
+        "dw": lambda v: weight_derivative(fam, v),
+    }
+    for label, fn in fns.items():
+        in_long = fn(np.concatenate([filler, z]))[filler.size:]
+        in_2d = fn(z.reshape(1, -1)).ravel()
+        for k, v in enumerate(z):
+            scalar = fn(v)
+            in_short = fn(np.array([0.7, v, -1.2]))[1]
+            assert np.ndim(scalar) == 0
+            for other in (in_short, in_long[k], in_2d[k]):
+                assert _same_bits(scalar, other), (label, v, scalar, other)

@@ -80,6 +80,24 @@ def test_fit_moves_finds_no_move_between_a_checkout_and_itself():
                if line.startswith("  ") and line not in decisions)
 
 
+def test_call_counts_prints_the_same_counts_twice():
+    ops = {"type1_t4_n50": 3, "recovery_t4_n500": 2, "compare_n1000": 1}
+    cmd = [sys.executable, str(SCRIPTS / "call_counts.py"), "--checkout", str(SCRIPTS.parent),
+           "--seed", "7302"]
+    for name, n in ops.items():
+        cmd += ["--ops", f"{name}={n}"]
+    runs = [
+        subprocess.run(cmd, capture_output=True, text=True, check=True, timeout=300).stdout
+        for _ in range(2)
+    ]
+    heads = [line for line in runs[0].splitlines() if not line.startswith(" ")]
+    assert [line.split()[:3] for line in heads] == [[name, str(n), "ops"] for name, n in ops.items()]
+    assert all(re.fullmatch(r"\S+ \d+ ops \d+\.\d calls/op", line) for line in heads)
+    # a head line and the ten most-called functions per workload
+    assert len(runs[0].splitlines()) == 11 * len(ops)
+    assert runs[1] == runs[0]
+
+
 @pytest.mark.parametrize("verify", [[], ["--verify"]])
 def test_tail_gallery_runs(verify, capsys):
     assert _main("tail_gallery.py")(verify) == 0

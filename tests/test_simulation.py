@@ -1,6 +1,10 @@
 """Monte Carlo harness tests: type-I error study and parameter recovery."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -118,6 +122,17 @@ def test_type1_parallel_matches_sequential():
     par = run_type1_study(plan, workers=3)
     assert seq.cells == par.cells
     assert seq.decisions == par.decisions
+
+
+def test_importing_the_package_leaves_the_process_pool_out():
+    # the pool (and multiprocessing under it) is imported only for workers > 1
+    probe = "import sys, bcsym; print('concurrent.futures.process' in sys.modules)"
+    src = str(Path(simulate.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert out == "False\n"
 
 
 def test_type1_both_modes_agree_per_replicate():
