@@ -4,7 +4,8 @@ Runs the first ops of each ``perfbench`` workload at one seed in each
 checkout, each checkout in its own subprocess, and pairs the fits the
 workloads capture in order.  Per workload it prints the number of fits, how
 many are bit-identical (the same point, log-likelihood, convergence flag and
-message; the iteration count may differ) and how many flipped convergence;
+message; the iteration count may differ) and how many flipped convergence,
+and, where some changed, how many fits changed their iteration count;
 the largest |dl| (l the log-likelihood), relative mu or sigma move and
 |dlambda|, for interior fits (sigma |lambda| < 1e3 on both sides) and
 boundary walks, converged and not, apart; and every fit whose l moved by
@@ -47,6 +48,7 @@ def collect(root: str, seed: int, counts: dict) -> None:
                     rec.update(
                         family=p.family.label(), loglik=fit.loglik, mu=p.mu, sigma=p.sigma,
                         lam=p.lam, converged=fit.converged, message=fit.message,
+                        iterations=fit.iterations,
                     )
                 print(json.dumps(rec), flush=True)
             if len(output) > TESTS_AT:
@@ -63,6 +65,11 @@ def run(root: str, seed: int, counts: dict) -> list:
         cmd += ["--ops", f"{name}={n}"]
     out = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout
     return [json.loads(line) for line in out.splitlines()]
+
+
+def point(r: dict) -> dict:
+    """A fit record without its iteration count."""
+    return {k: v for k, v in r.items() if k != "iterations"}
 
 
 def moves(a: dict, b: dict) -> tuple:
@@ -94,10 +101,17 @@ def report(name: str, parent: list, change: list) -> list:
     """The summary and listing lines of one workload's paired fits."""
     if [(r["op"], r["i"]) for r in parent] != [(r["op"], r["i"]) for r in change]:
         return [f"{name}: {len(parent)} parent fits and {len(change)} change fits do not pair"]
-    same = sum(a == b for a, b in zip(parent, change))
+    same = sum(point(a) == point(b) for a, b in zip(parent, change))
     pairs = [(a, b) for a, b in zip(parent, change) if "loglik" in a and "loglik" in b]
     flips = sum(a["converged"] != b["converged"] for a, b in pairs)
     lines = [f"{name}: {len(parent)} fits, {same} bit-identical, {flips} convergence flips"]
+    steps = [(a["iterations"], b["iterations"]) for a, b in pairs]
+    steps = [(m, n) for m, n in steps if m != n]
+    if steps:
+        lines.append(
+            f"  iterations: {len(steps)} of {len(pairs)} fits changed their count"
+            f" ({sum(a for a, _ in steps)} -> {sum(b for _, b in steps)} over those fits)"
+        )
     groups = {}
     for a, b in pairs:
         walk = max(a["sigma"] * abs(a["lam"]), b["sigma"] * abs(b["lam"])) >= BOUNDARY
@@ -112,7 +126,8 @@ def report(name: str, parent: list, change: list) -> list:
         )
     for a, b, walk in (m for members in groups.values() for m in members):
         dl = b["loglik"] - a["loglik"]
-        if abs(dl) > LISTED_DL or a["converged"] != b["converged"] or (walk and a != b):
+        moved = walk and point(a) != point(b)
+        if abs(dl) > LISTED_DL or a["converged"] != b["converged"] or moved:
             lines.append(
                 f"  op {a['op']} fit {a['i']} {a['family']}: l {a['loglik']!r} -> {b['loglik']!r}"
                 f" (dl {dl:.3g}), sigma|lambda| {a['sigma'] * abs(a['lam']):.3g} ->"

@@ -284,7 +284,7 @@ def cmd_fit(args) -> int:
         lines += [f"{format(a, '.17g')},{format(b, '.17g')}" for a, b in pairs]
         _write_text("\n".join(lines) + "\n", args.qq_out)
     if not result.converged:
-        _write_error(EXIT_NUMERIC, "numeric", "fit did not converge: " + (result.message or "no detail"))
+        _write_error(EXIT_NUMERIC, "numeric", "fit did not converge: " + result.message)
         return EXIT_NUMERIC
     if gof is None:
         _write_error(EXIT_NUMERIC, "numeric", "goodness-of-fit evaluation failed: " + gof_error)

@@ -32,18 +32,19 @@ differences with step 1e-5 * (1 + extra).
 
 fit runs BFGS.  In analytic mode it starts from the inverse observed
 information at the start point where that is positive definite, and from the
-identity otherwise; in numeric mode from the identity.  It stops at the
-gradient tolerance; where a line search cannot resolve a decrease of the
-log-likelihood (converged if the gradient is below 1e-3); on a score that is
-not finite or undefined; or at the iteration limit.  A gradient search only
+identity otherwise; in numeric mode from the identity.  A gradient search only
 crawls toward a kink in mu, so in analytic mode fit snaps mu onto the
-observation, holds it while Newton steps fit the other parameters, and
-converges where the one-sided mu derivatives bracket 0 (on a cusp, where no
-neighbouring observation is higher).
+observation and holds it while Newton steps fit the other parameters.  The
+search is a loop over one step function, from one iterate (x, the objective,
+its gradient, the inverse curvature model and the held mu) to the next, until
+the step returns a _Stop: GRADIENT_TOL, KINK_OPTIMUM, FLAT_PLATEAU,
+LINE_SEARCH_STALL, SCORE_NOT_FINITE, SCORE_UNDEFINED or ITER_LIMIT (fit
+describes each).  The fit's converged flag and message follow from the stop.
 """
 
 from __future__ import annotations
 
+import enum
 import functools
 import math
 import sys
@@ -400,11 +401,48 @@ class FitResult:
     message: str = ""
 
 
-# a search stops below _GTOL; where a line search cannot resolve a decrease
-# (converged below _PLATEAU_GTOL); on a non-finite score; or at _MAX_ITER
 _GTOL = 1e-6
 _PLATEAU_GTOL = 1e-3
 _MAX_ITER = 500
+
+
+class _Stop(enum.Enum):
+    """How a search ended; ``fit`` describes each ending."""
+
+    GRADIENT_TOL = enum.auto()
+    KINK_OPTIMUM = enum.auto()
+    FLAT_PLATEAU = enum.auto()
+    LINE_SEARCH_STALL = enum.auto()
+    SCORE_NOT_FINITE = enum.auto()
+    SCORE_UNDEFINED = enum.auto()
+    ITER_LIMIT = enum.auto()
+
+
+_CONVERGED = {_Stop.GRADIENT_TOL, _Stop.KINK_OPTIMUM, _Stop.FLAT_PLATEAU}
+# the fit's message at each stop that fixes one; at the others it is the
+# standard errors' (empty where there are standard errors) or, at
+# SCORE_UNDEFINED, the iterate's reason
+_STOP_TEXT = {
+    _Stop.FLAT_PLATEAU: "stopped where the likelihood is flat to machine precision",
+    _Stop.LINE_SEARCH_STALL: "line search stalled before the gradient tolerance",
+    _Stop.SCORE_NOT_FINITE: "score is not finite at the iterate",
+    _Stop.ITER_LIMIT: "iteration limit reached",
+}
+
+
+@dataclass(slots=True)
+class _Iterate:
+    """One point of a search: x, the objective f there and its gradient g,
+    the inverse curvature model ``h_inv`` (the search's identity matrix
+    itself where there is none), mu while held bitwise on an observation on
+    a kink in mu, and why g is NaN where the score is undefined."""
+
+    x: np.ndarray
+    f: float
+    g: np.ndarray
+    h_inv: np.ndarray
+    held: float | None = None
+    undefined: str | None = None
 
 
 @functools.lru_cache(maxsize=64)
@@ -448,17 +486,11 @@ def fit(
     information is not finite or not positive definite); "numeric"
     differentiates the objective, starts from the identity and serves as an
     independent cross-check.  A first line search from the observed
-    information that fails still retries from steepest descent.  The search
-    converges at a gradient below 1e-6.  It also ends where a line search,
-    even from steepest descent, cannot resolve a decrease t |g'd| >
-    eps (1 + |f|), one ulp of the objective: converged if the gradient is
-    below 1e-3 (the likelihood is flat to machine precision), stalled
-    otherwise.  In analytic mode, once the gradient is below 1e-3, a unit
-    BFGS step that fails is retried from the observed information at the
-    iterate, and where that step too cannot resolve a decrease the search
-    ends without the steepest-descent retry.  A score that overflows, is not
-    finite or stays on a singular weight one ulp past a kink ends the fit
-    unconverged, and so do 500 iterations.
+    information that fails still retries from steepest descent.  In analytic
+    mode, once the gradient is below 1e-3, a unit BFGS step that fails is
+    retried from the observed information at the iterate instead, and where
+    that step too cannot resolve a decrease there is no steepest-descent
+    retry.
 
     Where the log-likelihood has a kink in mu at each observation (see
     ``families.kink_slope``), the gradient jumps there, so BFGS cannot meet
@@ -470,13 +502,33 @@ def fit(
     observation is a local maximum in mu, so only a stalled search, or one
     whose iterate lands on the observation bitwise, snaps.  With mu held,
     damped Newton steps on the analytic Hessian fit the other parameters.
-    The one-sided mu derivatives certify the stop: where they bracket 0 and
-    the other components are below 1e-6, the fit converges with mu an
-    observation and a message that names the kink (the score and Hessian
-    raise there, so the standard errors are NaN); where one side rises,
+    The one-sided mu derivatives certify the stop: where one side rises,
     BFGS resumes toward it.  On a cusp they bracket 0 at every observation,
     so there mu moves on to a neighbouring observation while one is higher
     at the other parameters, and the Newton steps resume from it.
+
+    The search ends at one of these stops; the fit converges at the first
+    three.  A line search that cannot resolve a decrease means one that,
+    after the retries above, cannot resolve t |g'd| > eps (1 + |f|), one ulp
+    of the objective.
+
+    - GRADIENT_TOL: the gradient is below 1e-6.
+    - KINK_OPTIMUM: mu is held on an observation, and either the one-sided
+      mu derivatives bracket 0 with the other components below 1e-6, or no
+      line search resolves a decrease with the gradient below 1e-3.  The
+      message names the kink: the score and Hessian raise there, so the
+      standard errors are NaN.
+    - FLAT_PLATEAU: no line search resolves a decrease, and the gradient is
+      below 1e-3: the likelihood is flat to machine precision.
+    - LINE_SEARCH_STALL: no line search resolves a decrease, and the
+      gradient is 1e-3 or more.
+    - SCORE_NOT_FINITE: the score overflows or is not finite.
+    - SCORE_UNDEFINED: the score stays on a singular weight one ulp past a
+      kink; the message gives the reason.
+    - ITER_LIMIT: 500 iterations.
+
+    An unconverged fit's message says why it stopped.  A converged fit's is
+    empty, unless the likelihood is flat or the standard errors are NaN.
 
     Without ``init``, a free-lambda search that walks toward the
     sigma |lambda| -> inf boundary is run again from the optimum of the
@@ -496,9 +548,10 @@ def fit(
 
 def _search_space(ctx: LikelihoodContext):
     """The fitter's coordinates x = (log mu, log sigma, lambda, log extra) over
-    the free set: which are logged, the map x -> params, and the objective
-    -loglik(x), inf where x is not admissible.  Given ``mu``, the map and the
-    objective take it in place of exp(x[0])."""
+    the free set: which are logged, the map x -> params, the objective
+    -loglik(x), inf where x is not admissible, and the map params -> x.
+    Given ``mu``, the map x -> params and the objective take it in place of
+    exp(x[0])."""
     # lambda is the only free coordinate the optimizer does not log
     logged = [i != 2 for i in ctx.free_index]
 
@@ -516,7 +569,11 @@ def _search_space(ctx: LikelihoodContext):
             return math.inf
         return -val if math.isfinite(val) else math.inf
 
-    return logged, build, objective
+    def to_x(params: BcsParams) -> np.ndarray:
+        values = ctx.free_values(params)
+        return np.array([math.log(v) if lg else v for v, lg in zip(values, logged)])
+
+    return logged, build, objective, to_x
 
 
 # a line search cut to this step or below, in a family whose log-likelihood has
@@ -526,6 +583,16 @@ def _search_space(ctx: LikelihoodContext):
 # 1e-4 snapped one fit onto a kink 0.037 lower, and 1e-6 snaps later
 _SNAP_T = 1.0 / 16.0
 _SNAP_DIST = 1e-5
+
+
+def _drive(step, it: _Iterate):
+    """(last iterate, stop, iterations) of the search that ``step`` takes from ``it``."""
+    for iterations in range(1, _MAX_ITER + 1):
+        nxt = step(it)
+        if isinstance(nxt, _Stop):
+            return it, nxt, iterations
+        it = nxt
+    return it, _Stop.ITER_LIMIT, _MAX_ITER
 
 
 # fit rejects a non-finite objective, stops with a reason on a non-finite gradient, gives NaN SEs
@@ -539,21 +606,22 @@ def _maximize(ctx: LikelihoodContext, init: BcsParams | None, mode: str) -> FitR
     if mode not in ("analytic", "numeric"):
         raise ValueError("mode must be 'analytic' or 'numeric'")
     free_names = ctx.free_names
-    logged, build, objective = _search_space(ctx)
-    kink = []  # the error of a score that stayed on a weight singularity
+    logged, build, objective, to_x = _search_space(ctx)
+    eye = np.eye(len(logged))  # h_inv is rebound, never written, so it may be eye itself
 
-    def gradient(x, mu=None) -> np.ndarray:
+    def at(x, f, held, h_inv) -> _Iterate:
+        """The iterate at x, where the objective is f, with its gradient."""
         if mode == "numeric":
-            return finite_diff_gradient(objective, x)
-        params = build(x, mu)
+            return _Iterate(x, f, finite_diff_gradient(objective, x), h_inv, held)
+        params = build(x, held)
         try:
             s = score(ctx, params)
         except _OnKink as err:
-            s = err.value if mu is not None else None  # held: the one-sided slope nearest 0
+            s = err.value if held is not None else None  # held: the one-sided slope nearest 0
         except ValueError:
             s = None
         except OverflowError:
-            return np.full(x.size, math.nan)
+            return _Iterate(x, f, np.full(x.size, math.nan), h_inv, held)
         if s is None:
             # an iterate can land mu bitwise on a data point, putting one z on
             # the weight kink; one ulp sideways yields a valid one-sided slope,
@@ -565,29 +633,19 @@ def _maximize(ctx: LikelihoodContext, init: BcsParams | None, mode: str) -> FitR
             except _OnKink as err:
                 s = err.value
             except ValueError as err:
-                kink.append(f"score is undefined at the iterate: {err}")
-                return np.full(x.size, math.nan)
+                why = f"score is undefined at the iterate: {err}"
+                return _Iterate(x, f, np.full(x.size, math.nan), h_inv, held, why)
         terms = zip(ctx.free_index, ctx.free_values(params), logged)
-        return np.array([-s[i] * v if lg else -s[i] for i, v, lg in terms])
+        g = np.array([-s[i] * v if lg else -s[i] for i, v, lg in terms])
+        return _Iterate(x, f, g, h_inv, held)
 
-    if init is None:
-        init = BcsParams(float(np.median(ya)), _initial_sigma(ya, ctx.family), 1.0, ctx.family)
-    elif init.family.extra is None:
-        init = replace(init, family=ctx.family)
-    x = np.array([math.log(v) if lg else v for v, lg in zip(ctx.free_values(init), logged)])
+    def onto(x, y):
+        """(x with mu on observation y, the objective there, y): mu held bitwise."""
+        x_y = np.concatenate(([math.log(y)], x[1:]))
+        return x_y, objective(x_y, y), y
 
-    dim = x.size
-    eye = np.eye(dim)  # h_inv is rebound, never written, so it may be eye itself
-    f0 = objective(x)
-    g0 = gradient(x)
-    h_inv = _inverse_information(ctx, build(x), logged, g0) if mode == "analytic" else None
-    identity_h = h_inv is None
-    if identity_h:
-        h_inv = eye
-    held = None  # mu while held bitwise on an observation, on a kink in mu
-
-    def snap(x1, f1, stalled: bool):
-        """(x, objective, mu) with mu moved onto the observation nearest
+    def snap(x1, f1, h_inv, stalled: bool) -> _Iterate | None:
+        """The iterate with mu moved onto the observation nearest
         exp(x1[0]), if that lies within _SNAP_DIST, is on a kink and is no
         lower; else None.  Where the kink's slope is infinite every
         observation is a local maximum in mu, so a cut step says nothing:
@@ -599,141 +657,121 @@ def _maximize(ctx: LikelihoodContext, init: BcsParams | None, mode: str) -> FitR
             return None
         mu1 = math.exp(x1[0])
         y_k = float(ya[np.argmin(np.abs(ya - mu1))])
-        if abs(math.log(y_k / mu1)) > _SNAP_DIST:
+        far = abs(math.log(y_k / mu1)) > _SNAP_DIST
+        if far or (math.isinf(slope) and not stalled and y_k != mu1):
             return None
-        if math.isinf(slope) and not stalled and y_k != mu1:
-            return None
-        x_k = x1.copy()
-        x_k[0] = math.log(y_k)
-        f_k = objective(x_k, y_k)
-        return (x_k, f_k, y_k) if f_k <= f1 else None
+        moved = onto(x1, y_k)
+        return at(*moved, h_inv) if moved[1] <= f1 else None
 
-    def neighbour(x1, f1):
-        """(x, objective, mu) with the held mu moved to the next observation
-        below or above it, whichever is higher, if either is higher than f1;
+    def neighbour(it: _Iterate) -> _Iterate | None:
+        """The iterate with the held mu moved to the next observation below
+        or above it, whichever is higher, if either is higher than ``it``;
         else None.  On a cusp every observation is a local maximum in mu, so
         the one-sided mu derivatives bracket 0 at each: the fit compares the
         neighbours instead before it stops."""
         ys = np.unique(ya)
-        k = int(np.searchsorted(ys, held))
-        best = None
-        for y_j in (float(ys[j]) for j in (k - 1, k + 1) if 0 <= j < ys.size):
-            x_j = x1.copy()
-            x_j[0] = math.log(y_j)
-            f_j = objective(x_j, y_j)
-            if f_j < (best[1] if best else f1):
-                best = (x_j, f_j, y_j)
-        return best
+        k = int(np.searchsorted(ys, it.held))
+        moves = [onto(it.x, float(ys[j])) for j in (k - 1, k + 1) if 0 <= j < ys.size]
+        best = min(moves, key=lambda moved: moved[1], default=None)  # the lower on a tie
+        return at(*best, it.h_inv) if best and best[1] < it.f else None
 
-    converged = False
-    message = ""
-    iterations = 0
-    for iterations in range(1, _MAX_ITER + 1):
-        g_max = np.abs(g0).max()  # NaN if any component is NaN
+    def step(it: _Iterate) -> _Iterate | _Stop:
+        """The next iterate from ``it``, or why the search stops there."""
+        x, f, g, h_inv, held = it.x, it.f, it.g, it.h_inv, it.held
+        g_max = np.abs(g).max()  # NaN if any component is NaN
         if not math.isfinite(g_max):
-            message = kink[-1] if kink else "score is not finite at the iterate"
-            break
+            return _Stop.SCORE_UNDEFINED if it.undefined else _Stop.SCORE_NOT_FINITE
         if g_max < _GTOL:
-            cusp = held is not None and math.isinf(kink_slope(build(x, held).family))
-            moved = neighbour(x, f0) if cusp else None
-            if moved:
-                x, f0, held = moved
-                g0 = gradient(x, held)
-                continue
-            converged = True
-            break
-        newton = held is not None and abs(g0[0]) < _GTOL
+            if held is not None and math.isinf(kink_slope(build(x, held).family)):  # a cusp
+                return neighbour(it) or _Stop.KINK_OPTIMUM
+            return _Stop.GRADIENT_TOL if held is None else _Stop.KINK_OPTIMUM
+        newton = held is not None and abs(g[0]) < _GTOL
         if newton:
             # the one-sided mu derivatives bracket 0: damped Newton over the
             # other coordinates, mu held
-            d = np.zeros(dim)
-            inv = _inverse_information(ctx, build(x, held), logged, g0, rest=True)
-            d[1:] = -(inv @ g0[1:]) if inv is not None else -g0[1:]
+            d = np.zeros(x.size)
+            inv = _inverse_information(ctx, build(x, held), logged, g, rest=True)
+            d[1:] = -(inv @ g[1:]) if inv is not None else -g[1:]
         else:
             # off a kink, or uphill on one side of it
-            d = -h_inv @ g0
-            if d @ g0 >= 0.0:
+            d = -h_inv @ g
+            if d @ g >= 0.0:
                 h_inv = eye
-                identity_h = True
-                d = -g0
+                d = -g
         hold = held if newton else None
-        slope = d @ g0
-        resolution = sys.float_info.epsilon * (1.0 + abs(f0))  # one ulp of f
+        slope = d @ g
+        resolution = sys.float_info.epsilon * (1.0 + abs(f))  # one ulp of f
         t = 1.0
         # near a flat optimum a stale BFGS model overshoots, and halving its
         # step, then steepest descent's, runs down to the resolution of f:
         # there the unit step is retried from the observed information
         # instead, and where that cannot resolve a decrease, neither can
         # steepest descent
-        refresh = mode == "analytic" and not (newton or identity_h) and g_max < _PLATEAU_GTOL
-        refreshed = False
+        refresh = mode == "analytic" and not (newton or h_inv is eye) and g_max < _PLATEAU_GTOL
         # after the unit step, stop at the step floor or an unresolvable t |g'd|
         while t == 1.0 or (t > 1e-14 and t * abs(slope) > resolution):
             x1 = x + t * d
             f1 = objective(x1, hold)
-            if math.isfinite(f1) and f1 <= f0 + 1e-4 * t * slope:
+            if math.isfinite(f1) and f1 <= f + 1e-4 * t * slope:
                 break
-            inv = _inverse_information(ctx, build(x), logged, g0) if refresh else None
+            inv = _inverse_information(ctx, build(x), logged, g) if refresh else None
             refresh = False
             if inv is not None:
-                h_inv, refreshed = inv, True
-                d = -h_inv @ g0
-                slope = d @ g0
+                h_inv = inv
+                d = -h_inv @ g
+                slope = d @ g
                 continue
             t *= 0.5
         else:
-            if not (newton or identity_h or refreshed):
-                # the curvature model may be stale; retry from steepest descent
-                h_inv = eye
-                identity_h = True
-                continue
-            snapped = snap(x, f0, stalled=True) if held is None else None
-            if snapped:
-                x, f0, held = snapped
-                g0 = gradient(x, held)
-                continue
-            if g_max < _PLATEAU_GTOL:
-                converged = True
-                if held is None:  # on a kink, the standard errors' message names it
-                    message = "stopped where the likelihood is flat to machine precision"
-            else:
-                message = "line search stalled before the gradient tolerance"
-            break
-        held = hold
-        if held is None and (t <= _SNAP_T or math.exp(x1[0]) in ya):
-            # a kink in mu may have cut the step, or the step landed on one
-            x1, f1, held = snap(x1, f1, stalled=False) or (x1, f1, None)
-        g1 = gradient(x1, held)
-        if held is None:
+            if not newton and h_inv is it.h_inv and h_inv is not eye:
+                # the BFGS model, neither reset nor refreshed in this step,
+                # may be stale; retry from steepest descent
+                return _Iterate(x, f, g, eye, held)
+            if held is None and (snapped := snap(x, f, h_inv, stalled=True)):
+                return snapped
+            if g_max >= _PLATEAU_GTOL:
+                return _Stop.LINE_SEARCH_STALL
+            return _Stop.FLAT_PLATEAU if held is None else _Stop.KINK_OPTIMUM
+        # a kink in mu may have cut the step, or the step landed on one
+        near_kink = hold is None and (t <= _SNAP_T or math.exp(x1[0]) in ya)
+        if near_kink and (snapped := snap(x1, f1, h_inv, stalled=False)):
+            return snapped
+        nxt = at(x1, f1, hold, h_inv)
+        if hold is None:
             s_step = x1 - x
-            y_step = g1 - g0
+            y_step = nxt.g - g
             sy = s_step @ y_step
             # norms as np.linalg.norm forms them, outer products as np.outer does
             if sy > 1e-10 * math.sqrt(s_step.dot(s_step)) * math.sqrt(y_step.dot(y_step)):
                 rho = 1.0 / sy
                 outer = eye - rho * (s_step[:, None] * y_step)
-                h_inv = outer @ h_inv @ outer.T + rho * (s_step[:, None] * s_step)
-                identity_h = False
-        x, f0, g0 = x1, f1, g1
-    else:
-        message = "iteration limit reached"
+                nxt.h_inv = outer @ h_inv @ outer.T + rho * (s_step[:, None] * s_step)
+        return nxt
 
-    params_hat = build(x, held)
-    estimates = dict(zip(free_names, ctx.free_values(params_hat)))
+    if init is None:
+        init = BcsParams(float(np.median(ya)), _initial_sigma(ya, ctx.family), 1.0, ctx.family)
+    elif init.family.extra is None:
+        init = replace(init, family=ctx.family)
+    x = to_x(init)
+    it = at(x, objective(x), None, eye)
+    inv = _inverse_information(ctx, build(x), logged, it.g) if mode == "analytic" else None
+    it.h_inv = eye if inv is None else inv
+    it, stop, iterations = _drive(step, it)
+
+    params_hat = build(it.x, it.held)
     std_errors, se_message = _standard_errors(ctx, params_hat, mode)
-    if se_message and not message:
-        message = se_message
-    ll_hat = -f0  # f0 is the objective at x
+    message = it.undefined if stop is _Stop.SCORE_UNDEFINED else _STOP_TEXT.get(stop, se_message)
+    ll_hat = -it.f
     return FitResult(
         params=params_hat,
         loglik=ll_hat,
         aic=2.0 * len(free_names) - 2.0 * ll_hat,
         free_names=free_names,
-        estimates=estimates,
+        estimates=dict(zip(free_names, ctx.free_values(params_hat))),
         std_errors=std_errors,
-        converged=converged,
+        converged=stop in _CONVERGED,
         iterations=iterations,
-        gradient_norm=float(np.abs(g0).max()),
+        gradient_norm=float(np.abs(it.g).max()),
         mode=mode,
         message=message,
     )
@@ -754,7 +792,7 @@ def _inverse_information(
     """
     skip = 1 if rest else 0
     index = ctx.free_index[skip:]
-    scale = np.array([v if lg else 1.0 for v, lg in zip(ctx.free_values(params), logged)])[skip:]
+    scale = np.where(logged, ctx.free_values(params), 1.0)[skip:]
     try:
         h = hessian(ctx, params)
     except _OnKink as err:
@@ -787,13 +825,11 @@ def _standard_errors(ctx: LikelihoodContext, params: BcsParams, mode: str):
         if mode == "analytic":
             curv = -hessian(ctx, params)[np.ix_(ctx.free_index, ctx.free_index)]
         else:
-            logged, _, objective = _search_space(ctx)
-            terms = list(zip(ctx.free_values(params), logged))
-            x_hat = np.array([math.log(v) if lg else v for v, lg in terms])
+            logged, _, objective, to_x = _search_space(ctx)
             curv = finite_diff_jacobian(
-                lambda x: finite_diff_gradient(objective, x, step=1e-5), x_hat, step=1e-5
+                lambda x: finite_diff_gradient(objective, x, step=1e-5), to_x(params), step=1e-5
             )
-            scale = np.array([v if lg else 1.0 for v, lg in terms])
+            scale = np.where(logged, ctx.free_values(params), 1.0)
         cov = np.linalg.inv((curv + curv.T) / 2.0)
     except _OnKink:
         return nan_errors, (

@@ -8,11 +8,10 @@ behave approximately as a standard normal sample under a correct model.
 
 Probability transforms are clamped to [PROB_FLOOR, 1 - PROB_FLOOR] before
 logs and reciprocals, and reports carry a flag when the clamp fires.  A BCS
-law has support (0, inf), so in ``gof_report`` its cdf rounds to an exact 0
-or 1 only at observations far in a tail, and those are clamped too.
-``anderson_darling_suite`` takes any cdf callable, and it and
-``quantile_residuals`` reject an exact 0 or 1 as an observation outside the
-model's support.
+law has support (0, inf), so in ``gof_report`` and ``quantile_residuals`` its
+cdf rounds to an exact 0 or 1 only at observations far in a tail, and those
+are clamped too.  ``anderson_darling_suite`` takes any cdf callable, and
+rejects an exact 0 or 1 as an observation outside the model's support.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ class FitFailedError(RuntimeError):
     """A maximum-likelihood fit required by a procedure did not converge."""
 
     def __init__(self, which: str, result: FitResult):
-        super().__init__(f"{which} model fit did not converge: {result.message or 'no detail'}")
+        super().__init__(f"{which} model fit did not converge: {result.message}")
         self.which = which
         self.result = result
 
@@ -109,6 +108,15 @@ def _clamp_probs(u: np.ndarray) -> tuple[np.ndarray, bool]:
     return clipped, bool(np.any(clipped != u))
 
 
+def _bcs_probs(params: BcsParams, ya: np.ndarray) -> tuple[np.ndarray, bool]:
+    """The clamped cdf of a BCS law on the data, and whether the clamp fired.
+
+    A BCS law has support (0, inf): a cdf of exactly 0 or 1 is rounding far
+    in a tail, not an observation outside the support.
+    """
+    return _clamp_probs(_check_finite(np.asarray(cdf(params, ya), dtype=float)))
+
+
 def _eval_cdf(fitted_cdf, ya: np.ndarray) -> np.ndarray:
     try:
         u = np.asarray(fitted_cdf(ya), dtype=float)
@@ -150,8 +158,7 @@ def quantile_residuals(data, fitted: BcsParams) -> np.ndarray:
     ya = np.asarray(data, dtype=float).ravel()
     if ya.size == 0:
         raise ValueError("need at least one observation")
-    u = _check_open_unit(np.asarray(cdf(fitted, ya), dtype=float))
-    u, _ = _clamp_probs(u)
+    u, _ = _bcs_probs(fitted, ya)
     return np.asarray(std_normal_quantile(u), dtype=float)
 
 
@@ -175,8 +182,7 @@ def gof_report(data, fit_result: FitResult) -> GofReport:
     ya = np.asarray(data, dtype=float).ravel()
     if ya.size < 2:
         raise ValueError("need at least two observations")
-    # a BCS law has support (0, inf): a cdf of exactly 0 or 1 is rounding far in a tail
-    u, clamped = _clamp_probs(_check_finite(np.asarray(cdf(fit_result.params, ya), dtype=float)))
+    u, clamped = _bcs_probs(fit_result.params, ya)
     ad, adr, ad2r = _ad_statistics(np.sort(u))
     return GofReport(
         aic=fit_result.aic,

@@ -68,15 +68,15 @@ _SMALL_N_FIXED = 24
 # of edge rules at any size.  What depends on the shape parameters alone, such
 # as reg_inc_beta's log B(a, b), the entry point forms once and hands to
 # either path, not once per element.  In a float loop a builtin call is a
-# large share of each step, so the beta continued fraction, the float loop the
-# fits run most, tests its guards in chained comparisons (-_TINY < d < _TINY)
-# rather than through abs().  The float path takes exp, floor, log and log1p
-# from numpy ufuncs called on floats, which give the bits of the array loops;
-# the math module's differ from them in the last place on some inputs (about
-# 5% of exp arguments where numpy has AVX-512 loops).  The float path sets no
-# errstate, which costs more than its loop on short recurrences: its only
-# floating-point event is an exp that underflows, which follows the package's
-# underflow rule (see the ``bcsym`` docstring).  NaN elements give NaN.
+# large share of each step, so the float loops test their guards in chained
+# comparisons (-_TINY < d < _TINY) rather than through abs().  The float path
+# takes exp, floor, log and log1p from numpy ufuncs called on floats, which
+# give the bits of the array loops; the math module's differ from them in the
+# last place on some inputs (about 5% of exp arguments where numpy has AVX-512
+# loops).  The float path sets no errstate, which costs more than its loop on
+# short recurrences: its only floating-point event is an exp that underflows,
+# which follows the package's underflow rule (see the ``bcsym`` docstring).
+# NaN elements give NaN.
 
 
 def _by_size(xa: np.ndarray, limit: int, element, array, *args):
@@ -394,7 +394,7 @@ def _gser_sum_float(a: float, x: float) -> float:
         ap += 1.0
         term *= x / ap
         total += term
-        if not abs(term) >= abs(total) * _EPS:
+        if not term >= total * _EPS:  # term, total >= 0: both callers pass x > 0
             return total
     raise RuntimeError("incomplete gamma series did not converge")
 
@@ -433,15 +433,16 @@ def _gcf_float(a: float, b: float, d: float) -> float:
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
-        if abs(d) < _TINY:
+        if -_TINY < d < _TINY:
             d = _TINY
         c = b + an / c
-        if abs(c) < _TINY:
+        if -_TINY < c < _TINY:
             c = _TINY
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if not abs(delta - 1.0) >= _EPS:
+        e = delta - 1.0
+        if not (e >= _EPS or e <= -_EPS):
             return h
     raise RuntimeError("incomplete gamma continued fraction did not converge")
 

@@ -551,6 +551,63 @@ def test_fit_on_adversarial_samples_raises_nothing_and_explains_every_failure():
             assert r.converged or r.message, (name, free)
 
 
+# a fit that ends at each stop, on the samples above: (sample, family, free
+# extra) and the fit's (converged, message) there
+_STOP_CASES = {
+    "GRADIENT_TOL": (lambda: _adversarial_samples()[3], ("normal", None), False, True, ""),
+    "KINK_OPTIMUM": (
+        lambda: _adversarial_samples()[0], ("double_exponential", None), False, True,
+        "maximum on a kink: mu is an observation, where the log-likelihood has no mu"
+        " derivative, so there are no standard errors",
+    ),
+    "FLAT_PLATEAU": (
+        lambda: _ROUNDED[0], ("canonical_slash", None), False, True,
+        "stopped where the likelihood is flat to machine precision",
+    ),
+    "LINE_SEARCH_STALL": (
+        lambda: _adversarial_samples()[5], ("normal", None), False, False,
+        "line search stalled before the gradient tolerance",
+    ),
+    "SCORE_NOT_FINITE": (
+        lambda: _adversarial_samples()[2], ("power_exponential", None), True, False,
+        "score is not finite at the iterate",
+    ),
+    "SCORE_UNDEFINED": (
+        lambda: _ROUNDED[0], ("power_exponential", 1.5), False, False,
+        "score is undefined at the iterate: weight function of power_exponential(tau=1.5)"
+        " is singular at z = 0",
+    ),
+    "ITER_LIMIT": (
+        lambda: _adversarial_samples()[1], ("power_exponential", None), True, False,
+        "iteration limit reached",
+    ),
+}
+
+
+@pytest.mark.parametrize("stop", list(estimation._Stop), ids=lambda stop: stop.name)
+def test_every_stop_is_reached_with_its_converged_flag_and_message(stop, monkeypatch):
+    y, (name, extra), free, converged, message = _STOP_CASES[stop.name]
+    # fit runs one search or three; pair each search's result with its stop
+    searches = []
+    drive, maximize = estimation._drive, estimation._maximize
+
+    def recording_drive(step, it):
+        out = drive(step, it)
+        searches.append([out[1]])
+        return out
+
+    def recording_maximize(*args):
+        result = maximize(*args)
+        searches[-1].append(result)
+        return result
+
+    monkeypatch.setattr(estimation, "_drive", recording_drive)
+    monkeypatch.setattr(estimation, "_maximize", recording_maximize)
+    r = fit(LikelihoodContext(y(), DensityFamily.from_name(name, extra), fit_extra=free))
+    assert [s for s, result in searches if result is r] == [stop]
+    assert (r.converged, r.message) == (converged, message)
+
+
 def test_fit_scale_consistency():
     truth = BcsParams(2.0, 0.5, 0.7, DensityFamily.normal())
     y = sample(truth, 300, RngStream(20260816, 43))

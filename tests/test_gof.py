@@ -15,6 +15,7 @@ from bcsym.distribution import BcsParams, cdf, quantile, sample
 from bcsym.estimation import FitResult, LikelihoodContext, fit
 from bcsym.families import DensityFamily
 from bcsym.gof import (
+    PROB_FLOOR,
     FitFailedError,
     GofReport,
     LrTestResult,
@@ -189,9 +190,11 @@ def test_quantile_residuals_calibrated_under_truth():
 
 
 def test_quantile_residuals_boundary_error():
+    # at y = 1e300 the cdf rounds to exactly 1: clamped, as gof_report clamps it
     params = BcsParams(2.0, 0.5, 1.0, DensityFamily.normal())
-    with pytest.raises(ValueError, match="inside"):
-        quantile_residuals(np.array([2.0, 1e300]), params)
+    r = quantile_residuals(np.array([2.0, 1e300]), params)
+    assert r[0] == quantile_residuals(np.array([2.0]), params)[0]
+    assert r[1] == float(std_normal_quantile(1.0 - PROB_FLOOR))
     with pytest.raises(ValueError):
         quantile_residuals(np.array([]), params)
 
