@@ -10,6 +10,15 @@ symmetric law with density generator r of the chosen family.  The implied
 truncation has mass R(v) with v = 1/(sigma*|lambda|), where R is the
 symmetric cdf; v is infinite (no truncation) at lambda == 0.
 
+The map is written once each way: ``_z`` takes log(y/mu) to z, and ``_y``
+takes z back to y = mu exp(log1p(sigma*lambda*z) / lambda).  ``quantile``
+(and so ``sample``) and ``inverse_transform`` share ``_y``; a z at or past
+the support edge, which only a probability below the edge's z-resolution
+reaches, is floored there at 1 + sigma*lambda*z = 1e-308, while
+``inverse_transform`` refuses such a z before mapping it.  The log-density
+stays finite where z^2 overflows for the power-tailed generators, whose
+log r(z^2) is then read from log|z| (see ``log_pdf``).
+
 All public functions accept scalars or arrays for the data argument and
 return matching shapes; scalars come back as Python floats.
 """
@@ -24,6 +33,7 @@ import numpy as np
 from .families import (
     DensityFamily,
     eval_generator,
+    generator_decay,
     symmetric_quantile,
     symmetric_survival,
 )
@@ -57,6 +67,13 @@ LAMBDA_SEAM = 1e-8
 
 # the real scalar types a parameter may take; bool is an int and is refused
 _REAL = (int, float, np.integer, np.floating)
+
+# the inverse map floors 1 + sigma*lambda*z here, at the support edge
+_LOG_EDGE = math.log(1e-308)
+
+# z^2 from which a power-tailed log r(z^2) is read off its power law
+_U_FAR = 1e300
+_LOG_U_FAR = math.log(_U_FAR)
 
 
 @dataclass(frozen=True)
@@ -119,10 +136,10 @@ def truncation(params: BcsParams) -> TruncationInfo:
     return TruncationInfo(v, 1.0 - sv, sv, math.log1p(-sv))
 
 
-def _as_positive_array(y, what: str = "observations"):
+def _as_positive_array(y):
     arr = np.asarray(y, dtype=float)
     if (arr <= 0.0).any():
-        raise ValueError(f"{what} must be positive")
+        raise ValueError("observations must be positive")
     return arr
 
 
@@ -141,42 +158,73 @@ def transform(params: BcsParams, y):
     return float(z) if scalar else z
 
 
+def _y(params: BcsParams, z):
+    """The inverse Box-Cox map of z; the one place it is written.
+
+    1 + sigma*lambda*z is floored at 1e-308: a z at or past the support
+    edge maps to the edge's floor, mu * 1e-308^(1/lambda), and not to nan.
+    """
+    if params.lam == 0.0:
+        lf = params.sigma * z
+    else:
+        w = params.sigma * params.lam * z
+        with np.errstate(divide="ignore"):
+            lf = np.maximum(np.log1p(np.maximum(w, -1.0)), _LOG_EDGE) / params.lam
+    with np.errstate(over="ignore"):
+        return params.mu * np.exp(lf)
+
+
 def inverse_transform(params: BcsParams, z):
-    """Map symmetric-scale values back to the data scale."""
+    """Map symmetric-scale values back to the data scale by the inverse map.
+
+    A z outside the truncated support, 1 + sigma*lambda*z <= 0, raises.
+    """
     scalar = np.ndim(z) == 0
     za = np.asarray(z, dtype=float)
-    if params.lam == 0.0:
-        with np.errstate(over="ignore"):
-            y = params.mu * np.exp(params.sigma * za)
-    else:
-        w = params.sigma * params.lam * za
-        if (1.0 + w <= 0.0).any():
-            raise ValueError("z lies outside the truncated support")
-        with np.errstate(over="ignore"):
-            y = params.mu * np.exp(np.log1p(w) / params.lam)
+    if params.lam != 0.0 and (1.0 + params.sigma * params.lam * za <= 0.0).any():
+        raise ValueError("z lies outside the truncated support")
+    y = _y(params, za)
     return float(y) if scalar else y
 
 
 def _log_density(params: BcsParams, lf, z, info: TruncationInfo):
-    """Log-density at lf = log(y/mu), given z = _z(params, lf) and the truncation."""
-    # y = inf with lam > 1, or a z that overflowed as y -> 0 with lam < 0,
-    # gives inf - inf below; the density -> 0 there
+    """Log-density at lf = log(y/mu), given z = _z(params, lf) and the truncation.
+
+    Where z^2 overflows at a finite lf, a generator with a power tail,
+    r(z^2) ~ |z|^-g, reads log r(z^2) = log r(u0) - (g/2)(2 log|z| - log u0)
+    at u0 = 1e300.  log|z| comes from |z|, or, where z itself overflowed at
+    lambda != 0, from lambda*lf - log(sigma |lambda|).  The other generators
+    give -inf there.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
         u = z * z
-        out = (
-            (params.lam - 1.0) * lf
-            - math.log(params.mu)
-            - math.log(params.sigma)
-            + eval_generator(params.family, u).log_r
-            - info.log_normalizer
-        )
-    nan = np.isnan(out)
-    if nan.any():
-        out = np.where(nan & ~np.isnan(lf), -np.inf, out)
-    return out
+        head = (params.lam - 1.0) * lf - math.log(params.mu) - math.log(params.sigma)
+        out = head + eval_generator(params.family, u).log_r - info.log_normalizer
+    if np.isfinite(out).all():
+        return out
+    far = np.isinf(u) & np.isfinite(lf)
+    decay = generator_decay(params.family)
+    if decay[0] == "power" and far.any():
+        # rows off far may be 0, inf or nan; np.where drops them
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            log_z = np.log(np.abs(z))
+            if params.lam != 0.0:
+                log_z = np.where(
+                    np.isinf(z),
+                    params.lam * lf - math.log(params.sigma * abs(params.lam)),
+                    log_z,
+                )
+            log_r0 = float(eval_generator(params.family, _U_FAR).log_r)
+            log_r = log_r0 - 0.5 * decay[1] * (2.0 * log_z - _LOG_U_FAR)
+            out = np.where(far, head + log_r - info.log_normalizer, out)
+    # y = inf at lambda > 1 gives inf - inf: the density -> 0 there
+    return np.where(np.isnan(out) & ~np.isnan(lf), -np.inf, out)
 
 
 def log_pdf(params: BcsParams, y):
+    """Log-density at y.  Where z^2 overflows, a power-tailed generator
+    (Cauchy, t, canonical slash, slash) still gives the finite value, read
+    off its power law; the others give -inf there."""
     scalar = np.ndim(y) == 0
     lf = np.log(_as_positive_array(y)) - math.log(params.mu)
     out = _log_density(params, lf, _z(params, lf), truncation(params))
@@ -217,6 +265,12 @@ def survival(params: BcsParams, y):
 
 
 def quantile(params: BcsParams, p):
+    """The y with cdf p: the symmetric quantile of the truncated target,
+    mapped back by the inverse map that ``inverse_transform`` uses.
+
+    A p below the z-resolution of the support edge (lambda > 0 near p = 0,
+    lambda < 0 near p = 1) saturates at the edge's floor instead of failing.
+    """
     scalar = np.ndim(p) == 0
     pa = np.asarray(p, dtype=float)
     if not ((pa > 0.0) & (pa < 1.0)).all():
@@ -234,17 +288,7 @@ def quantile(params: BcsParams, p):
     use_lower = lower_t < 0.5
     target = np.where(use_lower, lower_t, upper_t)
     zq = symmetric_quantile(params.family, target)
-    z = np.where(use_lower, zq, -zq)
-    if params.lam == 0.0:
-        with np.errstate(over="ignore"):
-            y = params.mu * np.exp(params.sigma * z)
-    else:
-        w = params.sigma * params.lam * np.asarray(z)
-        # probabilities this close to the support edge fall below z-space
-        # resolution; saturate instead of failing
-        one_plus = np.maximum(1.0 + w, 1e-308)
-        with np.errstate(over="ignore", divide="ignore"):
-            y = params.mu * np.exp(np.log(one_plus) / params.lam)
+    y = _y(params, np.where(use_lower, zq, -zq))
     return float(y) if scalar else y
 
 

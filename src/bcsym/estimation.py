@@ -57,6 +57,7 @@ from .distribution import LAMBDA_SEAM, BcsParams, _log_density, _z, truncation
 from .families import (
     DensityFamily,
     eval_generator,
+    generator_decay,
     kink_slope,
     symmetric_quantile,
     weight_derivative,
@@ -65,6 +66,11 @@ from .families import (
 from .numdiff import finite_diff_gradient, finite_diff_jacobian
 
 PARAM_NAMES = ("mu", "sigma", "lambda")
+
+# |z| past which the score and the Hessian read a power-tailed generator off
+# its power law: there w'(z) ~ z^-3 underflows, while W z^2 = g and
+# G z^2 = -g hold to double precision
+_Z_FAR = 1e100
 
 
 def _phi1(w):
@@ -197,6 +203,8 @@ class _Point:
     the score level refuses a lambda inside the seam.  Every piece holds its
     exact limit at lambda = 0, where there is no truncation: E = 1,
     C = u^2/(2 sigma), z_ll = u^3/(3 sigma), v = inf and xi = dxi = 0.
+    Past |z| = 1e100 a power-tailed generator is read off its power law
+    (``_far``), so the derivatives stay finite where the log-likelihood is.
     """
 
     def __init__(self, params: BcsParams, ya: np.ndarray, log_y: np.ndarray):
@@ -232,10 +240,11 @@ class _Point:
 
     @cached_property
     def score_pieces(self):
-        """The pieces the score and the Hessian share: (E, C, W, xi, dxi).
+        """The pieces the score and the Hessian share: (z, E, C, W, xi, dxi, far).
 
         E = (y / mu)^lambda, C = dz/dlambda, W = varpi(z) = -2 r'(z^2) / r(z^2),
         and at the edge xi = r(v^2) / R(v) and dxi = -dxi/dv = xi (v varpi(v) + xi).
+        ``far`` is ``_far()``: at its rows z, E, C and W come with z scaled out.
         """
         p, u = self.params, self.u
         _check_seam(p.lam)
@@ -253,7 +262,41 @@ class _Point:
             vw = float(weight_function(family, v)) if r_v > 0.0 else 0.0
             dxi = xi * (v * vw + xi)
         W = self._off_kink(weight_function)
-        return E, C, W, xi, dxi
+        z, far = self.z, self._far()
+        if far is not None:
+            mask, g, e, c, _ = far
+            z = z.copy()
+            z[mask], E[mask], C[mask], W[mask] = 1.0, e, c, g
+        return z, E, C, W, xi, dxi, far
+
+    def _far(self):
+        """The rows past |z| = _Z_FAR under a power-tailed generator,
+        r(z^2) ~ |z|^-g, as (mask, g, E/z, C/z, z_ll/z); None if there are none.
+
+        Every per-row term of the score and the Hessian is of degree 0 in z, so
+        these rows take it with z scaled out: z, W, G, E, C and z_ll become
+        1, g, -g, E/z, C/z and z_ll/z.  The ratios come from w = lambda u, so
+        they stay finite where z, C or z_ll overflowed.
+        """
+        if not np.abs(self.z).max() > _Z_FAR:
+            return None
+        decay = generator_decay(self.params.family)
+        if decay[0] != "power":
+            return None
+        p = self.params
+        mask = np.abs(self.z) > _Z_FAR
+        u = self.u[mask]
+        if p.lam == 0.0:
+            return mask, decay[1], 1.0 / self.z[mask], 0.5 * u, u * u / 3.0
+        w = p.lam * u
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            m = np.expm1(w)
+            # phi1 / expm1 = w - 1 + w / expm1 and
+            # phi2 / expm1 = w^2 - 2w + 2 + (w^2 - 2w) / expm1, which cancel near w = 0
+            near = np.abs(w) < 1.0
+            c = np.where(near, _phi1(w) / m, w - 1.0 + w / m) / p.lam
+            l = np.where(near, _phi2(w) / m, w * (w - 2.0) * (1.0 + 1.0 / m) + 2.0)
+        return mask, decay[1], 1.0 / self.z[mask] + p.sigma * p.lam, c, l / p.lam**2
 
     @cached_property
     def score(self) -> np.ndarray:
@@ -262,16 +305,16 @@ class _Point:
         With observations on a kink, the mu entry is the one-sided mu
         derivative nearest 0: 0 where the two bracket 0.
         """
-        E, C, W, xi, _ = self.score_pieces
+        z, E, C, W, xi, _, far = self.score_pieces
         p = self.params
         mu, sigma, lam = p.mu, p.sigma, p.lam
-        n, u, z, v = self.ya.size, self.u, self.z, self.info.edge
+        n, u, v = self.ya.size, self.u, self.info.edge
         Wz = W * z
         # at lambda = 0 this term keeps its order of operations: the LR full fit
         # starts from the null fit there, and regrouping it as Wz * C moves that
         # first gradient by ulps, enough to flip convergence of fits that run off
         # to the sigma -> inf boundary
-        WzC = Wz * u * u / (2.0 * sigma) if lam == 0.0 else Wz * C
+        WzC = Wz * u * u / (2.0 * sigma) if lam == 0.0 and far is None else Wz * C
         s_mu = -n * lam / mu + float((Wz * E).sum()) / (sigma * mu)
         if self.kinked:
             # each observation at mu adds -+ kink_slope / (sigma mu) to the
@@ -289,12 +332,15 @@ class _Point:
     @cached_property
     def hessian(self) -> np.ndarray:
         """Second-derivative matrix over (mu, sigma, lambda)."""
-        E, C, W, xi, dxi = self.score_pieces
+        z, E, C, W, xi, dxi, far = self.score_pieces
         p = self.params
         mu, sigma, lam = p.mu, p.sigma, p.lam
-        n, u, z, v = self.ya.size, self.u, self.z, self.info.edge
+        n, u, v = self.ya.size, self.u, self.info.edge
         z_ll = u**3 / (3.0 * sigma) if lam == 0.0 else _phi2(lam * u) / (sigma * lam**3)
         G = W + z * self._off_kink(weight_derivative)  # -(d2/dz2) log r(z^2)
+        if far is not None:
+            mask, g, _, _, l = far
+            z_ll[mask], G[mask] = l, -g
         A = -E / (sigma * mu)
         B = -z / sigma
         z_mm = E * (1.0 + lam) / (sigma * mu * mu)

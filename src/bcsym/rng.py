@@ -21,6 +21,7 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 _STREAM_SALT = 0x6A09E667F3BCC909
+_INTEGER = (int, np.integer)  # the types a count or a position may take
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -59,8 +60,11 @@ class RngStream:
         Values are centered on the 2^-53 lattice, so 0.0 and 1.0 never occur
         and inverse-cdf sampling is safe.
         """
+        if not isinstance(n, _INTEGER) or not isinstance(start, _INTEGER):
+            raise TypeError("n and start must be integers")
         if n < 0 or start < 0:
             raise ValueError("n and start must be nonnegative")
+        n, start = int(n), int(start)  # numpy int64 + uint64 would be float64
         idx = np.arange(start + 1, start + n + 1, dtype=np.uint64)
         bits = _mix(np.uint64(self._key()) + idx * _GOLDEN)
         return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53

@@ -103,6 +103,8 @@ R_FUNCS = {
     "logistic_ii": r_logistic_ii,
     "canonical_slash": r_cslash,
     "slash_2": make_r_slash(2.0),
+    "student_t_1.5": make_r_t(1.5),
+    "slash_0.5": make_r_slash(0.5),
 }
 
 # (label, family, mu, sigma, lam, y points, p points, moments k)
@@ -216,6 +218,43 @@ def main():
         print()
 
 
+# log_pdf where z^2 overflows a double: mu = sigma = 1, power-tailed generators
+FAR_FAMILIES = ("cauchy", "student_t_1.5", "student_t_4", "canonical_slash", "slash_0.5", "slash_2")
+FAR_POINTS = ((-0.97, ("5e-324", "1e-310")), (3.0, ("1e100", "1e300")))
+
+
+def far_log_pdf():
+    for fname in FAR_FAMILIES:
+        r = R_FUNCS[fname]
+        for lam, ys in FAR_POINTS:
+            lam_ = mp.mpf(lam)
+            v = 1 / abs(lam_)
+            norm = sym_mass(r, -mp.inf, v) if lam < 0 else sym_mass(r, -v, mp.inf)
+            for y in ys:
+                # the double nearest y, as the package receives it
+                y_ = mp.mpf(float(y))
+                z = (y_**lam_ - 1) / lam_
+                val = (lam_ - 1) * mp.log(y_) + mp.log(r(z * z)) - mp.log(norm)
+                print(f'FAR_LOG_PDF[("{fname}", {lam}, {y})] = {mp.nstr(val, 17)}')
+    print()
+
+
+# a quantile beside the lambda = 0 seam: normal, mu = 1, sigma = 0.5, p = 0.9
+SEAM_LAMBDAS = ("1e-6", "1e-7", "3e-8", "-1e-7")
+
+
+def seam_quantile():
+    sigma, p = mp.mpf(0.5), mp.mpf(0.9)
+    for lam in SEAM_LAMBDAS:
+        lam_ = mp.mpf(float(lam))
+        # the cut mass 1 - R(v) at v = 1/(sigma |lambda|) >= 2e6 is below
+        # 10^(-8e11); the quantile is that of the untruncated normal
+        z = mp.sqrt(2) * mp.erfinv(2 * p - 1)
+        yq = mp.exp(mp.log1p(sigma * lam_ * z) / lam_)
+        print(f'SEAM_QUANTILE[{lam}] = {mp.nstr(yq, 17)}')
+    print()
+
+
 def sym_mass_f(f, a, b):
     knots = [a]
     for k in (-40, -12, -4, -1, 0, 1, 4, 12, 40):
@@ -227,3 +266,5 @@ def sym_mass_f(f, a, b):
 
 if __name__ == "__main__":
     main()
+    far_log_pdf()
+    seam_quantile()

@@ -31,6 +31,7 @@ from bcsym.distribution import (
     truncation,
 )
 from bcsym import families
+from bcsym.estimation import LikelihoodContext, loglik
 from bcsym.families import DensityFamily
 from bcsym.quadrature import integrate
 from bcsym.rng import RngStream
@@ -150,6 +151,51 @@ MOMENT = {
     ("cslash_one", 0.5): 1.2857978398778555,
 }
 
+# log_pdf where z^2 overflows a double, mu = sigma = 1: (family, lambda, y)
+FAR_LOG_PDF = {
+    ("cauchy", -0.97, 5e-324): 21.40879407727345,
+    ("cauchy", -0.97, 1e-310): 20.489633284476636,
+    ("cauchy", 3.0, 1e100): -919.47473609840062,
+    ("cauchy", 3.0, 1e300): -2761.5428104936372,
+    ("student_t_1.5", -0.97, 5e-324): -339.11762526364541,
+    ("student_t_1.5", -0.97, 1e-310): -325.17701990622708,
+    ("student_t_1.5", 3.0, 1e100): -1263.751184123138,
+    ("student_t_1.5", 3.0, 1e300): -3796.5947864165882,
+    ("student_t_4", -0.97, 5e-324): -2141.4558409859382,
+    ("student_t_4", -0.97, 1e-310): -2053.2164048774441,
+    ("student_t_4", 3.0, 1e100): -2984.9081405195966,
+    ("student_t_4", 3.0, 1e300): -8971.6293823041154,
+    ("canonical_slash", -0.97, 5e-324): 21.725578510581975,
+    ("canonical_slash", -0.97, 1e-310): 20.806417717785161,
+    ("canonical_slash", 3.0, 1e100): -919.18638056982213,
+    ("canonical_slash", 3.0, 1e300): -2761.2544549650587,
+    ("slash_0.5", -0.97, 5e-324): 382.2246270095605,
+    ("slash_0.5", -0.97, 1e-310): 366.44570006654854,
+    ("slash_0.5", 3.0, 1e100): -574.97160139602992,
+    ("slash_0.5", 3.0, 1e300): -1726.2641478930528,
+    ("slash_2", -0.97, 5e-324): -699.57477807910153,
+    ("slash_2", -0.97, 1e-310): -670.77440657146806,
+    ("slash_2", 3.0, 1e100): -1607.9821562212727,
+    ("slash_2", 3.0, 1e300): -4831.6012864129366,
+}
+
+FAR_FAMILIES = {
+    "cauchy": DensityFamily.cauchy(),
+    "student_t_1.5": DensityFamily.student_t(1.5),
+    "student_t_4": DensityFamily.student_t(4.0),
+    "canonical_slash": DensityFamily.canonical_slash(),
+    "slash_0.5": DensityFamily.slash(0.5),
+    "slash_2": DensityFamily.slash(2.0),
+}
+
+# quantile of BCS-normal(1, 0.5, lambda) at p = 0.9, beside the lambda = 0 seam
+SEAM_QUANTILE = {
+    1e-6: 1.8979523176912962,
+    1e-7: 1.8979526683703507,
+    3e-8: 1.8979526956454023,
+    -1e-7: 1.8979527462990749,
+}
+
 NO_MOMENT = [
     ("cauchy_zero", 1),
     ("t4_neg", 1),
@@ -186,6 +232,20 @@ def test_moment_oracle(label, k):
     res = moment(CASES[label], k)
     assert res.exists
     assert rel_err(res.value, MOMENT[(label, k)]) < 1e-9
+
+
+@pytest.mark.parametrize("fname,lam,y", sorted(FAR_LOG_PDF))
+def test_log_pdf_oracle_where_z_squared_overflows(fname, lam, y):
+    # z^2 overflows (and with lambda < 0, z itself); the density is finite
+    got = log_pdf(BcsParams(1.0, 1.0, lam, FAR_FAMILIES[fname]), y)
+    expected = FAR_LOG_PDF[(fname, lam, y)]
+    assert abs(got - expected) < 1e-12 * max(1.0, abs(expected))
+
+
+@pytest.mark.parametrize("lam", sorted(SEAM_QUANTILE))
+def test_quantile_oracle_beside_the_lambda_seam(lam):
+    got = quantile(BcsParams(1.0, 0.5, lam, DensityFamily.normal()), 0.9)
+    assert rel_err(got, SEAM_QUANTILE[lam]) < 1e-15
 
 
 @pytest.mark.parametrize("label,k", NO_MOMENT)
@@ -333,6 +393,39 @@ def test_inverse_transform_rejects_outside_support():
     assert ok > 0.0
 
 
+@pytest.mark.parametrize("lam", [-0.5, -1e-7, 0.0, 1e-7, 0.5, 2.0])
+def test_quantile_maps_back_by_inverse_transform(lam, monkeypatch):
+    # at p = 0.9 quantile goes through the upper tail: its z is -zq
+    params = BcsParams(1.0, 0.5, lam, DensityFamily.normal())
+    seen = []
+
+    def spy(family, t):
+        zq = families.symmetric_quantile(family, t)
+        seen.append(float(zq))
+        return zq
+
+    monkeypatch.setattr("bcsym.distribution.symmetric_quantile", spy)
+    y = quantile(params, 0.9)
+    assert y == inverse_transform(params, -seen[0])
+
+
+def test_quantile_below_the_edge_resolution_is_positive_and_finite():
+    params = BcsParams(1.0, 0.5, 2.0, DensityFamily.normal())
+    y = quantile(params, 1e-300)
+    assert 0.0 < y < np.inf
+    assert quantile(params, np.array([1e-300, 0.5]))[0] == y
+
+
+def test_loglik_where_z_overflows_is_the_sum_of_log_pdf():
+    # the likelihood kernel reads the same log-density as log_pdf
+    y = np.array([5e-324, 1e-310, 0.3, 1.0, 4.0])
+    for fam in (DensityFamily.cauchy(), DensityFamily.student_t(4.0)):
+        params = BcsParams(1.0, 1.0, -0.97, fam)
+        ll = loglik(LikelihoodContext(y, fam), params)
+        assert np.isfinite(ll)
+        assert ll == float(np.sum(log_pdf(params, y)))
+
+
 def test_transform_scalar_array_contract():
     params = CASES["de_neg"]
     assert isinstance(transform(params, 2.0), float)
@@ -464,6 +557,8 @@ def test_sample_deterministic_and_sliceable():
     assert np.array_equal(a, b)
     tail = sample(params, 30, RngStream(11, 4), start=20)
     assert np.array_equal(a[20:], tail)
+    with pytest.raises(TypeError):
+        sample(params, 2.5, RngStream(1, 0))
 
 
 @pytest.mark.parametrize("label", sorted(CASES))

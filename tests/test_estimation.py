@@ -159,6 +159,33 @@ def test_loglik_closed_form_single_point_at_median():
     assert abs(val - expected) < 1e-12
 
 
+# past |z| = 1e100 the derivatives of a power-tailed law are read off its
+# power law: z^2 overflows at 1e-310 and 1e300, z itself at 5e-324, and
+# w'(z) underflows at 1e-124
+FAR_SAMPLES = {
+    "small_y": (np.array([5e-324, 1e-310, 1e-124, 0.3, 1.0, 4.0]), -0.97),
+    "large_y": (np.array([1e100, 1e300, 0.3, 1.0, 4.0]), 3.0),
+}
+
+
+@pytest.mark.parametrize("where", sorted(FAR_SAMPLES))
+@pytest.mark.parametrize("name", ["cauchy", "t4", "slash2", "cslash"])
+def test_derivatives_where_z_overflows(name, where):
+    y, lam = FAR_SAMPLES[where]
+    fam = FAMILIES[name]
+    ctx = LikelihoodContext(y, fam)
+    params = BcsParams(1.0, 1.0, lam, fam)
+    s, H = score(ctx, params), hessian(ctx, params)
+    assert np.all(np.isfinite(s)) and np.all(np.isfinite(H))
+    np.testing.assert_allclose(s, _numeric_score(ctx, params), rtol=1e-6, atol=1e-6)
+
+    def sc(theta):
+        return score(ctx, BcsParams(theta[0], theta[1], theta[2], fam))
+
+    Hfd = finite_diff_jacobian(sc, np.array([1.0, 1.0, lam]), step=1e-5)
+    np.testing.assert_allclose(H, 0.5 * (Hfd + Hfd.T), rtol=1e-5, atol=1e-5)
+
+
 # ---------------------------------------------------------------------------
 # The extra-parameter row (finite differences inside score/hessian).
 
@@ -997,6 +1024,26 @@ def test_fit_rejects_unknown_mode():
     ctx = LikelihoodContext(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), DensityFamily.normal())
     with pytest.raises(ValueError, match="mode"):
         fit(ctx, mode="exact")
+
+
+# wide-range samples holding subnormal observations, where trial steps in
+# lambda make z overflow; the log-likelihoods are those the fits reached when
+# such steps read -inf and the line search backed off
+SUBNORMAL_FITS = [
+    ("cauchy", 1, 1237.8729597488004),
+    ("slash2", 3, 997.2129292224055),
+    ("cslash", 10, 562.9412276678295),
+]
+
+
+@pytest.mark.parametrize("name,seed,ll", SUBNORMAL_FITS)
+def test_fit_on_subnormal_observations(name, seed, ll):
+    rng = np.random.default_rng(500 + seed)
+    y = np.clip(np.exp(2.0 * rng.standard_cauchy(40)), 1e-300, 1e300)
+    y = np.append(y, [1e-310, 5e-324][: 1 + seed % 2])
+    r = fit(LikelihoodContext(y, FAMILIES[name]))
+    assert r.converged
+    assert r.loglik == pytest.approx(ll, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,18 @@ def test_validation():
     assert s.uniforms(0).shape == (0,)
 
 
+def test_counts_and_starts_must_be_integers():
+    s = RngStream(1, 0)
+    with pytest.raises(TypeError):
+        s.uniforms(2.5)
+    with pytest.raises(TypeError):
+        s.uniforms(2, start=0.5)
+    with pytest.raises(TypeError):
+        s.uniforms(np.float64(2.0))
+    # numpy integers are integers
+    assert np.array_equal(s.uniforms(np.int64(3), start=np.uint32(2)), s.uniforms(5)[2:])
+
+
 @settings(max_examples=50)
 @given(
     seed=st.integers(min_value=0, max_value=2**63),
