@@ -38,11 +38,14 @@ EXIT_INGESTION = 3
 EXIT_NUMERIC = 4
 
 
+# an error document's category follows from its exit code
+_CATEGORIES = {EXIT_USAGE: "usage", EXIT_INGESTION: "ingestion", EXIT_NUMERIC: "numeric"}
+
+
 class CliError(Exception):
-    def __init__(self, exit_code: int, category: str, detail: str):
+    def __init__(self, exit_code: int, detail: str):
         super().__init__(detail)
         self.exit_code = exit_code
-        self.category = category
 
 
 # ---------------------------------------------------------------------------
@@ -67,14 +70,14 @@ def _write_text(text: str, out_path: str | None) -> None:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as err:
-        raise CliError(EXIT_INGESTION, "ingestion", f"cannot write {out_path}: {err}")
+        raise CliError(EXIT_INGESTION, f"cannot write {out_path}: {err}")
 
 
-def _write_error(exit_code: int, category: str, detail: str) -> None:
+def _write_error(exit_code: int, detail: str) -> None:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": "error",
-        "error": {"category": category, "exit_code": exit_code, "detail": detail},
+        "error": {"category": _CATEGORIES[exit_code], "exit_code": exit_code, "detail": detail},
     }
     sys.stderr.write(dumps_document(doc))
 
@@ -103,16 +106,12 @@ def load_dataset(path: str, column: str, drop_nonpositive: bool = False) -> Data
         with open(path, "r", encoding="utf-8", newline="") as fh:
             rows = [r for r in csv.reader(fh) if not (r and r[0].lstrip().startswith("#"))]
     except OSError as err:
-        raise CliError(EXIT_INGESTION, "ingestion", f"cannot read {path}: {err}")
+        raise CliError(EXIT_INGESTION, f"cannot read {path}: {err}")
     if not rows:
-        raise CliError(EXIT_INGESTION, "ingestion", f"{path} is empty")
+        raise CliError(EXIT_INGESTION, f"{path} is empty")
     header = [h.strip() for h in rows[0]]
     if column not in header:
-        raise CliError(
-            EXIT_INGESTION,
-            "ingestion",
-            f"column {column!r} not found in {path}; header has {header}",
-        )
+        raise CliError(EXIT_INGESTION, f"column {column!r} not found in {path}; header has {header}")
     idx = header.index(column)
     values = []
     rejected = 0
@@ -132,12 +131,11 @@ def load_dataset(path: str, column: str, drop_nonpositive: bool = False) -> Data
         else:
             raise CliError(
                 EXIT_INGESTION,
-                "ingestion",
                 f"{path} line {line_no}: {cell!r} is not a positive number "
                 "(pass --drop-nonpositive to drop such rows)",
             )
     if not values:
-        raise CliError(EXIT_INGESTION, "ingestion", f"{path} has no usable observations")
+        raise CliError(EXIT_INGESTION, f"{path} has no usable observations")
     name = os.path.splitext(os.path.basename(path))[0]
     return Dataset(
         name=name,
@@ -179,7 +177,7 @@ def _from_name(name: str, extra: float | None) -> DensityFamily:
     try:
         return DensityFamily.from_name(name, extra)
     except ValueError as err:
-        raise CliError(EXIT_USAGE, "usage", str(err))
+        raise CliError(EXIT_USAGE, str(err))
 
 
 def _family(name: str, tau: float | None, q: float | None) -> DensityFamily:
@@ -187,7 +185,7 @@ def _family(name: str, tau: float | None, q: float | None) -> DensityFamily:
     try:
         return DensityFamily.from_flags(name, tau, q)
     except ValueError as err:
-        raise CliError(EXIT_USAGE, "usage", str(err))
+        raise CliError(EXIT_USAGE, str(err))
 
 
 def _family_from_spec(token: str) -> DensityFamily:
@@ -198,7 +196,7 @@ def _family_from_spec(token: str) -> DensityFamily:
         try:
             extra = float(raw)
         except ValueError:
-            raise CliError(EXIT_USAGE, "usage", f"bad family spec {token!r}: {raw!r} is not a number")
+            raise CliError(EXIT_USAGE, f"bad family spec {token!r}: {raw!r} is not a number")
     return _from_name(name, extra)
 
 
@@ -206,7 +204,7 @@ def _params_from_flags(args, family: DensityFamily) -> BcsParams:
     try:
         return BcsParams(args.mu, args.sigma, args.lam, family)
     except ValueError as err:
-        raise CliError(EXIT_USAGE, "usage", str(err))
+        raise CliError(EXIT_USAGE, str(err))
 
 
 def _default_seed() -> int:
@@ -216,7 +214,7 @@ def _default_seed() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise CliError(EXIT_USAGE, "usage", f"BCSYM_SEED must be an integer, got {raw!r}")
+        raise CliError(EXIT_USAGE, f"BCSYM_SEED must be an integer, got {raw!r}")
 
 
 def _resolve_seed(args) -> int:
@@ -237,11 +235,11 @@ def cmd_fit(args) -> int:
     try:
         ctx = LikelihoodContext(ds.values, family, fixed_lambda=args.fix_lambda, fit_extra=fit_extra)
     except ValueError as err:
-        raise CliError(EXIT_USAGE, "usage", str(err))
+        raise CliError(EXIT_USAGE, str(err))
     try:
         result = fit(ctx, mode=args.mode)
     except ValueError as err:
-        raise CliError(EXIT_NUMERIC, "numeric", str(err))
+        raise CliError(EXIT_NUMERIC, str(err))
     gof = None
     gof_error = ""
     try:
@@ -284,10 +282,10 @@ def cmd_fit(args) -> int:
         lines += [f"{format(a, '.17g')},{format(b, '.17g')}" for a, b in pairs]
         _write_text("\n".join(lines) + "\n", args.qq_out)
     if not result.converged:
-        _write_error(EXIT_NUMERIC, "numeric", "fit did not converge: " + result.message)
+        _write_error(EXIT_NUMERIC, "fit did not converge: " + result.message)
         return EXIT_NUMERIC
     if gof is None:
-        _write_error(EXIT_NUMERIC, "numeric", "goodness-of-fit evaluation failed: " + gof_error)
+        _write_error(EXIT_NUMERIC, "goodness-of-fit evaluation failed: " + gof_error)
         return EXIT_NUMERIC
     return 0
 
@@ -319,7 +317,7 @@ def cmd_compare(args) -> int:
     ds = load_dataset(args.data, args.column, args.drop_nonpositive)
     tokens = [t for t in args.families.split(",") if t.strip()]
     if len(tokens) < 2:
-        raise CliError(EXIT_USAGE, "usage", "compare needs at least two families")
+        raise CliError(EXIT_USAGE, "compare needs at least two families")
     rows = []
     for token in tokens:
         family = _family_from_spec(token)
@@ -352,7 +350,7 @@ def cmd_compare(args) -> int:
     _write_text(dumps_document(doc), args.out)
     sys.stderr.write(_comparison_table(rows, best))
     if not any(row["converged"] for row in rows):
-        _write_error(EXIT_NUMERIC, "numeric", "no requested family produced a converged fit")
+        _write_error(EXIT_NUMERIC, "no requested family produced a converged fit")
         return EXIT_NUMERIC
     return 0
 
@@ -365,7 +363,7 @@ def cmd_sample(args) -> int:
     family = _family(args.family, args.tau, args.q)
     params = _params_from_flags(args, family)
     if args.n < 1:
-        raise CliError(EXIT_USAGE, "usage", "--n must be a positive integer")
+        raise CliError(EXIT_USAGE, "--n must be a positive integer")
     seed = _resolve_seed(args)
     draws = sample(params, args.n, RngStream(seed, 0))
     head = (
@@ -426,14 +424,14 @@ def _load_plan_file(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             plan = json.load(fh)
     except OSError as err:
-        raise CliError(EXIT_INGESTION, "ingestion", f"cannot read {path}: {err}")
+        raise CliError(EXIT_INGESTION, f"cannot read {path}: {err}")
     except json.JSONDecodeError as err:
-        raise CliError(EXIT_INGESTION, "ingestion", f"{path} is not valid JSON: {err}")
+        raise CliError(EXIT_INGESTION, f"{path} is not valid JSON: {err}")
     if not isinstance(plan, dict):
-        raise CliError(EXIT_INGESTION, "ingestion", f"{path} must hold a JSON object")
+        raise CliError(EXIT_INGESTION, f"{path} must hold a JSON object")
     unknown = sorted(set(plan) - _PLAN_KEYS)
     if unknown:
-        raise CliError(EXIT_USAGE, "usage", f"unknown plan keys: {unknown}")
+        raise CliError(EXIT_USAGE, f"unknown plan keys: {unknown}")
     return plan
 
 
@@ -446,7 +444,7 @@ def cmd_simulate(args) -> int:
 
     family_name = pick(args.family, "family", None)
     if family_name is None:
-        raise CliError(EXIT_USAGE, "usage", "a family is required (--family or plan file)")
+        raise CliError(EXIT_USAGE, "a family is required (--family or plan file)")
     # an inline --tau or --q replaces the plan's extra as a whole
     if args.tau is None and args.q is None:
         family = _family(str(family_name), spec.get("tau"), spec.get("q"))
@@ -460,7 +458,7 @@ def cmd_simulate(args) -> int:
             family,
         )
     except ValueError as err:
-        raise CliError(EXIT_USAGE, "usage", str(err))
+        raise CliError(EXIT_USAGE, str(err))
     sizes = pick(args.sizes, "sizes", ())
     if isinstance(sizes, str):
         sizes = tuple(tok.strip() for tok in sizes.split(",") if tok.strip())
@@ -482,7 +480,7 @@ def cmd_simulate(args) -> int:
         )
         result = run_type1_study(plan, estimate_extra=estimate_extra, workers=args.workers)
     except ValueError as err:
-        raise CliError(EXIT_USAGE, "usage", str(err))
+        raise CliError(EXIT_USAGE, str(err))
     cells = []
     for n in plan.sample_sizes:
         for mode in plan.modes:
@@ -611,7 +609,7 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except CliError as err:
-        _write_error(err.exit_code, err.category, str(err))
+        _write_error(err.exit_code, str(err))
         return err.exit_code
 
 

@@ -73,30 +73,31 @@ PARAM_NAMES = ("mu", "sigma", "lambda")
 _Z_FAR = 1e100
 
 
-def _phi1(w):
+def _taylor_switch(w, radius: float, direct, series):
+    """direct(w), or series(w) where |w| < radius: the phi's lose their digits
+    to cancellation near w = 0, where their series converge fast."""
     w = np.asarray(w, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        direct = 1.0 + np.exp(w) * (w - 1.0)
-    small = np.abs(w) < 1e-3
+        out = direct(w)
+    small = np.abs(w) < radius
     if not small.any():
-        return direct
+        return out
     ws = np.where(small, w, 0.0)
-    series = ws * ws * (0.5 + ws * (1.0 / 3.0 + ws * (0.125 + ws * (1.0 / 30.0 + ws / 144.0))))
-    return np.where(small, series, direct)
+    return np.where(small, series(ws), out)
+
+
+def _phi1(w):
+    return _taylor_switch(
+        w, 1e-3, lambda w: 1.0 + np.exp(w) * (w - 1.0),
+        lambda w: w * w * (0.5 + w * (1.0 / 3.0 + w * (0.125 + w * (1.0 / 30.0 + w / 144.0)))),
+    )
 
 
 def _phi2(w):
-    w = np.asarray(w, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        direct = np.exp(w) * (w * w - 2.0 * w + 2.0) - 2.0
-    small = np.abs(w) < 1e-2
-    if not small.any():
-        return direct
-    ws = np.where(small, w, 0.0)
-    series = ws**3 * (
-        1.0 / 3.0 + ws * (0.25 + ws * (0.1 + ws * (1.0 / 36.0 + ws / 168.0)))
+    return _taylor_switch(
+        w, 1e-2, lambda w: np.exp(w) * (w * w - 2.0 * w + 2.0) - 2.0,
+        lambda w: w**3 * (1.0 / 3.0 + w * (0.25 + w * (0.1 + w * (1.0 / 36.0 + w / 168.0)))),
     )
-    return np.where(small, series, direct)
 
 
 def _check_data(y) -> np.ndarray:
@@ -391,6 +392,9 @@ class _OnKink(ValueError):
         self.value = value
 
 
+# at a valid extreme point an entry of the score or the Hessian may overflow or
+# be undefined; the entry then reads inf or NaN, and no warning leaks
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def score(ctx: LikelihoodContext, params: BcsParams) -> np.ndarray:
     """Gradient of the log-likelihood in (mu, sigma, lambda[, extra]).
 
@@ -410,6 +414,7 @@ def score(ctx: LikelihoodContext, params: BcsParams) -> np.ndarray:
     return s
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def hessian(ctx: LikelihoodContext, params: BcsParams) -> np.ndarray:
     """Observed second-derivative matrix of the log-likelihood.
 

@@ -922,57 +922,46 @@ def _dw_slash(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> np.ndarray
     return out
 
 
-def _weight_args(spec: _FamilySpec, family: DensityFamily, za: np.ndarray):
-    """z and z^2 as 1-D arrays; raises where the weight is singular at z = 0."""
-    flat = za if za.ndim == 1 else za.reshape(-1)
-    if spec.weight_singular(family) and (flat == 0.0).any():
-        raise ValueError(f"weight function of {family.label()} is singular at z = 0")
-    return flat, flat * flat
-
-
 # w and w' resolve their limits where they overflow, divide by an underflowed
 # z^2 or meet inf / inf at the ends of the z range; those events are ignored
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _weight(family: DensityFamily, z, derivative: bool):
+    """w(z), or dw/dz where derivative is set, at z of any shape.  Raises at
+    z = 0 where w is singular there (centre e < 2) or, for dw/dz, where w is
+    not differentiable there (2 < e <= 3)."""
+    za = np.asarray(z, dtype=float)
+    spec = _SPECS[family.kind]
+    flat = za if za.ndim == 1 else za.reshape(-1)
+    e = spec.centre(family)
+    if (e < 2.0 or derivative and 2.0 < e <= 3.0) and (flat == 0.0).any():
+        defect = "singular" if e < 2.0 else "not differentiable"
+        raise ValueError(f"weight function of {family.label()} is {defect} at z = 0")
+    out = (spec.weight_derivative if derivative else spec.weight)(family, flat, flat * flat)
+    if za.ndim != 1:
+        out = out.reshape(za.shape)
+    return float(out) if za.ndim == 0 else out
+
+
 def weight_function(family: DensityFamily, z):
     """w(z) = -2 r'(z^2) / r(z^2); raises where the family is singular at 0."""
-    za = np.asarray(z, dtype=float)
-    spec = _SPECS[family.kind]
-    flat, u = _weight_args(spec, family, za)
-    out = spec.weight(family, flat, u)
-    if za.ndim != 1:
-        out = out.reshape(za.shape)
-    return float(out) if za.ndim == 0 else out
+    return _weight(family, z, False)
 
 
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def weight_derivative(family: DensityFamily, z):
     """dw/dz of the weight function, defined wherever the weight is smooth."""
-    za = np.asarray(z, dtype=float)
-    spec = _SPECS[family.kind]
-    flat, u = _weight_args(spec, family, za)
-    if spec.weight_kink(family) and (flat == 0.0).any():
-        raise ValueError(
-            f"weight function of {family.label()} is not differentiable at z = 0"
-        )
-    out = spec.weight_derivative(family, flat, u)
-    if za.ndim != 1:
-        out = out.reshape(za.shape)
-    return float(out) if za.ndim == 0 else out
+    return _weight(family, z, True)
 
 
 def kink_slope(family: DensityFamily) -> float:
     """-d/d|z| log r(z^2) as z -> 0+: positive (inf for a cusp) where log r(z^2)
     has a kink at z = 0, so that the log-likelihood has one in mu at every
     observation; 0 where it is smooth."""
-    return _SPECS[family.kind].kink_slope(family)
-
-
-def _pe_kink_slope(tau: float) -> float:
-    # -d/d|z| of -|z|^tau / (2 p^tau) at 0+
-    if tau > 1.0:
+    e = _SPECS[family.kind].centre(family)
+    if e > 1.0:
         return 0.0
-    return math.inf if tau < 1.0 else 0.5 / _pe_scale(1.0)[0]
+    # at e = 1 the generator is exp(-c |z|) everywhere, c its decay coefficient
+    return math.inf if e < 1.0 else generator_decay(family)[1]
 
 
 def generator_decay(family: DensityFamily) -> tuple:
@@ -1005,9 +994,10 @@ class _FamilySpec(NamedTuple):
     default_extra: float | None = None  # the extra from_name gives when none is passed
     alias: str | None = None  # short name from_name also accepts
     tail_quantile: Callable = _tail_quantile_halley  # (family, t) -> s, P(S > s) = t
-    weight_singular: Callable = lambda family: False  # w singular at z = 0
-    weight_kink: Callable = lambda family: False  # w finite but not differentiable at 0
-    kink_slope: Callable = lambda family: 0.0  # kink_slope(family)
+    # family -> e, where log r(0) - log r(z^2) ~ c |z|^e as z -> 0: the weight
+    # is singular at 0 for e < 2 and not differentiable there for 2 < e <= 3,
+    # and for e <= 1 log r(z^2) has a kink at 0 (see kink_slope)
+    centre: Callable = lambda family: 2.0
 
 
 _SPECS = {
@@ -1026,8 +1016,7 @@ _SPECS = {
         tail_quantile=lambda family, t: -np.log(2.0 * t) / _SQRT2,
         weight=lambda family, z, u: _SQRT2 / np.abs(z),
         weight_derivative=lambda family, z, u: -_SQRT2 * np.sign(z) / u,
-        weight_singular=lambda family: True,
-        kink_slope=lambda family: _SQRT2,
+        centre=lambda family: 1.0,
         decay=lambda family: ("exp", _SQRT2, 1.0),
     ),
     FamilyKind.POWER_EXPONENTIAL: _FamilySpec(
@@ -1038,9 +1027,7 @@ _SPECS = {
         upper_tail=_tail_power_exponential,
         weight=_w_power_exponential,
         weight_derivative=_dw_power_exponential,
-        weight_singular=lambda family: family.extra < 2.0,
-        weight_kink=lambda family: 2.0 < family.extra <= 3.0,
-        kink_slope=lambda family: _pe_kink_slope(family.extra),
+        centre=lambda family: family.extra,
         decay=lambda family: (
             "exp", 0.5 / _pe_scale(family.extra)[0], family.extra
         ),

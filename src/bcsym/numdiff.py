@@ -10,20 +10,6 @@ import numpy as np
 __all__ = ["finite_diff_gradient", "finite_diff_jacobian"]
 
 
-def finite_diff_gradient(f, x, step: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient of a scalar function of a vector."""
-    x = np.asarray(x, dtype=float)
-    grad = np.empty_like(x)
-    for i in range(x.size):
-        h = step * (1.0 + abs(x[i]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        grad[i] = (f(xp) - f(xm)) / (2.0 * h)
-    return grad
-
-
 def finite_diff_jacobian(f, x, step: float = 1e-6) -> np.ndarray:
     """Central-difference Jacobian of a vector function of a vector.
 
@@ -39,3 +25,8 @@ def finite_diff_jacobian(f, x, step: float = 1e-6) -> np.ndarray:
         xm[i] -= h
         cols.append((np.asarray(f(xp), dtype=float) - np.asarray(f(xm), dtype=float)) / (2.0 * h))
     return np.stack(cols, axis=-1)
+
+
+def finite_diff_gradient(f, x, step: float = 1e-6) -> np.ndarray:
+    """Central-difference gradient of a scalar function of a vector: its Jacobian."""
+    return finite_diff_jacobian(f, x, step)

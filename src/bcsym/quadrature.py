@@ -16,6 +16,7 @@ sides.  Integrands are called on arrays of nodes and must be vectorized.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -94,21 +95,14 @@ def gk15(f, a: float, b: float):
     return resk, err
 
 
-def _semi_infinite_upper(f, a):
+def _half_line(f, edge, sign):
+    """f on the half-line edge + sign * [0, inf), as an integrand over t in
+    [0, 1) with x = edge + sign * t/(1-t)."""
     # Panels bisected down to rounding width can place a node at t == 1;
     # gk15 treats the resulting non-finite values as "split this panel".
     def g(t):
         with np.errstate(all="ignore"):
-            x = a + t / (1.0 - t)
-            return f(x) / (1.0 - t) ** 2
-
-    return g
-
-
-def _semi_infinite_lower(f, b):
-    def g(t):
-        with np.errstate(all="ignore"):
-            x = b - t / (1.0 - t)
+            x = edge + sign * (t / (1.0 - t))
             return f(x) / (1.0 - t) ** 2
 
     return g
@@ -145,24 +139,30 @@ def integrate(
     pieces = []
     for left, right in zip(edges, edges[1:]):
         if math.isinf(left):
-            pieces.append((_semi_infinite_lower(f, right), 0.0, 1.0))
+            pieces.append((_half_line(f, right, -1.0), 0.0, 1.0))
         elif math.isinf(right):
-            pieces.append((_semi_infinite_upper(f, left), 0.0, 1.0))
+            pieces.append((_half_line(f, left, 1.0), 0.0, 1.0))
         else:
             pieces.append((f, left, right))
 
     heap = []
+    counter = itertools.count()  # breaks error ties in the order panels were made
     total = 0.0
     total_err = 0.0
-    evals = 0
-    counter = 0
     for idx, (g, a, b) in enumerate(pieces):
         val, err = gk15(g, a, b)
-        evals += 15
         total += val
         total_err += err
-        heapq.heappush(heap, (-err, counter, a, b, val, idx))
-        counter += 1
+        heapq.heappush(heap, (-err, next(counter), a, b, val, idx))
+
+    def halves(a, b, idx):
+        """The two halves of panel [a, b] of piece idx as (mid, v1, e1, v2, e2),
+        or None where the panel has shrunk to rounding width."""
+        mid = 0.5 * (a + b)
+        if not (a < mid < b):
+            return None
+        g = pieces[idx][0]
+        return (mid, *gk15(g, a, mid), *gk15(g, mid, b))
 
     subdivisions = 0
     while True:
@@ -175,9 +175,8 @@ def integrate(
                 )
             neg_err, _, a, b, val, idx = heapq.heappop(heap)
             err = -neg_err
-            g = pieces[idx][0]
-            mid = 0.5 * (a + b)
-            if not (a < mid < b):
+            split = halves(a, b, idx)
+            if split is None:
                 # Panel collapsed to rounding width but still reports error:
                 # the integrand is not resolvable (e.g. non-finite spike).
                 raise QuadratureError(
@@ -185,15 +184,11 @@ def integrate(
                     value=total,
                     error_estimate=total_err,
                 )
-            v1, e1 = gk15(g, a, mid)
-            v2, e2 = gk15(g, mid, b)
-            evals += 30
+            mid, v1, e1, v2, e2 = split
             total += (v1 + v2) - val
             total_err += (e1 + e2) - err
-            heapq.heappush(heap, (-e1, counter, a, mid, v1, idx))
-            counter += 1
-            heapq.heappush(heap, (-e2, counter, mid, b, v2, idx))
-            counter += 1
+            heapq.heappush(heap, (-e1, next(counter), a, mid, v1, idx))
+            heapq.heappush(heap, (-e2, next(counter), mid, b, v2, idx))
             subdivisions += 1
 
         # Verification sweep: bisect every leaf once and compare it against
@@ -207,17 +202,13 @@ def integrate(
         total_err = 0.0
         for neg_err, _, a, b, val, idx in entries:
             err = -neg_err
-            mid = 0.5 * (a + b)
-            if not (a < mid < b) or subdivisions >= spec.max_subdivisions:
-                heapq.heappush(heap, (neg_err, counter, a, b, val, idx))
-                counter += 1
+            split = halves(a, b, idx) if subdivisions < spec.max_subdivisions else None
+            if split is None:
+                heapq.heappush(heap, (neg_err, next(counter), a, b, val, idx))
                 total += val
                 total_err += err
                 continue
-            g = pieces[idx][0]
-            v1, e1 = gk15(g, a, mid)
-            v2, e2 = gk15(g, mid, b)
-            evals += 30
+            mid, v1, e1, v2, e2 = split
             subdivisions += 1
             disc = abs((v1 + v2) - val)
             if disc > 10.0 * (err + e1 + e2):
@@ -226,13 +217,13 @@ def integrate(
                 # revealed discrepancy so refinement continues there.
                 e1 = max(e1, disc / 6.0)
                 e2 = max(e2, disc / 6.0)
-            heapq.heappush(heap, (-e1, counter, a, mid, v1, idx))
-            counter += 1
-            heapq.heappush(heap, (-e2, counter, mid, b, v2, idx))
-            counter += 1
+            heapq.heappush(heap, (-e1, next(counter), a, mid, v1, idx))
+            heapq.heappush(heap, (-e2, next(counter), mid, b, v2, idx))
             total += v1 + v2
             total_err += e1 + e2
         if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
+            # every piece took one panel (15 evaluations), every subdivision two
+            evals = 15 * len(pieces) + 30 * subdivisions
             return QuadratureResult(
                 value=total, error_estimate=total_err, subdivisions=subdivisions, function_evals=evals
             )

@@ -458,6 +458,17 @@ def _gcf_Q_float(a: float, x: float) -> float:
     return _gcf_float(a, b, 1.0 / b) * prefactor
 
 
+def _lentz_step(an, b, c, d):
+    """One modified-Lentz step of the array loops, with partial numerator an
+    and denominator b: the new (c, d), d already inverted.  _betacf passes
+    b = 1, and an * d + 1 has the bits of its float loop's 1 + an * d."""
+    d = an * d + b
+    d = np.where(np.abs(d) < _TINY, _TINY, d)
+    c = b + an / c
+    c = np.where(np.abs(c) < _TINY, _TINY, c)
+    return c, 1.0 / d
+
+
 def _gcf_Q(a: float, x: np.ndarray) -> np.ndarray:
     """Q(a, x) by modified Lentz continued fraction, x >= a+1."""
     prefactor = np.exp(-x + a * np.log(x) - math.lgamma(a))
@@ -475,11 +486,7 @@ def _gcf_Q(a: float, x: np.ndarray) -> np.ndarray:
             break
         an = -i * (i - a)
         b = b + 2.0
-        d = an * d + b
-        d = np.where(np.abs(d) < _TINY, _TINY, d)
-        c = b + an / c
-        c = np.where(np.abs(c) < _TINY, _TINY, c)
-        d = 1.0 / d
+        c, d = _lentz_step(an, b, c, d)
         delta = d * c
         part = part * delta
         keep = np.abs(delta - 1.0) >= _EPS
@@ -686,19 +693,9 @@ def _betacf(a: float, b: float, x: np.ndarray) -> np.ndarray:
         if not idx.size:
             break
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        d = np.where(np.abs(d) < _TINY, _TINY, d)
-        c = 1.0 + aa / c
-        c = np.where(np.abs(c) < _TINY, _TINY, c)
-        d = 1.0 / d
+        c, d = _lentz_step(m * (b - m) * x / ((qam + m2) * (a + m2)), 1.0, c, d)
         h = h * d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        d = np.where(np.abs(d) < _TINY, _TINY, d)
-        c = 1.0 + aa / c
-        c = np.where(np.abs(c) < _TINY, _TINY, c)
-        d = 1.0 / d
+        c, d = _lentz_step(-(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)), 1.0, c, d)
         delta = d * c
         h = h * delta
         keep = np.abs(delta - 1.0) >= _EPS

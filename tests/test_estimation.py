@@ -7,6 +7,7 @@ differences of the score; the two routes share no derivative code.
 
 import math
 import types
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -184,6 +185,68 @@ def test_derivatives_where_z_overflows(name, where):
 
     Hfd = finite_diff_jacobian(sc, np.array([1.0, 1.0, lam]), step=1e-5)
     np.testing.assert_allclose(H, 0.5 * (Hfd + Hfd.T), rtol=1e-5, atol=1e-5)
+
+
+# At lambda = 0 a sigma of 1e-101 puts every z of this sample past 1e100,
+# where a power-tailed law is read off its power law; at 1e-99 none is.  The
+# normal law, with its exponential tail, is never read off a power law.
+_EXTREME_Y = np.array([0.5, 0.9, 1.3, 2.0, 7.0])
+
+
+def _relative_difference(ctx, params, name, rel=1e-6):
+    """Central difference of loglik in mu or sigma with a step relative to it."""
+    x = getattr(params, name)
+    h = rel * x
+    up, down = (loglik(ctx, replace(params, **{name: x + d})) for d in (h, -h))
+    return (up - down) / (2.0 * h)
+
+
+@pytest.mark.parametrize("sigma", [1e-101, 1e-99])
+@pytest.mark.parametrize("name", ["normal", "cauchy", "t4", "slash2"])
+def test_mu_and_sigma_scores_at_lambda_zero_where_z_passes_the_power_law_switch(name, sigma):
+    fam = FAMILIES[name]
+    ctx = LikelihoodContext(_EXTREME_Y, fam)
+    params = BcsParams(1.1, sigma, 0.0, fam)
+    s = score(ctx, params)
+    assert np.all(np.isfinite(s))
+    for i, entry in enumerate(("mu", "sigma")):
+        fd = _relative_difference(ctx, params, entry)
+        assert abs(s[i] - fd) <= 1e-6 * abs(fd), (entry, s[i], fd)
+
+
+# ten families at valid extreme points, where some entries of the score or
+# the Hessian overflow or are undefined (an inf or NaN entry, not a warning)
+_EXTREME_FAMILIES = [*FAMILIES.values(), DensityFamily.power_exponential(2.5)]
+_EXTREME_POINTS = [
+    (1.1, 0.4, 0.5),
+    (1.1, 1e-101, 0.0),
+    (1.1, 1e-101, -0.5),
+    (1.1, 1e-101, 0.5),
+    (1.1, 1e-120, -0.5),
+    (1.1, 1e-150, 0.5),
+    (1.1, 1e-160, 0.0),
+]
+
+
+@pytest.mark.parametrize("point", _EXTREME_POINTS, ids=str)
+def test_score_and_hessian_leak_no_warning_at_extreme_points(point):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fam in _EXTREME_FAMILIES:
+            ctx = LikelihoodContext(_EXTREME_Y, fam)
+            params = BcsParams(*point, fam)
+            assert not math.isnan(loglik(ctx, params))
+            assert score(ctx, params).shape == (3,)
+            assert hessian(ctx, params).shape == (3, 3)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_score_leaks_no_warning_at_a_huge_sigma(lam):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fam in _EXTREME_FAMILIES:
+            ctx = LikelihoodContext(_EXTREME_Y, fam)
+            assert score(ctx, BcsParams(1.1, 1e300, lam, fam)).shape == (3,)
 
 
 # ---------------------------------------------------------------------------

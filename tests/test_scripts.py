@@ -118,3 +118,29 @@ def test_quantile_accuracy_runs(capsys):
     # every quantile lies within tens of ulps of the mpmath root
     maxima = [float(re.search(r"max +(\S+)", row).group(1)) for row in rows if "max" in row]
     assert maxima and max(maxima) < 100.0
+
+
+def test_loc_counts_code_lines_without_comments_or_docstrings(tmp_path, capsys):
+    package = tmp_path / "src" / "bcsym"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text(
+        '"""Module docstring,\n\nover three lines."""\n'
+        "\n"
+        "# a comment\n"
+        "import math  # a trailing comment\n"
+        "\n"
+        "\n"
+        "def f(x):\n"
+        '    """One-line docstring."""\n'
+        '    "a bare string statement"\n'
+        "    return (x +\n"
+        "            math.pi)\n"
+        "\n"
+        'TEXT = """a string\n'
+        'that is a value"""\n'
+    )
+    (package / "b.py").write_text("x = 1\n")
+    assert _main("loc.py")(["--checkout", str(tmp_path)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    # a.py: import, def, the two return lines and the two lines of TEXT
+    assert rows == [["a.py", "6"], ["b.py", "1"], ["total", "7"]]

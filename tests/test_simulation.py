@@ -240,6 +240,20 @@ def test_recovery_is_reproducible_and_parallel_safe():
     assert a == b
 
 
+def test_recovery_with_a_free_extra_summarises_it_and_is_parallel_safe():
+    fam = DensityFamily.student_t(4.0)
+    truth = BcsParams(1.0, 0.3, 0.5, fam)
+    a = run_recovery_study(fam, truth, n=200, replicates=4, seed=3, estimate_extra=True)
+    b = run_recovery_study(fam, truth, n=200, replicates=4, seed=3, estimate_extra=True, workers=2)
+    assert a == b
+    assert a.failed_fits == 0
+    assert list(a.parameters) == ["mu", "sigma", "lambda", "tau"]
+    tau = a.parameters["tau"]
+    assert tau.truth == 4.0
+    assert all(math.isfinite(v) for v in (tau.mean_estimate, tau.empirical_sd, tau.mean_std_error))
+    assert 0.0 <= tau.coverage95 <= 1.0
+
+
 def test_recovery_t4_coverage_bands():
     # n=500, 500 replicates, extra held at the truth; interval coverage for
     # every parameter should sit near the nominal 95% (measured
