@@ -32,6 +32,8 @@ import numpy as np
 
 from .families import (
     DensityFamily,
+    _generator,
+    _upper_tail,
     eval_generator,
     generator_decay,
     symmetric_quantile,
@@ -132,7 +134,7 @@ def truncation(params: BcsParams) -> TruncationInfo:
     if params.lam == 0.0:
         return TruncationInfo(math.inf, 1.0, 0.0, 0.0)
     v = 1.0 / (params.sigma * abs(params.lam))
-    sv = symmetric_survival(params.family, v)
+    sv = float(_upper_tail(params.family, np.array([v]))[0])  # v > 0: no mirror
     return TruncationInfo(v, 1.0 - sv, sv, math.log1p(-sv))
 
 
@@ -187,8 +189,8 @@ def inverse_transform(params: BcsParams, z):
     return float(y) if scalar else y
 
 
-def _log_density(params: BcsParams, lf, z, info: TruncationInfo):
-    """Log-density at lf = log(y/mu), given z = _z(params, lf) and the truncation.
+def _log_density(params: BcsParams, lf: np.ndarray, z: np.ndarray, info: TruncationInfo):
+    """Log-density at a 1-D lf = log(y/mu), given z = _z(params, lf) and the truncation.
 
     Where z^2 overflows at a finite lf, a generator with a power tail,
     r(z^2) ~ |z|^-g, reads log r(z^2) = log r(u0) - (g/2)(2 log|z| - log u0)
@@ -199,7 +201,7 @@ def _log_density(params: BcsParams, lf, z, info: TruncationInfo):
     with np.errstate(over="ignore", invalid="ignore"):
         u = z * z
         head = (params.lam - 1.0) * lf - math.log(params.mu) - math.log(params.sigma)
-        out = head + eval_generator(params.family, u).log_r - info.log_normalizer
+        out = head + _generator(params.family, u)[1] - info.log_normalizer
     if np.isfinite(out).all():
         return out
     far = np.isinf(u) & np.isfinite(lf)
@@ -225,10 +227,10 @@ def log_pdf(params: BcsParams, y):
     """Log-density at y.  Where z^2 overflows, a power-tailed generator
     (Cauchy, t, canonical slash, slash) still gives the finite value, read
     off its power law; the others give -inf there."""
-    scalar = np.ndim(y) == 0
-    lf = np.log(_as_positive_array(y)) - math.log(params.mu)
+    ya = _as_positive_array(y)
+    lf = np.log(ya.reshape(-1)) - math.log(params.mu)
     out = _log_density(params, lf, _z(params, lf), truncation(params))
-    return float(out) if scalar else out
+    return float(out[0]) if ya.ndim == 0 else out.reshape(ya.shape)
 
 
 def pdf(params: BcsParams, y):

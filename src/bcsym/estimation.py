@@ -13,10 +13,11 @@ to Taylor series there.  One object per parameter point evaluates u, z, the
 truncation R(v) and the log-likelihood once, and z's derivatives and the
 truncation-edge terms when first asked, at their exact limits when
 lambda = 0.  loglik, score and hessian all read it, and the context keeps the
-last point, so a score or Hessian at the point of the preceding loglik reuses
-its value level.  Inside 0 < |lambda| < LAMBDA_SEAM the general formulas lose
-precision: loglik still evaluates there, while score and hessian refuse to
-run.
+last point and the last one read more than once, so a score or Hessian at the
+point of the preceding loglik, or at the iterate after a failed line search,
+reuses its value level.  Inside 0 < |lambda| < LAMBDA_SEAM the general
+formulas lose precision: loglik still evaluates there, while score and
+hessian refuse to run.
 
 Where log r(z^2) has a kink at z = 0 (double exponential, power exponential
 with tau <= 1), the log-likelihood has one in mu at every observation, and
@@ -56,12 +57,11 @@ import numpy as np
 from .distribution import LAMBDA_SEAM, BcsParams, _log_density, _z, truncation
 from .families import (
     DensityFamily,
+    _weight_1d,
     eval_generator,
     generator_decay,
     kink_slope,
     symmetric_quantile,
-    weight_derivative,
-    weight_function,
 )
 from .numdiff import finite_diff_gradient, finite_diff_jacobian
 
@@ -82,8 +82,9 @@ def _taylor_switch(w, radius: float, direct, series):
     small = np.abs(w) < radius
     if not small.any():
         return out
-    ws = np.where(small, w, 0.0)
-    return np.where(small, series(ws), out)
+    out = np.asarray(out)
+    out[small] = series(w[small])
+    return out
 
 
 def _phi1(w):
@@ -98,6 +99,16 @@ def _phi2(w):
         w, 1e-2, lambda w: np.exp(w) * (w * w - 2.0 * w + 2.0) - 2.0,
         lambda w: w**3 * (1.0 / 3.0 + w * (0.25 + w * (0.1 + w * (1.0 / 36.0 + w / 168.0)))),
     )
+
+
+def _power(x: float, k: int) -> np.float64:
+    """x**k as Python's ** rounds it, as a numpy float, and inf of its sign
+    where it overflows, where ** raises: a division by it then follows the
+    caller's errstate, where a Python float raises at a zero divisor."""
+    try:
+        return np.float64(x**k)
+    except OverflowError:
+        return np.float64(math.copysign(math.inf, x) if k % 2 else math.inf)
 
 
 def _check_data(y) -> np.ndarray:
@@ -135,9 +146,13 @@ class LikelihoodContext:
     ``params_at`` builds the point from them.  The fitter and its standard
     errors go through these three alone.
 
-    The context keeps a read-only copy of the data and of its logs, and the
-    last parameter point evaluated on it: ``loglik``, ``score`` and
-    ``hessian`` at an equal ``BcsParams`` share its u, z and truncation.
+    The context keeps a read-only copy of the data and of its logs, and two
+    parameter points evaluated on it: the last one, and the last one read
+    more than once.  ``loglik``, ``score`` and ``hessian`` at a ``BcsParams``
+    equal to either share its u, z and truncation.  In a fit the second is
+    the iterate, whose value and score were both read, and the first the
+    last trial of the line search; a search that stops on a failed line
+    search finds the iterate's point again for its standard errors.
     """
 
     data: np.ndarray
@@ -145,7 +160,8 @@ class LikelihoodContext:
     fixed_lambda: float | None = None
     fit_extra: bool = False
     log_data: np.ndarray = field(init=False, repr=False)  # log y, read-only
-    _last: _Point | None = field(default=None, init=False, repr=False)
+    # (the last point, the last point read more than once), either may be None
+    _recent: tuple = field(default=(None, None), init=False, repr=False)
 
     def __post_init__(self):
         ya = _check_data(self.data)
@@ -188,11 +204,15 @@ class LikelihoodContext:
         return BcsParams(values[0], values[1], lam, family)
 
     def _point(self, params: BcsParams) -> _Point:
-        last = self._last
-        if last is None or last.params != params:
-            last = _Point(params, self.data, self.log_data)
-            object.__setattr__(self, "_last", last)
-        return last
+        last, kept = self._recent
+        if last is not None and last.params == params:
+            object.__setattr__(self, "_recent", (last, last))
+            return last
+        if kept is not None and kept.params == params:
+            return kept
+        point = _Point(params, self.data, self.log_data)
+        object.__setattr__(self, "_recent", (point, kept))
+        return point
 
 
 class _Point:
@@ -227,16 +247,18 @@ class _Point:
             return 0
         return int(np.count_nonzero(self.u == 0.0))
 
-    def _off_kink(self, fn) -> np.ndarray:
-        """fn(family, z) per observation, 0 at the kinked ones: their z = 0 for
-        every sigma and lambda, so they add nothing to the sigma, lambda and
-        extra derivatives, and the mu derivative is left without them."""
+    def _off_kink(self, derivative: bool) -> np.ndarray:
+        """The weight w(z), or dw/dz with ``derivative``, per observation, 0 at
+        the kinked ones: their z = 0 for every sigma and lambda, so they add
+        nothing to the sigma, lambda and extra derivatives, and the mu
+        derivative is left without them.  It raises, as ``weight_function``
+        does, at a z = 0 where the weight is singular."""
         family, z = self.params.family, self.z
         if not self.kinked:
-            return np.atleast_1d(fn(family, z))
+            return _weight_1d(family, z, derivative)
         out = np.zeros_like(z)
         off = self.u != 0.0
-        out[off] = fn(family, z[off])
+        out[off] = _weight_1d(family, z[off], derivative)
         return out
 
     @cached_property
@@ -260,9 +282,9 @@ class _Point:
             v = self.info.edge
             r_v = float(eval_generator(family, v * v).r)
             xi = r_v / self.info.normalizer
-            vw = float(weight_function(family, v)) if r_v > 0.0 else 0.0
+            vw = float(_weight_1d(family, np.array([v]), False)[0]) if r_v > 0.0 else 0.0
             dxi = xi * (v * vw + xi)
-        W = self._off_kink(weight_function)
+        W = self._off_kink(False)
         z, far = self.z, self._far()
         if far is not None:
             mask, g, e, c, _ = far
@@ -332,13 +354,15 @@ class _Point:
 
     @cached_property
     def hessian(self) -> np.ndarray:
-        """Second-derivative matrix over (mu, sigma, lambda)."""
+        """Second-derivative matrix over (mu, sigma, lambda).  Where mu^2,
+        sigma^2 or lambda^2 under- or overflows its entries read inf or NaN."""
         z, E, C, W, xi, dxi, far = self.score_pieces
         p = self.params
         mu, sigma, lam = p.mu, p.sigma, p.lam
         n, u, v = self.ya.size, self.u, self.info.edge
-        z_ll = u**3 / (3.0 * sigma) if lam == 0.0 else _phi2(lam * u) / (sigma * lam**3)
-        G = W + z * self._off_kink(weight_derivative)  # -(d2/dz2) log r(z^2)
+        sigma2 = _power(sigma, 2)
+        z_ll = u**3 / (3.0 * sigma) if lam == 0.0 else _phi2(lam * u) / (sigma * _power(lam, 3))
+        G = W + z * self._off_kink(True)  # -(d2/dz2) log r(z^2)
         if far is not None:
             mask, g, _, _, l = far
             z_ll[mask], G[mask] = l, -g
@@ -349,17 +373,17 @@ class _Point:
         z_ml = -u * E / (sigma * mu)
         z_ss = 2.0 * z / (sigma * sigma)
         z_sl = -C / sigma
-        h_mm = n * lam / mu**2 + float((-G * A * A - W * z * z_mm).sum())
+        h_mm = n * lam / _power(mu, 2) + float((-G * A * A - W * z * z_mm).sum())
         h_ms = float((-G * A * B - W * z * z_ms).sum())
         h_ml = -n / mu + float((-G * A * C - W * z * z_ml).sum())
-        h_ss = n / sigma**2 + float((-G * B * B - W * z * z_ss).sum())
+        h_ss = n / sigma2 + float((-G * B * B - W * z * z_ss).sum())
         h_sl = float((-G * B * C - W * z * z_sl).sum())
         h_ll = float((-G * C * C - W * z * z_ll).sum())
         # truncation term: T = -log R(v) per observation
         if xi > 0.0:
-            h_ss += n * (dxi * v * v - 2.0 * xi * v) / sigma**2
-            h_ll += n * (dxi * v * v - 2.0 * xi * v) / lam**2
-            h_sl += n * (dxi * v * v - xi * v) / (sigma * lam)
+            h_ss += n * (dxi * v * v - 2.0 * xi * v) / sigma2
+            h_ll += n * (dxi * v * v - 2.0 * xi * v) / _power(lam, 2)
+            h_sl += n * (dxi * v * v - xi * v) / np.float64(sigma * lam)
         return np.array([[h_mm, h_ms, h_ml], [h_ms, h_ss, h_sl], [h_ml, h_sl, h_ll]])
 
     @cached_property
@@ -659,6 +683,9 @@ def _maximize(ctx: LikelihoodContext, init: BcsParams | None, mode: str) -> FitR
     free_names = ctx.free_names
     logged, build, objective, to_x = _search_space(ctx)
     eye = np.eye(len(logged))  # h_inv is rebound, never written, so it may be eye itself
+    # whether snap can move mu: in analytic mode, where a family the search
+    # may reach has a kink in mu
+    snaps = mode == "analytic" and (ctx.fit_extra or kink_slope(ctx.family) != 0.0)
 
     def at(x, f, held, h_inv) -> _Iterate:
         """The iterate at x, where the objective is f, with its gradient."""
@@ -784,7 +811,7 @@ def _maximize(ctx: LikelihoodContext, init: BcsParams | None, mode: str) -> FitR
                 return _Stop.LINE_SEARCH_STALL
             return _Stop.FLAT_PLATEAU if held is None else _Stop.KINK_OPTIMUM
         # a kink in mu may have cut the step, or the step landed on one
-        near_kink = hold is None and (t <= _SNAP_T or math.exp(x1[0]) in ya)
+        near_kink = snaps and hold is None and (t <= _SNAP_T or math.exp(x1[0]) in ya)
         if near_kink and (snapped := snap(x1, f1, h_inv, stalled=False)):
             return snapped
         nxt = at(x1, f1, hold, h_inv)

@@ -301,6 +301,22 @@ def _logistic_i_tail0(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Generator evaluation.
 
+def _split(mask: np.ndarray, inside: Callable, outside: Callable, *rows: np.ndarray) -> np.ndarray:
+    """inside(*rows) on the rows of mask and outside(*rows) on the others,
+    elementwise: each is called only on its own rows, and not at all where
+    it holds none, so one element costs one branch and no masking."""
+    k = np.count_nonzero(mask)
+    if k == mask.size:
+        return inside(*rows)
+    if k == 0:
+        return outside(*rows)
+    out = np.empty(mask.shape)
+    out[mask] = inside(*(a[mask] for a in rows))
+    rest = ~mask
+    out[rest] = outside(*(a[rest] for a in rows))
+    return out
+
+
 def _gen_normal(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     log_r = -0.5 * (_LOG_2PI + u)
     r = np.exp(log_r)
@@ -380,38 +396,46 @@ def _gen_canonical_slash(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarr
     return r, log_r
 
 
-def _gen_slash(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _gen_slash_finite(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     q = family.extra
     a = 0.5 * (q + 1.0)
     amp = _slash_amp(q) * 2.0**-a
+    x = 0.5 * u
+    ratio = lower_gamma_ratio(a, x)
+    r = amp * ratio
+    with np.errstate(divide="ignore"):
+        log_r = math.log(amp) + np.log(ratio)
+    # where r underflows, Q(a, x) is 0 and the ratio is Gamma(a) / x^a
+    under = r == 0.0
+    if under.any():
+        log_r[under] = math.log(amp) + math.lgamma(a) - a * np.log(x[under])
+    return r, log_r
+
+
+def _gen_slash(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    fin = np.isfinite(u)
+    if fin.all():
+        return _gen_slash_finite(family, u)
     r = np.zeros_like(u)
     log_r = np.full_like(u, -np.inf)
-    fin = np.isfinite(u)
-    if not fin.all():
-        nan = np.isnan(u)
-        r[nan] = log_r[nan] = np.nan
-    x = 0.5 * u[fin]
-    ratio = lower_gamma_ratio(a, x)
-    rf = amp * ratio
-    r[fin] = rf
-    with np.errstate(divide="ignore"):
-        log_rf = math.log(amp) + np.log(ratio)
-    # where r underflows, Q(a, x) is 0 and the ratio is Gamma(a) / x^a
-    under = rf == 0.0
-    if under.any():
-        log_rf[under] = math.log(amp) + math.lgamma(a) - a * np.log(x[under])
-    log_r[fin] = log_rf
+    nan = np.isnan(u)
+    r[nan] = log_r[nan] = np.nan
+    r[fin], log_r[fin] = _gen_slash_finite(family, u[fin])
     return r, log_r
+
+
+def _generator(family: DensityFamily, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(r, log r) at a 1-D float u >= 0, which the generators only read."""
+    return _SPECS[family.kind].generator(family, u)
 
 
 def eval_generator(family: DensityFamily, u) -> GeneratorEval:
     """Evaluate r and log r of the family's generator at u >= 0."""
     ua = np.asarray(u, dtype=float)
-    # the generators run on a 1-D array, which they only read
     flat = ua if ua.ndim == 1 else ua.reshape(-1)
     if (flat < 0.0).any():
         raise ValueError("generator argument must be nonnegative")
-    r, log_r = _SPECS[family.kind].generator(family, flat)
+    r, log_r = _generator(family, flat)
     if ua.ndim != 1:
         r, log_r = r.reshape(ua.shape), log_r.reshape(ua.shape)
     return GeneratorEval(r=r, log_r=log_r)
@@ -455,12 +479,9 @@ def _tail_power_exponential(family: DensityFamily, s: np.ndarray) -> np.ndarray:
 
 
 def _tail_cauchy(family: DensityFamily, s: np.ndarray) -> np.ndarray:
-    out = np.empty_like(s)
-    near = s <= 1.0
-    out[near] = 0.5 - np.arctan(s[near]) / math.pi
-    far = ~near
-    out[far] = np.arctan(1.0 / s[far]) / math.pi
-    return out
+    return _split(
+        s <= 1.0, lambda s: 0.5 - np.arctan(s) / math.pi, lambda s: np.arctan(1.0 / s) / math.pi, s
+    )
 
 
 def _tail_student_t(family: DensityFamily, s: np.ndarray) -> np.ndarray:
@@ -484,13 +505,12 @@ def _tail_student_t(family: DensityFamily, s: np.ndarray) -> np.ndarray:
     #   at most 8 eps relative, and the values toward the quartiles keep their
     #   bits, t4's quartile among them, which starts every t4 fit.
     near = (y < 1.5 / (a + 2.5)) & (u <= tau / 16.0)
-    out = np.empty_like(s)
-    # a scalar tail, such as the truncation mass R(v), fills one branch only
-    if near.any():
-        out[near] = 0.5 - 0.5 * reg_inc_beta(0.5, a, y[near])
-    rest = ~near
-    if rest.any():
-        out[rest] = 0.5 * reg_inc_beta(a, 0.5, tau / (tau + u[rest]))
+    out = _split(
+        near,
+        lambda y, u: 0.5 - 0.5 * reg_inc_beta(0.5, a, y),
+        lambda y, u: 0.5 * reg_inc_beta(a, 0.5, tau / (tau + u)),
+        y, u,
+    )
     far = np.isinf(u) & np.isfinite(s)
     if far.any():
         # x = tau / s^2 < 1e-308, where I_x(a, 1/2) is x^a / (a B(a, 1/2))
@@ -501,12 +521,9 @@ def _tail_student_t(family: DensityFamily, s: np.ndarray) -> np.ndarray:
 
 def _tail_logistic_i(family: DensityFamily, s: np.ndarray) -> np.ndarray:
     c = _logistic_i_cache()["c"]
-    out = np.empty_like(s)
-    near = s < 2.0
-    out[near] = 0.5 - c * _logistic_i_mass0(s[near])
-    far = ~near
-    out[far] = c * _logistic_i_tail0(s[far])
-    return out
+    return _split(
+        s < 2.0, lambda s: 0.5 - c * _logistic_i_mass0(s), lambda s: c * _logistic_i_tail0(s), s
+    )
 
 
 def _tail_logistic_ii(family: DensityFamily, s: np.ndarray) -> np.ndarray:
@@ -517,11 +534,14 @@ def _tail_logistic_ii(family: DensityFamily, s: np.ndarray) -> np.ndarray:
 def _tail_slash_form(family: DensityFamily, s: np.ndarray, q: float) -> np.ndarray:
     """Phi(-s) + s r(s^2) / q, with r the family's own slash generator."""
     with np.errstate(over="ignore"):
-        r = eval_generator(family, s * s).r
+        r = _generator(family, s * s)[0]
     with np.errstate(invalid="ignore"):
-        bulge = np.where(np.isfinite(s), s * r / q, 0.0)
+        bulge = s * r / q
+    fin = np.isfinite(s)
+    if not fin.all():
+        bulge = np.where(fin, bulge, 0.0)
     # where r(s^2) underflows, s r(s^2) is A_q Gamma((q + 1)/2) s^-q
-    far = (r < _TINY) & np.isfinite(s)
+    far = (r < _TINY) & fin
     if far.any():
         log_lead = math.log(_slash_amp(q)) + math.lgamma(0.5 * (q + 1.0)) - math.log(q)
         bulge[far] = np.exp(log_lead - q * np.log(s[far]))
@@ -533,13 +553,20 @@ def symmetric_cdf(family: DensityFamily, s):
     return symmetric_survival(family, -np.asarray(s, dtype=float))
 
 
+def _upper_tail(family: DensityFamily, s: np.ndarray) -> np.ndarray:
+    """P(S > s) at a 1-D float s >= 0."""
+    return _SPECS[family.kind].upper_tail(family, s)
+
+
 def symmetric_survival(family: DensityFamily, s):
     """P(S > s), relatively accurate in the upper tail."""
     sa = np.asarray(s, dtype=float)
     flat = sa.reshape(-1)
     # one upper-tail call on |s|, mirrored by P(S > s) = 1 - P(S > -s)
-    tail = _SPECS[family.kind].upper_tail(family, np.abs(flat))
-    out = np.where(flat >= 0.0, tail, 1.0 - tail).reshape(sa.shape)
+    # where s is negative (or NaN)
+    tail = _upper_tail(family, np.abs(flat))
+    upper = flat >= 0.0
+    out = (tail if upper.all() else np.where(upper, tail, 1.0 - tail)).reshape(sa.shape)
     return float(out) if sa.shape == () else out
 
 
@@ -808,14 +835,12 @@ def _w_logistic_ii(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> np.nd
 
 def _w_canonical_slash(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> np.ndarray:
     x = 0.5 * u
-    out = np.empty_like(u)
-    small = x < 0.25
-    if small.any():
-        out[small] = np.polynomial.polynomial.polyval(x[small], _CSLASH_W_COEF)
-    big = ~small
-    if big.any():
-        out[big] = 2.0 / u[big] - 1.0 / np.expm1(x[big])
-    return out
+    return _split(
+        x < 0.25,
+        lambda x, u: np.polynomial.polynomial.polyval(x, _CSLASH_W_COEF),
+        lambda x, u: 2.0 / u - 1.0 / np.expm1(x),
+        x, u,
+    )
 
 
 def _slash_ratios(a: float, x: np.ndarray, top: int) -> list:
@@ -832,17 +857,22 @@ def _slash_ratios(a: float, x: np.ndarray, top: int) -> list:
     return ratios[::-1]
 
 
+def _beyond_finite(z: np.ndarray, u: np.ndarray) -> np.ndarray:
+    # a slash weight or its derivative where u is not finite: 0, nan at nan
+    return np.where(np.isnan(u), u, 0.0)
+
+
 def _w_slash(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> np.ndarray:
     a = 0.5 * (family.extra + 1.0)
-    out = np.zeros_like(u)
-    fin = np.isfinite(u)
-    x = 0.5 * u[fin]
-    den, num = _slash_ratios(a, x, 1)
-    # far out the numerator underflows, alone or with the denominator; there
-    # w = a / x = (q + 1) / z^2 (the discarded a / x divides by 0 at z = 0)
-    out[fin] = np.where(num < _TINY, a / x, num / den)
-    out[np.isnan(u)] = np.nan
-    return out
+
+    def finite(z, u):
+        x = 0.5 * u
+        den, num = _slash_ratios(a, x, 1)
+        # far out the numerator underflows, alone or with the denominator; there
+        # w = a / x = (q + 1) / z^2 (the discarded a / x divides by 0 at z = 0)
+        return np.where(num < _TINY, a / x, num / den)
+
+    return _split(np.isfinite(u), finite, _beyond_finite, z, u)
 
 
 def _dw_power_exponential(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -876,68 +906,68 @@ def _dw_logistic_i(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> np.nd
     return np.where(np.isinf(c2), 0.0, 2.0 * z / c2)
 
 
+def _dw_logistic_ii_series(g: np.ndarray) -> np.ndarray:
+    g2 = g * g
+    return -g / 12.0 + g * g2 / 60.0 - 17.0 * g * g2 * g2 / 6720.0
+
+
+def _dw_logistic_ii_direct(g: np.ndarray) -> np.ndarray:
+    c2 = np.cosh(0.5 * g) ** 2
+    hyper = np.where(np.isinf(c2), 0.0, 0.5 * g / c2)
+    return (hyper - np.tanh(0.5 * g)) / (g * g)
+
+
 def _dw_logistic_ii(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> np.ndarray:
     g = np.abs(z)
-    out = np.empty_like(u)
-    small = g < 0.05
-    if small.any():
-        gs = g[small]
-        g2 = gs * gs
-        out[small] = -gs / 12.0 + gs * g2 / 60.0 - 17.0 * gs * g2 * g2 / 6720.0
-    big = ~small
-    if big.any():
-        gb = g[big]
-        c2 = np.cosh(0.5 * gb) ** 2
-        hyper = np.where(np.isinf(c2), 0.0, 0.5 * gb / c2)
-        out[big] = (hyper - np.tanh(0.5 * gb)) / (gb * gb)
-    return np.sign(z) * out
+    return np.sign(z) * _split(g < 0.05, _dw_logistic_ii_series, _dw_logistic_ii_direct, g)
 
 
 def _dw_canonical_slash(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> np.ndarray:
     x = 0.5 * u
-    dwdu = np.empty_like(u)
-    small = x < 0.25
-    if small.any():
-        x2 = x[small] ** 2
-        dwdu[small] = 0.5 * np.polynomial.polynomial.polyval(x2, _CSLASH_DW_COEF[::2])
-    big = ~small
-    if big.any():
-        xb = x[big]
-        dwdu[big] = -2.0 / u[big] ** 2 + 0.5 * np.exp(-xb) / np.expm1(-xb) ** 2
+    dwdu = _split(
+        x < 0.25,
+        lambda x, u: 0.5 * np.polynomial.polynomial.polyval(x**2, _CSLASH_DW_COEF[::2]),
+        lambda x, u: -2.0 / u**2 + 0.5 * np.exp(-x) / np.expm1(-x) ** 2,
+        x, u,
+    )
     return _limit_where_nan(2.0 * z * dwdu, z)
 
 
 def _dw_slash(family: DensityFamily, z: np.ndarray, u: np.ndarray) -> np.ndarray:
     a = 0.5 * (family.extra + 1.0)
-    out = np.zeros_like(u)
-    fin = np.isfinite(u)
-    x = 0.5 * u[fin]
-    r0, r1, r2 = _slash_ratios(a, x, 2)
-    zf = z[fin]
-    # the discarded -4 a / z^3 divides by 0 at z = 0
-    dw = zf * (r1 * r1 - r0 * r2) / (r0 * r0)
-    # far out r0^2 underflows to 0/0; there w' = -2 (q + 1) / z^3
-    out[fin] = np.where(np.isnan(dw), -4.0 * a / zf**3, dw)
-    out[np.isnan(u)] = np.nan
-    return out
+
+    def finite(z, u):
+        r0, r1, r2 = _slash_ratios(a, 0.5 * u, 2)
+        # the discarded -4 a / z^3 divides by 0 at z = 0
+        dw = z * (r1 * r1 - r0 * r2) / (r0 * r0)
+        # far out r0^2 underflows to 0/0; there w' = -2 (q + 1) / z^3
+        return np.where(np.isnan(dw), -4.0 * a / z**3, dw)
+
+    return _split(np.isfinite(u), finite, _beyond_finite, z, u)
 
 
 # w and w' resolve their limits where they overflow, divide by an underflowed
-# z^2 or meet inf / inf at the ends of the z range; those events are ignored
+# z^2 or meet inf / inf at the ends of the z range; those events are ignored,
+# by ``_weight`` here and by the likelihood kernel around its own calls
+
+def _weight_1d(family: DensityFamily, z: np.ndarray, derivative: bool) -> np.ndarray:
+    """w(z), or dw/dz where derivative is set, at a 1-D float z.  Raises at
+    z = 0 where w is singular there (centre e < 2) or, for dw/dz, where w is
+    not differentiable there (2 < e <= 3)."""
+    spec = _SPECS[family.kind]
+    e = spec.centre(family)
+    if (e < 2.0 or derivative and 2.0 < e <= 3.0) and (z == 0.0).any():
+        defect = "singular" if e < 2.0 else "not differentiable"
+        raise ValueError(f"weight function of {family.label()} is {defect} at z = 0")
+    return (spec.weight_derivative if derivative else spec.weight)(family, z, z * z)
+
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _weight(family: DensityFamily, z, derivative: bool):
-    """w(z), or dw/dz where derivative is set, at z of any shape.  Raises at
-    z = 0 where w is singular there (centre e < 2) or, for dw/dz, where w is
-    not differentiable there (2 < e <= 3)."""
+    """``_weight_1d`` at z of any shape."""
     za = np.asarray(z, dtype=float)
-    spec = _SPECS[family.kind]
     flat = za if za.ndim == 1 else za.reshape(-1)
-    e = spec.centre(family)
-    if (e < 2.0 or derivative and 2.0 < e <= 3.0) and (flat == 0.0).any():
-        defect = "singular" if e < 2.0 else "not differentiable"
-        raise ValueError(f"weight function of {family.label()} is {defect} at z = 0")
-    out = (spec.weight_derivative if derivative else spec.weight)(family, flat, flat * flat)
+    out = _weight_1d(family, flat, derivative)
     if za.ndim != 1:
         out = out.reshape(za.shape)
     return float(out) if za.ndim == 0 else out

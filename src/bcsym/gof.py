@@ -10,7 +10,9 @@ Probability transforms are clamped to [PROB_FLOOR, 1 - PROB_FLOOR] before
 logs and reciprocals, and reports carry a flag when the clamp fires.  A BCS
 law has support (0, inf), so in ``gof_report`` and ``quantile_residuals`` its
 cdf rounds to an exact 0 or 1 only at observations far in a tail, and those
-are clamped too.  ``anderson_darling_suite`` takes any cdf callable, and
+are clamped too.  ``gof_report`` and ``bcsym compare`` share one private
+helper, ``_gof``, for the clamped probabilities and the three statistics;
+only ``gof_report`` goes on to the quantile residuals.  ``anderson_darling_suite`` takes any cdf callable, and
 rejects an exact 0 or 1 as an observation outside the model's support.
 """
 
@@ -177,13 +179,20 @@ def qq_data(residuals) -> np.ndarray:
     return np.column_stack((theoretical, np.sort(r)))
 
 
-def gof_report(data, fit_result: FitResult) -> GofReport:
-    """Assemble the adequacy summary for a fitted model on its data."""
+def _gof(data, params: BcsParams) -> tuple[np.ndarray, bool, tuple[float, float, float]]:
+    """(the clamped cdf of a BCS law on the data, whether the clamp fired,
+    (AD, ADR, AD2R)): what ``gof_report`` and ``bcsym compare`` share, without
+    the quantile residuals, which compare does not print."""
     ya = np.asarray(data, dtype=float).ravel()
     if ya.size < 2:
         raise ValueError("need at least two observations")
-    u, clamped = _bcs_probs(fit_result.params, ya)
-    ad, adr, ad2r = _ad_statistics(np.sort(u))
+    u, clamped = _bcs_probs(params, ya)
+    return u, clamped, _ad_statistics(np.sort(u))
+
+
+def gof_report(data, fit_result: FitResult) -> GofReport:
+    """Assemble the adequacy summary for a fitted model on its data."""
+    u, clamped, (ad, adr, ad2r) = _gof(data, fit_result.params)
     return GofReport(
         aic=fit_result.aic,
         ad=ad,

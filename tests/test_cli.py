@@ -249,6 +249,27 @@ def test_compare_bct_data_prefers_bct(tmp_path, capsys):
     assert "student_t(tau=4)" in err
 
 
+def test_compare_makes_no_quantile_residuals(tmp_path, capsys, monkeypatch):
+    # compare prints AIC and the three Anderson-Darling statistics, the same
+    # as gof_report's, and not the quantile residuals gof_report adds
+    from bcsym import gof
+
+    path, y = _bct_csv(tmp_path, n=200)
+    calls = []
+    real = gof.std_normal_quantile
+    monkeypatch.setattr(gof, "std_normal_quantile", lambda p: calls.append(p) or real(p))
+    families = [DensityFamily.normal(), DensityFamily.student_t(4.0)]
+    code, out, _ = _run(
+        capsys, ["compare", path, "--column", "value", "--families", "normal,t:4", "--no-extra"]
+    )
+    assert code == 0 and calls == []
+    for row, family in zip(json.loads(out)["rows"], families):
+        report = gof.gof_report(y, fit(LikelihoodContext(y, family)))
+        assert [row[c] for c in ("aic", "ad", "adr", "ad2r")] == [
+            report.aic, report.ad, report.adr, report.ad2r
+        ]
+
+
 def test_compare_single_family_is_usage_error(tmp_path, capsys):
     path, _ = _bct_csv(tmp_path, n=30)
     code, out, err = _run(capsys, ["compare", path, "--column", "value", "--families", "normal"])

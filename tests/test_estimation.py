@@ -1135,3 +1135,59 @@ def test_fitted_point_is_local_maximum(dmu, dsigma, dlam):
 
 def test_param_names_constant():
     assert PARAM_NAMES == ("mu", "sigma", "lambda")
+
+
+# ---------------------------------------------------------------------------
+# What one parameter point costs: points kept, calls made.
+
+def test_context_returns_the_iterate_point_after_other_points():
+    # the fitter reads an iterate's value and its score, then tries steps;
+    # where the line search fails the iterate's point is asked for again
+    t4 = FAMILIES["t4"]
+    ctx = _ctx("t4")
+    iterate = BcsParams(2.0, 0.4, 0.5, t4)
+    loglik(ctx, iterate)
+    score(ctx, iterate)
+    point = ctx._point(iterate)
+    loglik(ctx, BcsParams(2.1, 0.4, 0.5, t4))
+    assert ctx._point(iterate) is point
+    loglik(ctx, BcsParams(2.05, 0.4, 0.5, t4))
+    assert ctx._point(iterate) is point
+    assert loglik(ctx, iterate) == point.loglik
+
+
+def test_a_point_off_lambda_zero_makes_no_survival_call(monkeypatch):
+    # the truncation mass R(v) is one upper-tail value at v > 0, taken
+    # without symmetric_survival's reshaping and mirror
+    from bcsym import distribution, families
+
+    calls = []
+    for module in (distribution, families):
+        real = module.symmetric_survival
+        monkeypatch.setattr(
+            module, "symmetric_survival", lambda f, s, real=real: calls.append(s) or real(f, s)
+        )
+    for name in ("t4", "slash2", "normal"):
+        ctx = _ctx(name)
+        params = BcsParams(2.0, 0.4, 0.5, FAMILIES[name])
+        loglik(ctx, params)
+        score(ctx, params)
+        hessian(ctx, params)
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+@pytest.mark.parametrize("sigma", [1e-163, 1e-200, 1.4e154, 1e300])
+def test_hessian_returns_where_sigma_squared_leaves_the_doubles(name, lam, sigma):
+    # sigma^2 underflows to 0 below about 2.2e-162 and overflows above about
+    # 1.34e154; loglik and score return there, and so does the Hessian
+    family = FAMILIES[name]
+    ctx = LikelihoodContext((0.5, 0.9, 1.3, 2.0, 7.0), family)
+    params = BcsParams(1.1, sigma, lam, family)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loglik(ctx, params)
+        score(ctx, params)
+        H = hessian(ctx, params)
+    assert H.shape == (3, 3)

@@ -144,3 +144,17 @@ def test_loc_counts_code_lines_without_comments_or_docstrings(tmp_path, capsys):
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     # a.py: import, def, the two return lines and the two lines of TEXT
     assert rows == [["a.py", "6"], ["b.py", "1"], ["total", "7"]]
+
+
+def test_interleave_runs_one_checkout_against_itself():
+    root = str(SCRIPTS.parent)
+    cmd = [sys.executable, str(SCRIPTS / "interleave.py"), "--parent", root, "--change", root,
+           "--workload", "type1_t4_n50", "--batches", "2", "--ops", "2"]
+    out = subprocess.run(cmd, capture_output=True, text=True, check=True, timeout=300).stdout
+    lines = out.splitlines()
+    assert lines[0].startswith("type1_t4_n50, seed 0: 2 batches of 2 ops per side")
+    assert [line.split()[0] for line in lines[1:3]] == ["parent", "change"]
+    assert all(line.endswith("0 check problems, 0 failed fits") for line in lines[1:3])
+    assert re.fullmatch(r"op time change/parent: median \S+ \(quartiles \S+, \S+\); "
+                        r"change faster in \d of 2 batches", lines[3])
+    assert lines[4] == "outputs: 4 of 4 ops identical on both sides"
